@@ -9,6 +9,11 @@ equality, never by floating-point comparison.
 Basis layout (row-major): full index k = (n * L + w) * 2 + s for system level
 n, battery ladder level w, switch sector s (0 = initial, 1 = final). The
 battery's own basis index is b = 2 w + s.
+
+A conserving unitary is block-diagonal over the degenerate eigenspaces of
+the joint Hamiltonian and is stored as those blocks only; Q, transition
+probabilities and work distributions are evaluated from the blocks, and no
+d x d array of U is ever formed.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -31,7 +37,6 @@ DEFAULT_PROB_FLOOR = 1e-12
 
 UNITARITY_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
-COMMUTATOR_TOL = 1e-10
 
 RationalLike = Union[int, float, str, Fraction]
 
@@ -151,9 +156,6 @@ class JointModel:
         return OperatorMatrix(self.space,
                               np.diag([float(e) for e in self.exact_energies]))
 
-    def energy_vector(self) -> np.ndarray:
-        return np.array([float(e) for e in self.exact_energies])
-
 
 def build_joint_model(omega_i: RationalLike, omega_f: RationalLike,
                       system_cutoff: int, battery: SwitchedBattery, *,
@@ -206,59 +208,124 @@ class EnergyBlock:
         return len(self.indices)
 
 
-def spectral_blocks(model: JointModel,
-                    degeneracy_tol: float = 0.0) -> list[EnergyBlock]:
+def spectral_blocks(model: JointModel) -> list[EnergyBlock]:
     """Partition the basis into degenerate blocks, ascending in energy.
 
-    Energies are exact rationals, so ``degeneracy_tol`` never influences the
-    grouping; it is accepted for interface completeness and must not exceed
-    half the smallest exact gap (checked when nonzero).
-    """
+    Energies are exact rationals, so blocks are their equality classes."""
     groups: dict[Fraction, list[int]] = {}
     for k, e in enumerate(model.exact_energies):
         groups.setdefault(e, []).append(k)
-    blocks = [EnergyBlock(e, tuple(sorted(idx)))
-              for e, idx in sorted(groups.items())]
-    if degeneracy_tol > 0 and len(blocks) > 1:
-        gap = min(float(b2.energy - b1.energy)
-                  for b1, b2 in zip(blocks, blocks[1:]))
-        if degeneracy_tol > gap / 2:
-            raise DomainError(
-                f"degeneracy_tol {degeneracy_tol} exceeds half the smallest "
-                f"exact spectral gap {gap}"
-            )
-    return blocks
+    return [EnergyBlock(e, tuple(sorted(idx))) for e, idx in sorted(groups.items())]
 
 
 @dataclass(frozen=True)
+class _BlockLayout:
+    """The blocks of one unitary, regrouped for evaluation.
+
+    Blocks are ordered by size (stably). ``entries`` holds every block matrix
+    row-major, back to back, block b from ``offset[b]`` on, with
+    ``size[b]`` indices. For joint index k, ``block[k]`` numbers its block
+    and ``slot[k]`` is its position inside it. Each ``stacks`` item holds the
+    m blocks of one size s: their (m, s) joint indices and an (m, s, s) view
+    of their matrices.
+    """
+
+    block: np.ndarray
+    slot: np.ndarray
+    offset: np.ndarray
+    size: np.ndarray
+    entries: np.ndarray
+    stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _block_layout(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> _BlockLayout:
+    ordered = sorted(blocks, key=lambda pair: len(pair[0]))
+    size = np.array([len(idx) for idx, _ in ordered])
+    order = np.concatenate([idx for idx, _ in ordered])
+    entries = np.concatenate([np.ravel(mat) for _, mat in ordered], dtype=complex)
+    offset = np.concatenate(([0], np.cumsum(size ** 2)[:-1]))
+    start = np.concatenate(([0], np.cumsum(size)[:-1]))
+    block = np.empty(order.size, dtype=np.intp)
+    block[order] = np.repeat(np.arange(size.size), size)
+    slot = np.empty(order.size, dtype=np.intp)
+    slot[order] = np.arange(order.size) - np.repeat(start, size)
+    stacks = []
+    for s in np.unique(size):
+        first, stop = np.searchsorted(size, [s, s + 1])
+        m = stop - first
+        indices = order[start[first]:start[first] + m * s].reshape(m, s)
+        matrices = entries[offset[first]:offset[first] + m * s * s].reshape(m, s, s)
+        stacks.append((indices, matrices))
+    return _BlockLayout(block, slot, offset, size, entries, tuple(stacks))
+
+
+@dataclass(frozen=True, eq=False)
 class ConservingUnitary:
     """Block-diagonal symmetric unitary commuting with the joint Hamiltonian.
+
+    Stored as its energy blocks: one ``(indices, matrix)`` pair per
+    degenerate eigenspace, where ``matrix[i, j]`` is the entry of U at joint
+    indices ``(indices[i], indices[j])``; every entry outside the blocks is
+    zero. For block sizes s that is sum(s^2) complex entries instead of d^2.
 
     ``window`` is set by the translation-invariant sampler: the inclusive
     battery-level range over which transition probabilities depend only on
     level differences.
     """
 
-    matrix: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     seed: int
     window: Optional[tuple[int, int]] = None
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return sum(len(idx) for idx, _ in self.blocks)
+
+    @cached_property
+    def _layout(self) -> _BlockLayout:
+        return _block_layout(self.blocks)
+
+    @property
+    def matrix(self):
+        """U as a ``scipy.sparse.csr_array``, assembled from the blocks on
+        every access. An export for callers; qflux itself reads the blocks."""
+        from scipy import sparse
+
+        rows = np.concatenate([np.repeat(idx, len(idx)) for idx, _ in self.blocks])
+        cols = np.concatenate([np.tile(idx, len(idx)) for idx, _ in self.blocks])
+        data = np.concatenate([np.ravel(mat) for _, mat in self.blocks])
+        return sparse.csr_array((data, (rows, cols)), shape=(self.dim, self.dim))
+
+    def entries(self, rows, cols) -> np.ndarray:
+        """U restricted to ``rows`` and ``cols`` as a dense array, read from
+        the blocks; entries of different blocks are zero."""
+        layout = self._layout
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        row_block = layout.block[rows]
+        same = row_block[:, None] == layout.block[cols][None, :]
+        at = ((layout.offset[row_block] + layout.slot[rows] * layout.size[row_block])[:, None]
+              + layout.slot[cols][None, :])
+        out = np.zeros(same.shape, dtype=complex)
+        out[same] = layout.entries[at[same]]
+        return out
 
     def assert_valid(self, model: JointModel) -> None:
-        u = self.matrix
-        if u.shape != (model.dim, model.dim):
-            raise DimensionError("unitary dimension does not match model")
-        eye = np.eye(self.dim)
-        if np.abs(u.conj().T @ u - eye).max() > UNITARITY_TOL:
-            raise ValueError("matrix is not unitary within 1e-12")
-        if np.abs(u - u.T).max() > SYMMETRY_TOL:
-            raise ValueError("matrix is not symmetric within 1e-12")
-        e = model.energy_vector()
-        if np.abs(u * (e[None, :] - e[:, None])).max() > COMMUTATOR_TOL:
-            raise ValueError("matrix does not commute with the joint Hamiltonian")
+        """Every block is unitary and symmetric to 1e-12, and its indices
+        share one exact energy; together the blocks partition the basis."""
+        indices = np.concatenate([idx for idx, _ in self.blocks])
+        if not np.array_equal(np.sort(indices), np.arange(model.dim)):
+            raise DimensionError("unitary blocks do not partition the model basis")
+        for idx, mat in self.blocks:
+            size = len(idx)
+            if mat.shape != (size, size):
+                raise DimensionError(f"block of {size} indices holds a {mat.shape} matrix")
+            if len({model.exact_energies[k] for k in idx}) != 1:
+                raise ValueError("block mixes joint energies: it does not commute "
+                                 "with the joint Hamiltonian")
+            if np.abs(mat.conj().T @ mat - np.eye(size)).max() > UNITARITY_TOL:
+                raise ValueError("block is not unitary within 1e-12")
+            if np.abs(mat - mat.T).max() > SYMMETRY_TOL:
+                raise ValueError("block is not symmetric within 1e-12")
 
 
 def _symmetric_block_unitary(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -269,20 +336,21 @@ def _symmetric_block_unitary(rng: np.random.Generator, size: int) -> np.ndarray:
     return (vec * np.exp(1j * lam)) @ vec.T
 
 
+def _random_phase(rng: np.random.Generator) -> np.ndarray:
+    return np.array([[np.exp(2j * np.pi * rng.random())]])
+
+
 def sample_conserving_unitary(blocks: Sequence[EnergyBlock],
                               seed: int) -> ConservingUnitary:
     """Draw an independent random symmetric unitary on every degenerate block;
     singleton blocks receive a random phase. Deterministic in (blocks, seed)."""
     rng = np.random.default_rng(seed)
-    dim = sum(b.size for b in blocks)
-    u = np.zeros((dim, dim), dtype=complex)
+    pairs = []
     for block in blocks:
-        if block.size == 1:
-            u[block.indices[0], block.indices[0]] = np.exp(2j * np.pi * rng.random())
-        else:
-            sub = _symmetric_block_unitary(rng, block.size)
-            u[np.ix_(block.indices, block.indices)] = sub
-    return ConservingUnitary(u, seed)
+        mat = (_random_phase(rng) if block.size == 1
+               else _symmetric_block_unitary(rng, block.size))
+        pairs.append((np.array(block.indices), mat))
+    return ConservingUnitary(tuple(pairs), seed)
 
 
 def _block_signature(model: JointModel, block: EnergyBlock) -> tuple:
@@ -328,37 +396,51 @@ def sample_translation_invariant_unitary(model: JointModel,
             f"[{reach}, {top - reach}] (reach {reach} on a {top + 1}-level ladder)"
         )
     rng = np.random.default_rng(seed)
-    dim = sum(b.size for b in blocks)
-    u = np.zeros((dim, dim), dtype=complex)
-    phases: dict[tuple, complex] = {}
     generators: dict[tuple, np.ndarray] = {}
+    pairs = []
     for block in blocks:
         sig = _block_signature(model, block)
-        if block.size == 1:
-            if sig not in phases:
-                phases[sig] = np.exp(2j * np.pi * rng.random())
-            u[block.indices[0], block.indices[0]] = phases[sig]
-        else:
-            if sig not in generators:
-                generators[sig] = _symmetric_block_unitary(rng, block.size)
-            u[np.ix_(block.indices, block.indices)] = generators[sig]
-    return ConservingUnitary(u, seed, window=(lo, hi))
+        if sig not in generators:
+            generators[sig] = (_random_phase(rng) if block.size == 1
+                               else _symmetric_block_unitary(rng, block.size))
+        pairs.append((np.array(block.indices), generators[sig]))
+    return ConservingUnitary(tuple(pairs), seed, window=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
 # measured quantities
 # ---------------------------------------------------------------------------
 
+def _blocks_times(layout: _BlockLayout, panel: np.ndarray,
+                  adjoint: bool) -> np.ndarray:
+    """U @ panel, or U^dag @ panel: every block multiplies the rows of
+    ``panel`` it holds, one stack of equal-size blocks at a time; d sum(s^2)
+    complex multiply-adds for a panel of d columns."""
+    out = np.empty(panel.shape, dtype=complex)
+    for indices, matrices in layout.stacks:
+        if adjoint:
+            matrices = matrices.conj().transpose(0, 2, 1)
+        out[indices] = np.matmul(matrices, panel[indices])
+    return out
+
+
 def q_quantity(x, rho, u: ConservingUnitary) -> float:
-    """Tr[X U rho U^dag], clamped to zero when within -1e-14 of it."""
+    """Tr[X U rho U^dag], clamped to zero when within -1e-14 of it.
+
+    Evaluated as Tr[(U^dag X)(U rho)], each factor formed block by block
+    from the rows of X or rho that the block holds: 2 d sum(s^2) complex
+    multiply-adds for block sizes s, instead of the 2 d^3 of dense products.
+    """
     xm = x.matrix if hasattr(x, "matrix") else np.asarray(x, dtype=complex)
     rm = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
-    um = u.matrix
-    if xm.shape != um.shape or rm.shape != um.shape:
+    d = u.dim
+    if xm.shape != (d, d) or rm.shape != (d, d):
         raise DimensionError(
-            f"shape mismatch: X {xm.shape}, rho {rm.shape}, U {um.shape}"
+            f"shape mismatch: X {xm.shape}, rho {rm.shape}, U {(d, d)}"
         )
-    val = np.einsum('ab,ba->', xm @ um, rm @ um.conj().T).real
+    udag_x = _blocks_times(u._layout, xm, adjoint=True)
+    u_rho = _blocks_times(u._layout, rm, adjoint=False)
+    val = np.einsum('ab,ba->', udag_x, u_rho).real
     if -1e-14 <= val < 0.0:
         return 0.0
     return float(val)
@@ -378,7 +460,7 @@ def _u_submatrix(u: ConservingUnitary, model: JointModel,
     ladder2 = model.battery.dim
     rows = np.arange(model.system_cutoff) * ladder2 + b_out
     cols = np.arange(model.system_cutoff) * ladder2 + b_in
-    return u.matrix[np.ix_(rows, cols)]
+    return u.entries(rows, cols)
 
 
 def transition_probability(e_f_index: int, system_state, e_i_index: int,
@@ -453,7 +535,7 @@ def work_distribution(direction: str, system_state, reference_level: int,
     rho = _system_density(system_state)
     b_in = model.battery.basis_index(reference_level, sector)
     cols = np.arange(model.system_cutoff) * model.battery.dim + b_in
-    amp = u.matrix[:, cols]
+    amp = u.entries(np.arange(model.dim), cols)
     per_row = np.einsum('rn,nm,rm->r', amp.conj(), rho, amp).real
     per_row = per_row.reshape(model.system_cutoff, ladder, 2)
     per_level = per_row.sum(axis=(0, 2))

@@ -192,6 +192,21 @@ def identity(space: HilbertSpace) -> OperatorMatrix:
 # thermal-family states
 # ---------------------------------------------------------------------------
 
+def _family_tail(x: float, d: int, kind: str) -> float:
+    """Weight a geometric-family state keeps beyond cutoff d, as a share of
+    the whole untruncated state, in x = exp(-beta*omega)."""
+    if kind == "thermal":
+        # sum_{n>=d} x^n / sum_{n>=0} x^n = x^d
+        return x ** d
+    if kind == "added":
+        # sum_{m>=d} m x^m = x^d (d(1-x)+x)/(1-x)^2 ; full = x/(1-x)^2
+        return x ** (d - 1) * (d * (1 - x) + x)
+    if kind == "subtracted":
+        # sum_{n>=d}(n+1)x^n = x^d ((d+1)(1-x)+x)/(1-x)^2 ; full = 1/(1-x)^2
+        return x ** d * ((d + 1) * (1 - x) + x)
+    raise ValueError(f'kind must be "thermal", "added" or "subtracted", got {kind!r}')
+
+
 def _thermal_family(beta: float, mode: OscillatorMode, tail_tol: float,
                     kind: str) -> DensityState:
     """Shared construction for thermal / photon-added / photon-subtracted states.
@@ -212,20 +227,8 @@ def _thermal_family(beta: float, mode: OscillatorMode, tail_tol: float,
     x = math.exp(-beta * omega)
     n = np.arange(d, dtype=float)
     # weights held as x^n * poly(n); the common factor exp(-beta*omega/2) cancels
-    if kind == "thermal":
-        w = x ** n
-        # tail: sum_{n>=d} x^n / sum_{n>=0} x^n = x^d
-        tail = x ** d
-    elif kind == "added":
-        w = n * x ** n
-        # sum_{m>=d} m x^m = x^d (d(1-x)+x)/(1-x)^2 ; full = x/(1-x)^2
-        tail = x ** (d - 1) * (d * (1 - x) + x)
-    elif kind == "subtracted":
-        w = (n + 1) * x ** n
-        # sum_{n>=d}(n+1)x^n = x^d ((d+1)(1-x)+x)/(1-x)^2 ; full = 1/(1-x)^2
-        tail = x ** d * ((d + 1) * (1 - x) + x)
-    else:  # pragma: no cover
-        raise ValueError(kind)
+    w = x ** n * {"thermal": 1.0, "added": n, "subtracted": n + 1}[kind]
+    tail = _family_tail(x, d, kind)
     if tail > tail_tol:
         raise TruncationError(
             f"{kind} state at beta*omega={beta * omega:.4g} keeps tail mass "
@@ -256,19 +259,24 @@ def photon_subtracted_state(beta: float, mode: OscillatorMode,
 
 def min_cutoff_for_tail(beta: float, omega: float,
                         tail_tol: float = DEFAULT_TAIL_TOL,
-                        max_cutoff: int = DEFAULT_MAX_CUTOFF) -> int:
-    """Smallest cutoff whose geometric tail mass is <= tail_tol, capped at max_cutoff."""
+                        max_cutoff: int = DEFAULT_MAX_CUTOFF, *,
+                        kind: str = "thermal") -> int:
+    """Smallest cutoff >= 2 at which the ``kind`` state ("thermal", "added"
+    or "subtracted", as in the constructors) keeps a tail mass <= tail_tol,
+    capped at max_cutoff. The constructor of that state accepts the returned
+    cutoff at tail_tol; the tail falls with the cutoff, so it rejects any
+    smaller one."""
     if beta <= 0 or omega <= 0:
         raise ValueError("beta and omega must be positive")
     x = math.exp(-beta * omega)
     d = 2
     while d <= max_cutoff:
-        if x ** d <= tail_tol:
+        if _family_tail(x, d, kind) <= tail_tol:
             return d
         d += 1
     raise TruncationError(
         f"no cutoff <= {max_cutoff} reaches tail tolerance {tail_tol:.3e} "
-        f"at beta*omega={beta * omega:.4g}"
+        f"for the {kind} state at beta*omega={beta * omega:.4g}"
     )
 
 

@@ -316,8 +316,8 @@ def _random_system_operator(rng: np.random.Generator, dim: int, family: int) -> 
     return st.projector().matrix
 
 
-def _random_ladder_operator(rng: np.random.Generator, ladder: int, family: int,
-                            beta: float, spacing: float) -> np.ndarray:
+def _random_ladder_operator(rng: np.random.Generator, ladder: int,
+                            family: int) -> np.ndarray:
     """Measurement operator on the bare battery ladder."""
     space = fock.HilbertSpace(ladder, "ladder")
     if family == 0:
@@ -362,10 +362,8 @@ def run_global_ft(config: ScenarioConfig) -> VerificationReport:
         h_b = battery.hamiltonian().matrix
         x_s_i = _random_system_operator(rng, ds, int(rng.integers(7)))
         x_s_f = _random_system_operator(rng, ds, int(rng.integers(7)))
-        lad_i = _random_ladder_operator(rng, ladder, int(rng.integers(4)), beta,
-                                        float(battery.spacing))
-        lad_f = _random_ladder_operator(rng, ladder, int(rng.integers(4)), beta,
-                                        float(battery.spacing))
+        lad_i = _random_ladder_operator(rng, ladder, int(rng.integers(4)))
+        lad_f = _random_ladder_operator(rng, ladder, int(rng.integers(4)))
         x_b_i = np.kron(lad_i, np.diag([1.0, 0.0]).astype(complex))
         x_b_f = np.kron(lad_f, np.diag([0.0, 1.0]).astype(complex))
 

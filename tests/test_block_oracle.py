@@ -1,0 +1,260 @@
+"""Block-stored unitaries against a dense oracle.
+
+qflux stores a conserving unitary as its energy blocks and never forms the
+d x d matrix. The oracle here does: it expands ``u.matrix`` (a sparse export
+of the blocks) to a dense array and evaluates Q, transition probabilities,
+conditional photon numbers and work distributions with dense products.
+"""
+
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from qflux import dynamics as dyn
+from qflux import fock
+from qflux.errors import DimensionError
+
+
+def make_model(omega_i, omega_f, cutoff, ladder, spacing=None, **kwargs):
+    battery = dyn.SwitchedBattery(
+        ladder, spacing if spacing is not None else dyn.battery_spacing_for(omega_i, omega_f))
+    return dyn.build_joint_model(omega_i, omega_f, cutoff, battery, **kwargs)
+
+
+def dense(u):
+    return u.matrix.toarray()
+
+
+def dense_q(x, rho, um):
+    return np.einsum('ab,ba->', x @ um, rho @ um.conj().T).real
+
+
+def dense_sub(um, model, b_out, b_in):
+    ladder2 = model.battery.dim
+    rows = np.arange(model.system_cutoff) * ladder2 + b_out
+    cols = np.arange(model.system_cutoff) * ladder2 + b_in
+    return um[np.ix_(rows, cols)]
+
+
+def dense_transition(um, model, b_out, rho, b_in):
+    sub = dense_sub(um, model, b_out, b_in)
+    return max(float(np.einsum('an,nm,am->', sub.conj(), rho, sub).real), 0.0)
+
+
+def dense_work(um, model, rho, level, sector):
+    b_in = model.battery.basis_index(level, sector)
+    cols = np.arange(model.system_cutoff) * model.battery.dim + b_in
+    amp = um[:, cols]
+    per_row = np.einsum('rn,nm,rm->r', amp.conj(), rho, amp).real
+    return per_row.reshape(model.system_cutoff, model.battery.ladder_dim, 2).sum(axis=(0, 2))
+
+
+def random_operator(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def translation_invariant(model, seed):
+    reach = dyn.translation_reach(model)
+    top = model.battery.ladder_dim - 1
+    return dyn.sample_translation_invariant_unitary(
+        model, dyn.spectral_blocks(model), (reach, top - reach), seed)
+
+
+SAMPLERS = {
+    "conserving": lambda model, seed: dyn.sample_conserving_unitary(
+        dyn.spectral_blocks(model), seed),
+    "translation-invariant": translation_invariant,
+}
+
+MODELS = {
+    "ratio-2": lambda: make_model(1, 2, 4, 36),
+    "ratio-3/2": lambda: make_model(1, Fraction(3, 2), 4, 48),
+    # a ladder spacing that matches no system gap: every block is a singleton
+    "singletons": lambda: make_model(1, Fraction(3, 2), 3, 24, spacing=Fraction(1, 97),
+                                     min_cross_degeneracies=0),
+}
+
+
+# the singleton model's translation reach exceeds its ladder, so only the
+# plain sampler applies to it
+@pytest.fixture(params=[(m, s) for m in MODELS for s in SAMPLERS
+                        if (m, s) != ("singletons", "translation-invariant")],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def model_and_unitary(request):
+    model_name, sampler = request.param
+    model = MODELS[model_name]()
+    return model, SAMPLERS[sampler](model, 23)
+
+
+class TestExport:
+    def test_matrix_is_sparse_export_of_blocks(self, model_and_unitary):
+        model, u = model_and_unitary
+        m = u.matrix
+        assert type(m).__name__ == "csr_array" and m.shape == (model.dim, model.dim)
+        um = m.toarray()
+        for idx, mat in u.blocks:
+            assert np.array_equal(um[np.ix_(idx, idx)], mat)
+        assert m.nnz == sum(len(idx) ** 2 for idx, _ in u.blocks)
+        assert np.abs(um.conj().T @ um - np.eye(model.dim)).max() < 1e-12
+
+    def test_entries_equal_dense(self, model_and_unitary):
+        model, u = model_and_unitary
+        rng = np.random.default_rng(3)
+        rows = rng.permutation(model.dim)[:17]
+        cols = rng.permutation(model.dim)[:11]
+        assert np.array_equal(u.entries(rows, cols), dense(u)[np.ix_(rows, cols)])
+
+    def test_singleton_model_has_only_singletons(self):
+        model = MODELS["singletons"]()
+        assert all(b.size == 1 for b in dyn.spectral_blocks(model))
+
+
+class TestQAgainstDense:
+    def test_random_operators(self, model_and_unitary):
+        model, u = model_and_unitary
+        rng = np.random.default_rng(5)
+        um = dense(u)
+        for _ in range(3):
+            x = random_operator(rng, model.dim)
+            rho = random_operator(rng, model.dim)
+            x = x @ x.conj().T
+            rho = rho @ rho.conj().T
+            rho /= np.trace(rho).real
+            ref = dense_q(x, rho, um)
+            assert abs(dyn.q_quantity(x, rho, u) - ref) <= 1e-12 * abs(ref)
+
+    def test_product_operators(self, model_and_unitary):
+        # the shape the suites use: X_S (x) X_B and rho_S (x) rho_B; X_B
+        # reads both sectors, so Q > 0 for singleton blocks too
+        model, u = model_and_unitary
+        cutoff = model.system_cutoff
+        x_s = np.diag(np.arange(cutoff, dtype=complex))
+        rho_s = fock.photon_added_state(0.8, model.system_mode(0), tail_tol=1.0).matrix
+        lad = fock.binomial_state(3, 0.4, model.battery.ladder_space).projector().matrix
+        x_b = np.kron(lad, np.eye(2, dtype=complex))
+        rho_b = np.kron(lad, np.diag([1.0, 0.0]).astype(complex))
+        x, rho = np.kron(x_s, x_b), np.kron(rho_s, rho_b)
+        ref = dense_q(x, rho, dense(u))
+        assert ref > 0.0
+        assert abs(dyn.q_quantity(x, rho, u) - ref) <= 1e-12 * ref
+
+
+class TestReadsEqualDense:
+    def test_transition_probability(self, model_and_unitary):
+        model, u = model_and_unitary
+        um = dense(u)
+        gamma = fock.photon_added_state(0.9, model.system_mode(0), tail_tol=1.0)
+        b_i = model.battery.basis_index(model.battery.ladder_dim // 2, 0)
+        for b_f in range(model.battery.dim):
+            assert dyn.transition_probability(b_f, gamma, b_i, u, model) == \
+                dense_transition(um, model, b_f, gamma.matrix, b_i)
+
+    def test_conditional_photon_number(self, model_and_unitary):
+        model, u = model_and_unitary
+        um = dense(u)
+        gamma = fock.photon_subtracted_state(0.7, model.system_mode(1), tail_tol=1.0)
+        rho = gamma.matrix
+        weights = np.arange(model.system_cutoff, dtype=float) + 1.0
+        b_i = model.battery.basis_index(model.battery.ladder_dim // 2, 1)
+        checked = 0
+        for b_f in range(model.battery.dim):
+            sub = dense_sub(um, model, b_f, b_i)
+            prob = float(np.einsum('an,nm,am->', sub.conj(), rho, sub).real)
+            if prob <= dyn.DEFAULT_PROB_FLOOR:
+                continue
+            q_val = float(np.einsum('a,an,nm,am->', weights, sub.conj(), rho, sub).real)
+            assert dyn.conditional_photon_number(b_f, gamma, b_i, u, model, "N+1") == \
+                (q_val / prob, prob)
+            checked += 1
+        assert checked >= 1
+
+    def test_work_distribution(self, model_and_unitary):
+        model, u = model_and_unitary
+        um = dense(u)
+        level = u.window[0] if u.window else model.battery.ladder_dim // 2
+        for direction, sector in (("F", 0), ("R", 1)):
+            gamma = fock.thermal_state(1.1, model.system_mode(sector), tail_tol=1.0)
+            dist = dyn.work_distribution(direction, gamma, level, u, model)
+            per_level = dense_work(um, model, gamma.matrix, level, sector)
+            spacing = model.battery.spacing
+            assert dist == {spacing * (level - w): float(per_level[w])
+                            for w in range(model.battery.ladder_dim)}
+
+
+def identity_pairs(model):
+    return [(np.array(b.indices), np.eye(b.size, dtype=complex))
+            for b in dyn.spectral_blocks(model)]
+
+
+class TestValidation:
+    MODEL = dict(omega_i=1, omega_f=2, cutoff=3, ladder=8)
+
+    def blocks_with(self, model, replace):
+        """Identity blocks, with the first block of size 2 replaced."""
+        pairs = identity_pairs(model)
+        at = next(i for i, (idx, _) in enumerate(pairs) if len(idx) == 2)
+        pairs[at] = (pairs[at][0], replace)
+        return dyn.ConservingUnitary(tuple(pairs), seed=0)
+
+    def test_identity_blocks_are_valid(self):
+        model = make_model(**self.MODEL)
+        self.blocks_with(model, np.eye(2, dtype=complex)).assert_valid(model)
+
+    def test_rejects_nonunitary_block(self):
+        model = make_model(**self.MODEL)
+        with pytest.raises(ValueError, match="unitary"):
+            self.blocks_with(model, 1.001 * np.eye(2, dtype=complex)).assert_valid(model)
+
+    def test_rejects_nonsymmetric_block(self):
+        # a rotation: unitary, but not symmetric
+        model = make_model(**self.MODEL)
+        c, s = np.cos(0.3), np.sin(0.3)
+        rotation = np.array([[c, -s], [s, c]], dtype=complex)
+        with pytest.raises(ValueError, match="symmetric"):
+            self.blocks_with(model, rotation).assert_valid(model)
+
+    def test_rejects_block_mixing_energies(self):
+        # two singletons of different energy merged into one identity block
+        model = make_model(**self.MODEL)
+        pairs = identity_pairs(model)
+        singletons = [i for i, (idx, _) in enumerate(pairs) if len(idx) == 1][:2]
+        i0, i1 = (pairs[i][0] for i in singletons)
+        assert model.exact_energies[i0[0]] != model.exact_energies[i1[0]]
+        merged = [(np.concatenate([i0, i1]), np.eye(2, dtype=complex))] + \
+            [pair for i, pair in enumerate(pairs) if i not in singletons]
+        with pytest.raises(ValueError, match="energies"):
+            dyn.ConservingUnitary(tuple(merged), seed=0).assert_valid(model)
+
+    def test_rejects_blocks_not_partitioning_basis(self):
+        model = make_model(**self.MODEL)
+        pairs = identity_pairs(model)
+        with pytest.raises(DimensionError):
+            dyn.ConservingUnitary(tuple(pairs[1:]), seed=0).assert_valid(model)
+
+
+class TestMemory:
+    """At the crooks suites' 16 x 96 (d = 3072) a dense unitary takes 144 MiB."""
+
+    @pytest.mark.parametrize("ratio", [Fraction(3, 2), Fraction(2), Fraction(5)])
+    def test_crooks_added_blocks_under_2_mib(self, ratio):
+        model = make_model(1, ratio, 16, 96)
+        u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 7)
+        assert model.dim == 3072
+        assert sum(idx.nbytes + mat.nbytes for idx, mat in u.blocks) <= 2 * 2 ** 20
+
+    def test_sampling_and_reads_allocate_no_dense_unitary(self):
+        model = make_model(1, Fraction(3, 2), 16, 96)
+        blocks = dyn.spectral_blocks(model)
+        gamma = fock.photon_added_state(1.0, model.system_mode(0), tail_tol=1.0)
+        b_i = model.battery.basis_index(48, 0)
+        tracemalloc.start()
+        try:
+            u = dyn.sample_conserving_unitary(blocks, 7)
+            dyn.transition_probability(model.battery.basis_index(47, 1), gamma, b_i, u, model)
+            dyn.work_distribution("F", gamma, 48, u, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20

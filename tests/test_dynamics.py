@@ -17,6 +17,13 @@ def small_model(omega_i=1, omega_f=2, cutoff=4, ladder=10):
     return dyn.build_joint_model(omega_i, omega_f, cutoff, battery)
 
 
+def identity_unitary(model):
+    """The identity as a conserving unitary: an identity matrix on every block."""
+    return dyn.ConservingUnitary(
+        tuple((np.array(b.indices), np.eye(b.size, dtype=complex))
+              for b in dyn.spectral_blocks(model)), seed=0)
+
+
 class TestBatterySpacing:
     def test_gcd_examples(self):
         assert dyn.battery_spacing_for(1, 2) == Fraction(1, 2)
@@ -106,9 +113,11 @@ class TestConservingUnitary:
         blocks = dyn.spectral_blocks(model)
         u1 = dyn.sample_conserving_unitary(blocks, 11)
         u2 = dyn.sample_conserving_unitary(blocks, 11)
-        assert np.array_equal(u1.matrix, u2.matrix)
+        assert all(np.array_equal(i1, i2) and np.array_equal(m1, m2)
+                   for (i1, m1), (i2, m2) in zip(u1.blocks, u2.blocks))
         u3 = dyn.sample_conserving_unitary(blocks, 12)
-        assert not np.array_equal(u1.matrix, u3.matrix)
+        assert not all(np.array_equal(m1, m3)
+                       for (_, m1), (_, m3) in zip(u1.blocks, u3.blocks))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_invariants_across_seeds(self, seed):
@@ -129,8 +138,9 @@ class TestConservingUnitary:
         model = dyn.build_joint_model(1, Fraction(3, 2), 3, battery,
                                       min_cross_degeneracies=0)
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 5)
-        off = u.matrix - np.diag(np.diag(u.matrix))
-        assert np.abs(off).max() == 0.0
+        assert all(len(idx) == 1 for idx, _ in u.blocks)
+        dense = u.entries(np.arange(model.dim), np.arange(model.dim))
+        assert np.abs(dense - np.diag(np.diag(dense))).max() == 0.0
         # no population transfer between distinct basis states
         gamma = fock.thermal_state(1.0, model.system_mode(0), tail_tol=1.0)
         b_i = model.battery.basis_index(3, 0)
@@ -140,7 +150,8 @@ class TestConservingUnitary:
     def test_validation_rejects_nonunitary(self):
         model = small_model(1, 1, 2, 3)
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 0)
-        broken = dyn.ConservingUnitary(u.matrix * 1.001, seed=0)
+        broken = dyn.ConservingUnitary(
+            tuple((idx, mat * 1.001) for idx, mat in u.blocks), seed=0)
         with pytest.raises(ValueError):
             broken.assert_valid(model)
 
@@ -176,7 +187,7 @@ class TestTranslationInvariantUnitary:
 
     def test_identity_unitary_trivially_invariant(self):
         model = small_model(1, 2, 3, 20)
-        u = dyn.ConservingUnitary(np.eye(model.dim, dtype=complex), seed=0)
+        u = identity_unitary(model)
         u.assert_valid(model)
         gamma = fock.thermal_state(1.0, model.system_mode(0), 1e-1)
         for level in (8, 11):
@@ -196,7 +207,7 @@ class TestQQuantity:
 
     def test_identity_unitary_eigenstate(self):
         model = small_model(1, 1, 3, 6)
-        u = dyn.ConservingUnitary(np.eye(model.dim, dtype=complex), seed=0)
+        u = identity_unitary(model)
         proj = np.zeros((model.dim, model.dim), dtype=complex)
         k = model.index(1, 3, 0)
         proj[k, k] = 1.0
@@ -247,7 +258,7 @@ class TestTransitionProbability:
 
     def test_identity_unitary_is_kronecker_delta(self):
         model = small_model(1, 2, 3, 8)
-        u = dyn.ConservingUnitary(np.eye(model.dim, dtype=complex), seed=0)
+        u = identity_unitary(model)
         gamma = fock.thermal_state(1.0, model.system_mode(0), 1e-1)
         b_i = model.battery.basis_index(4, 0)
         for b_f in range(model.battery.dim):
@@ -287,7 +298,7 @@ class TestConditionalPhotonNumber:
     def test_identity_unitary_photon_added(self):
         model = small_model(1, 1, 30, 6)
         beta = 1.0
-        u = dyn.ConservingUnitary(np.eye(model.dim, dtype=complex), seed=0)
+        u = identity_unitary(model)
         gamma = fock.photon_added_state(beta, model.system_mode(0), 1e-8)
         b = model.battery.basis_index(3, 0)
         mean, prob = dyn.conditional_photon_number(b, gamma, b, u, model)
@@ -300,7 +311,7 @@ class TestConditionalPhotonNumber:
 
     def test_zero_probability_branch(self):
         model = small_model(1, 2, 3, 8)
-        u = dyn.ConservingUnitary(np.eye(model.dim, dtype=complex), seed=0)
+        u = identity_unitary(model)
         gamma = fock.thermal_state(1.0, model.system_mode(0), 1e-1)
         with pytest.raises(UndefinedRatioError):
             dyn.conditional_photon_number(model.battery.basis_index(1, 1), gamma,
@@ -366,7 +377,7 @@ class TestConditionalPhotonNumber:
 class TestWorkDistribution:
     def test_identity_unitary_point_mass(self):
         model = small_model(1, 2, 3, 12)
-        u = dyn.ConservingUnitary(np.eye(model.dim, dtype=complex), seed=0)
+        u = identity_unitary(model)
         gamma = fock.thermal_state(1.0, model.system_mode(0), 1e-1)
         dist = dyn.work_distribution("F", gamma, 6, u, model)
         assert dist[Fraction(0)] == pytest.approx(1.0)
@@ -403,7 +414,7 @@ class TestWorkDistribution:
 
     def test_direction_guard(self):
         model = small_model(1, 2, 3, 10)
-        u = dyn.ConservingUnitary(np.eye(model.dim, dtype=complex), seed=0)
+        u = identity_unitary(model)
         gamma = fock.thermal_state(1.0, model.system_mode(0), 1e-1)
         with pytest.raises(DomainError):
             dyn.work_distribution("X", gamma, 5, u, model)

@@ -142,6 +142,45 @@ class TestPhotonAddedSubtracted:
             assert np.abs(off).max() < 1e-14
 
 
+class TestMinCutoffForTail:
+    CONSTRUCTORS = {"thermal": fock.thermal_state,
+                    "added": fock.photon_added_state,
+                    "subtracted": fock.photon_subtracted_state}
+
+    @pytest.mark.parametrize("kind", ["thermal", "added", "subtracted"])
+    def test_constructor_accepts_cutoff_and_rejects_one_less(self, kind):
+        make = self.CONSTRUCTORS[kind]
+        for beta in (0.05, 0.4, 1.0, 4.0):
+            for omega in (0.5, 1.0, 3.0):
+                for tol in (1e-4, 1e-8, 1e-12):
+                    c = fock.min_cutoff_for_tail(beta, omega, tol, 4000, kind=kind)
+                    state = make(beta, fock.OscillatorMode(omega, c), tail_tol=tol)
+                    assert state.tail_mass <= tol
+                    if c > 2:
+                        with pytest.raises(TruncationError):
+                            make(beta, fock.OscillatorMode(omega, c - 1), tail_tol=tol)
+
+    def test_photon_added_state_at_its_own_cutoff(self):
+        # the thermal bound (cutoff 7) leaves the added state a 2.6e-10 tail
+        assert fock.min_cutoff_for_tail(4.0, 1.0, 1e-12) == 7
+        with pytest.raises(TruncationError):
+            fock.photon_added_state(4.0, fock.OscillatorMode(1, 7), tail_tol=1e-12)
+        c = fock.min_cutoff_for_tail(4.0, 1.0, 1e-12, kind="added")
+        assert c > 7
+        fock.photon_added_state(4.0, fock.OscillatorMode(1, c), tail_tol=1e-12)
+
+    def test_thermal_default_is_geometric_tail(self):
+        for beta, omega, tol in ((0.3, 1.0, 1e-6), (2.0, 0.5, 1e-12), (8.0, 2.0, 1e-3)):
+            x = math.exp(-beta * omega)
+            expected = next(d for d in range(2, 4000) if x ** d <= tol)
+            assert fock.min_cutoff_for_tail(beta, omega, tol, 4000) == expected
+            assert fock.min_cutoff_for_tail(beta, omega, tol, 4000, kind="thermal") == expected
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            fock.min_cutoff_for_tail(1.0, 1.0, kind="coherent")
+
+
 class TestBinomialState:
     def test_two_level_amplitudes(self):
         space = fock.HilbertSpace(4, "s")
