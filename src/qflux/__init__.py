@@ -5,6 +5,9 @@ time-reversal-invariant unitaries, and verifies closed-form forward/reverse
 equalities against brute-force matrix computation.
 """
 
+# set before the submodules load: scenarios stamps it into every report
+__version__ = "0.1.0"
+
 from . import closedform, dynamics, fock, gibbs, scenarios
 from .errors import (BudgetExceededError, ConfigError, DegenerateMapError,
                      DimensionError, DomainError, GibbsOverflowError,
@@ -36,5 +39,3 @@ from .closedform import (BinomialParams, ScenarioParams, binomial_eff_potential,
                          q_align, q_align_longform, q_harmonic, q_size,
                          w_q_align, w_q_size)
 from .scenarios import ScenarioConfig, VerificationReport, run_scenario, verify_all
-
-__version__ = "0.1.0"

@@ -11,13 +11,11 @@ Exit codes: 0 pass, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, QfluxError
-from .scenarios import (KIND_DEFAULTS, ScenarioConfig, default_config,
-                        run_scenario, verify_all)
+from .scenarios import default_config, run_scenario, verify_all
 
 EXIT_PASS = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -51,29 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(kind: str, args: argparse.Namespace) -> ScenarioConfig:
-    if args.config is not None:
-        data = json.loads(Path(args.config).read_text())
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        data.setdefault("kind", kind)
-        if data["kind"] != kind:
-            raise ConfigError(
-                f"config kind {data['kind']!r} does not match subcommand {kind!r}"
-            )
-        merged = {"kind": kind}
-        merged.update(KIND_DEFAULTS.get(kind, {}))
-        merged.update(data)
-        if args.seed is not None:
-            merged["seed"] = args.seed
-        if args.tolerance is not None:
-            merged["tolerance"] = args.tolerance
-        merged["out_dir"] = str(args.out)
-        return ScenarioConfig.from_mapping(merged)
-    return default_config(kind, seed=args.seed, tolerance=args.tolerance,
-                          out_dir=str(args.out))
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -94,7 +69,8 @@ def main(argv=None) -> int:
                           f"expected={worst['closed_form']:.9g}")
             print(f"elapsed: {results['elapsed_seconds']}s")
             return EXIT_PASS if results["all_passed"] else EXIT_VERIFICATION_FAILURE
-        config = _load_config(args.command, args)
+        config = default_config(args.command, args.config, seed=args.seed,
+                                tolerance=args.tolerance, out_dir=str(args.out))
         report = run_scenario(config)
         summary = report.summary
         flag = "PASS" if report.all_passed else "FAIL"
@@ -107,7 +83,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (QfluxError, FloatingPointError, ZeroDivisionError) as exc:
+    except (QfluxError, FloatingPointError, ZeroDivisionError, OverflowError) as exc:
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
 

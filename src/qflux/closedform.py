@@ -85,7 +85,9 @@ def partition_fn(chi: float) -> float:
 
 def _log_partition(chi: float) -> float:
     # ln Z = -chi - ln(1 - e^{-2 chi}), stable at both ends
-    return -chi - math.log1p(-math.exp(-2.0 * chi))
+    if (tail := math.exp(-2.0 * chi)) == 1.0:
+        raise DomainError(f"chi = {chi} is too small for ln Z in double precision")
+    return -chi - math.log1p(-tail)
 
 
 def mean_occupation(chi: float) -> float:

@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import (DimensionError, DomainError, IncommensurateError,
                      UndefinedRatioError, WindowError)
-from .fock import DensityState, HilbertSpace, OperatorMatrix, OscillatorMode, PureState
+from .fock import (DensityState, HilbertSpace, OperatorMatrix, OscillatorMode, PureState,
+                   hamiltonian)
 
 SECTOR_INITIAL = 0
 SECTOR_FINAL = 1
@@ -99,9 +100,6 @@ class SwitchedBattery:
         v[self.basis_index(level, sector)] = 1.0
         return PureState(self.space, v)
 
-    def level_energy(self, level: int) -> Fraction:
-        return self.spacing * level
-
 
 def battery_spacing_for(omega_i: RationalLike, omega_f: RationalLike) -> Fraction:
     """Half the gcd of the two frequencies: the coarsest ladder spacing that
@@ -148,9 +146,7 @@ class JointModel:
         return OscillatorMode(omega, self.system_cutoff)
 
     def system_hamiltonian(self, sector: int) -> OperatorMatrix:
-        omega = float(self.omega_i if sector == SECTOR_INITIAL else self.omega_f)
-        n = np.arange(self.system_cutoff, dtype=float)
-        return OperatorMatrix(self.system_space, np.diag(omega * (n + 0.5)))
+        return hamiltonian(self.system_mode(sector))
 
     def hamiltonian(self) -> OperatorMatrix:
         return OperatorMatrix(self.space,

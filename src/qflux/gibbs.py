@@ -55,8 +55,6 @@ class EffectivePotentialValue:
     e_min: float
     e_max: float
     weight_sum: float
-    hamiltonian: OperatorMatrix = None
-    operator: OperatorMatrix = None
 
     def __post_init__(self):
         shift = -np.log(self.weight_sum) / self.beta
@@ -176,8 +174,6 @@ def effective_potential(beta: float, h, x) -> EffectivePotentialValue:
         e_min=float(energies[support].min()),
         e_max=float(energies[support].max()),
         weight_sum=float(total),
-        hamiltonian=h if isinstance(h, OperatorMatrix) else None,
-        operator=x if isinstance(x, OperatorMatrix) else None,
     )
 
 

@@ -15,42 +15,24 @@ import os
 import time
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from sys import float_info
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from . import closedform as cf
 from . import dynamics as dyn
 from . import fock
 from . import gibbs
 from .errors import BudgetExceededError, ConfigError, UndefinedRatioError
 
-TOOL_VERSION = "0.1.0"
-
-SCENARIO_KINDS = (
-    "global-ft", "crooks-added", "crooks-subtracted", "crooks-binomial-align",
-    "crooks-binomial-size", "jarzynski", "figure2", "figure3", "figure4",
-    "harmonic-limit", "sweep",
-)
-
-#: default verification tolerance per scenario kind
-DEFAULT_TOLERANCES = {
-    "global-ft": 1e-8,
-    "crooks-added": 1e-6,
-    "crooks-subtracted": 1e-6,
-    "crooks-binomial-align": 1e-6,
-    "crooks-binomial-size": 1e-6,
-    "jarzynski": 1e-6,
-    "figure2": 1e-12,
-    "figure3": 1e-12,
-    "figure4": 1e-12,
-    "harmonic-limit": 1e-3,
-    "sweep": 1e-12,
-}
-
 MAX_DENOMINATOR = 64
 ENV_MAX_DIM = "QFLUX_MAX_DIM"
+#: the chi range the closed forms are written for; chi_grid must lie in it
+CHI_RANGE = (1e-6, 50.0)
 
 
 def _max_dim_cap() -> int:
@@ -69,7 +51,7 @@ def _max_dim_cap() -> int:
 def _parse_rational(value) -> Fraction:
     try:
         frac = Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ConfigError(f"not a rational: {value!r}") from exc
     if frac <= 0:
         raise ConfigError(f"frequencies must be positive, got {frac}")
@@ -78,6 +60,25 @@ def _parse_rational(value) -> Fraction:
             f"rational {frac} has denominator {frac.denominator} > {MAX_DENOMINATOR}"
         )
     return frac
+
+
+def _is_integer(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A finite JSON number; False for nan, inf and ints beyond the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= float_info.max)
+
+
+def _grid(name: str, values, is_entry, convert) -> tuple:
+    """An array (list or tuple) whose entries pass ``is_entry``, as a tuple."""
+    if not isinstance(values, (list, tuple)) or not all(map(is_entry, values)):
+        raise ConfigError(f"{name} must be an array of "
+                          f"{'integers' if convert is int else 'finite numbers'}")
+    return tuple(convert(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,26 @@ class ScenarioConfig:
     cases: int = 200
     system_cutoff: int = 8
     ladder_dim: int = 24
-    tail_tol: float = 1e-10
     tolerance: Optional[float] = None
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
+        if self.kind not in SUITES:
             raise ConfigError(f"unknown scenario kind {self.kind!r}; "
-                              f"expected one of {SCENARIO_KINDS}")
+                              f"expected one of {tuple(SUITES)}")
         object.__setattr__(self, "omega_i", _parse_rational(self.omega_i))
         object.__setattr__(self, "omega_f", _parse_rational(self.omega_f))
         for name in ("chi_grid", "p_grid", "w_values"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        object.__setattr__(self, "n_grid", tuple(int(v) for v in self.n_grid))
+            object.__setattr__(self, name,
+                               _grid(name, getattr(self, name), _is_finite, float))
+        object.__setattr__(self, "n_grid", _grid("n_grid", self.n_grid, _is_integer, int))
+        for name in ("seed", "cases", "system_cutoff", "ladder_dim"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.tolerance is not None and not (_is_finite(self.tolerance)
+                                               and self.tolerance >= 0):
+            raise ConfigError(f"tolerance must be null or a finite number >= 0, "
+                              f"got {self.tolerance!r}")
         if self.cases < 1:
             raise ConfigError("cases must be >= 1")
         if self.seed < 0:
@@ -120,10 +128,8 @@ class ScenarioConfig:
             )
         if self.system_cutoff < 2 or self.ladder_dim < 2:
             raise ConfigError("cutoffs must be >= 2")
-        if not 0 < self.tail_tol < 1:
-            raise ConfigError("tail_tol must lie in (0, 1)")
-        if any(c <= 0 for c in self.chi_grid):
-            raise ConfigError("chi grid entries must be positive")
+        if any(not CHI_RANGE[0] <= c <= CHI_RANGE[1] for c in self.chi_grid):
+            raise ConfigError(f"chi grid entries must lie in {list(CHI_RANGE)}")
         if any(not 0 <= p <= 1 for p in self.p_grid):
             raise ConfigError("p grid entries must lie in [0, 1]")
 
@@ -142,16 +148,8 @@ class ScenarioConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    @classmethod
-    def from_json(cls, path) -> "ScenarioConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_mapping(data)
-
     def effective_tolerance(self) -> float:
-        return self.tolerance if self.tolerance is not None else DEFAULT_TOLERANCES[self.kind]
+        return self.tolerance if self.tolerance is not None else SUITES[self.kind].tolerance
 
     def provenance(self) -> dict:
         return {
@@ -161,9 +159,8 @@ class ScenarioConfig:
             "omega_f": str(self.omega_f),
             "system_cutoff": self.system_cutoff,
             "ladder_dim": self.ladder_dim,
-            "tail_tol": self.tail_tol,
             "tolerance": self.effective_tolerance(),
-            "tool_version": TOOL_VERSION,
+            "tool_version": __version__,
         }
 
 
@@ -336,12 +333,13 @@ def _random_ladder_operator(rng: np.random.Generator, ladder: int,
     return np.diag(rng.uniform(0.05, 1.0, size=ladder).astype(complex))
 
 
-def run_global_ft(config: ScenarioConfig) -> VerificationReport:
+def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
     """Random-scenario verification of the global forward/reverse equality:
     ln Q_F - ln Q_R = beta (dW_tilde - dF_tilde), with effective potentials
     evaluated on the same truncated spaces as the dynamics."""
-    tol = config.effective_tolerance()
-    report = VerificationReport("global-ft", tol, [], config.provenance())
+    if config.system_cutoff < 4 or config.ladder_dim < 8:   # the ranges drawn below
+        raise ConfigError("global-ft needs system_cutoff >= 4 and ladder_dim >= 8, "
+                          f"got ({config.system_cutoff}, {config.ladder_dim})")
     evaluated = 0
     attempt = 0
     while evaluated < config.cases:
@@ -387,16 +385,13 @@ def run_global_ft(config: ScenarioConfig) -> VerificationReport:
                 lhs, rhs, relative=False)
         evaluated += 1
     report.provenance["attempts"] = attempt
-    return report.finalize()
 
 
-def _crooks_pair_scan(config: ScenarioConfig, sign: int) -> VerificationReport:
+def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
+                      sign: int) -> None:
     """Measured forward/reverse battery transition ratios for photon
     added (+1) / subtracted (-1) system preparations, compared against the
     closed-form prediction prefactor_R * exp(beta (W -+ dE_vac - 2 dF))."""
-    kind = "crooks-added" if sign == +1 else "crooks-subtracted"
-    tol = config.effective_tolerance()
-    report = VerificationReport(kind, tol, [], config.provenance())
     which = "N" if sign == +1 else "N+1"
     ratios = (Fraction(3, 2), Fraction(2), Fraction(5))
     chis = config.chi_grid or (0.1, 0.5, 1.0, 2.0)
@@ -438,15 +433,6 @@ def _crooks_pair_scan(config: ScenarioConfig, sign: int) -> VerificationReport:
                         {"omega_ratio": str(ratio), "chi": chi, "W": work,
                          "P_F": p_fwd, "P_R": p_rev, "which": which},
                         p_fwd / p_rev, predicted)
-    return report.finalize()
-
-
-def run_crooks_added(config: ScenarioConfig) -> VerificationReport:
-    return _crooks_pair_scan(config, +1)
-
-
-def run_crooks_subtracted(config: ScenarioConfig) -> VerificationReport:
-    return _crooks_pair_scan(config, -1)
 
 
 def _binomial_battery_projector(battery: dyn.SwitchedBattery, n: int, p: float,
@@ -457,12 +443,10 @@ def _binomial_battery_projector(battery: dyn.SwitchedBattery, n: int, p: float,
     return np.kron(state.projector().matrix, sw)
 
 
-def _run_crooks_binomial(config: ScenarioConfig, regime: str) -> VerificationReport:
+def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
+                         regime: str) -> None:
     """Battery-coherence Crooks check: thermal system, binomial battery
     projectors, measured ratio against exp(beta (q(chi) W_q - dF))."""
-    kind = f"crooks-binomial-{regime}"
-    tol = config.effective_tolerance()
-    report = VerificationReport(kind, tol, [], config.provenance())
     omega = Fraction(1)
     battery = dyn.SwitchedBattery(config.ladder_dim,
                                   dyn.battery_spacing_for(omega, omega))
@@ -509,24 +493,13 @@ def _run_crooks_binomial(config: ScenarioConfig, regime: str) -> VerificationRep
                     {"chi_battery": chi_b, "n_i": n_i, "n_f": n_f,
                      "p_i": p_i, "p_f": p_f, "P_F": p_fwd, "P_R": p_rev},
                     p_fwd / p_rev, predicted)
-    return report.finalize()
 
 
-def run_crooks_binomial_align(config: ScenarioConfig) -> VerificationReport:
-    return _run_crooks_binomial(config, "align")
-
-
-def run_crooks_binomial_size(config: ScenarioConfig) -> VerificationReport:
-    return _run_crooks_binomial(config, "size")
-
-
-def run_jarzynski(config: ScenarioConfig) -> VerificationReport:
+def run_jarzynski(config: ScenarioConfig, report: VerificationReport) -> None:
     """Work-distribution route: translation-invariant dynamics, battery point
     mass at an interior level, averaged inverse-prefactor exponential against
     exp(-beta (2 dF +- dE_vac)); plus exact normalization of the reverse
     distribution."""
-    tol = config.effective_tolerance()
-    report = VerificationReport("jarzynski", tol, [], config.provenance())
     omega_i, omega_f = config.omega_i, config.omega_f
     battery = dyn.SwitchedBattery(config.ladder_dim,
                                   dyn.battery_spacing_for(omega_i, omega_f))
@@ -572,22 +545,31 @@ def run_jarzynski(config: ScenarioConfig) -> VerificationReport:
             _record(report, f"chi{chi}-{label}-reverse-normalization",
                     {"chi": chi, "sign": sign},
                     sum(rev.values()), 1.0, tolerance=1e-10, relative=False)
-    return report.finalize()
 
 
 # ---------------------------------------------------------------------------
 # figure data
 # ---------------------------------------------------------------------------
 
+def _emit_rows(report: VerificationReport, config: ScenarioConfig,
+               header: Sequence[str], rows: list, plot: Optional[tuple] = None) -> list:
+    """Write ``rows`` to ``<kind>.csv`` (and a ``<kind>.gp`` of ``plot`` =
+    (title, columns)) in the output directory; return them as read back."""
+    out = Path(config.out_dir or ".")
+    csv_path = write_csv(out / f"{report.kind}.csv", header, rows)
+    if plot is not None:
+        _write_gnuplot(out / f"{report.kind}.gp", csv_path.name, *plot)
+    report.provenance["csv"] = csv_path.name
+    return read_csv(csv_path)[1]
+
+
 def _default_chi_grid() -> tuple[float, ...]:
     return tuple(float(c) for c in np.logspace(np.log10(0.01), np.log10(4.0), 60))
 
 
-def run_figure2(config: ScenarioConfig) -> VerificationReport:
+def run_figure2(config: ScenarioConfig, report: VerificationReport) -> None:
     """Generalized free-energy curves (energies in units of k_B T) versus chi
     for the added/subtracted protocols at omega_f = 1.5 omega_i."""
-    tol = config.effective_tolerance()
-    report = VerificationReport("figure2", tol, [], config.provenance())
     chis = config.chi_grid or _default_chi_grid()
     omega_i = float(config.omega_i)
     omega_f = float(config.omega_f)
@@ -602,13 +584,8 @@ def run_figure2(config: ScenarioConfig) -> VerificationReport:
                      beta * cf.delta_E_vac(params),
                      beta * cf.gen_free_energy_pm(params, +1),
                      beta * cf.gen_free_energy_pm(params, -1)])
-    out = Path(config.out_dir or ".")
-    csv_path = write_csv(out / "figure2.csv", header, rows)
-    _write_gnuplot(out / "figure2.gp", "figure2.csv",
-                   "generalized free energies vs chi", header[1:])
-    _, parsed = read_csv(csv_path)
-    for row in parsed:
-        chi, df, twodf, devac, dfp, dfm = row
+    plot = ("generalized free energies vs chi", header[1:])
+    for chi, df, twodf, devac, dfp, dfm in _emit_rows(report, config, header, rows, plot):
         beta = 2.0 * chi / omega_i
         params = cf.ScenarioParams(beta, omega_i, omega_f)
         _record(report, f"chi={_fmt(chi)}",
@@ -621,15 +598,11 @@ def run_figure2(config: ScenarioConfig) -> VerificationReport:
         _record(report, f"chi={_fmt(chi)}-minus",
                 {"chi": chi, "columns": "dFminus"},
                 dfm, twodf - devac, relative=False)
-    report.provenance["csv"] = csv_path.name
-    return report.finalize()
 
 
-def run_figure3(config: ScenarioConfig) -> VerificationReport:
+def run_figure3(config: ScenarioConfig, report: VerificationReport) -> None:
     """Predicted forward/reverse ratio and prefactor versus chi for
     omega_f = 5 omega_i at the work values requested (defaults 0 and 2)."""
-    tol = config.effective_tolerance()
-    report = VerificationReport("figure3", tol, [], config.provenance())
     chis = config.chi_grid or _default_chi_grid()
     omega_i = float(config.omega_i)
     omega_f = float(config.omega_f)
@@ -651,13 +624,9 @@ def run_figure3(config: ScenarioConfig) -> VerificationReport:
             classical = math.exp(beta * (work - cf.delta_F(params)))
             rows.append([chi, work, values["R_plus"], values["R_minus"],
                          values["rhs_plus"], values["rhs_minus"], classical])
-    out = Path(config.out_dir or ".")
-    csv_path = write_csv(out / "figure3.csv", header, rows)
-    _write_gnuplot(out / "figure3.gp", "figure3.csv",
-                   "predicted ratio and prefactor vs chi", header[2:])
-    _, parsed = read_csv(csv_path)
-    for row in parsed:
-        chi, work, r_p, r_m, rhs_p, rhs_m, classical = row
+    plot = ("predicted ratio and prefactor vs chi", header[2:])
+    parsed = _emit_rows(report, config, header, rows, plot)
+    for chi, work, r_p, r_m, rhs_p, rhs_m, classical in parsed:
         beta = 2.0 * chi / omega_i
         params = cf.ScenarioParams(beta, omega_i, omega_f)
         if r_p is not None:
@@ -671,15 +640,11 @@ def run_figure3(config: ScenarioConfig) -> VerificationReport:
         _record(report, f"chi={_fmt(chi)}-W={_fmt(work)}-classical",
                 {"chi": chi, "W": work}, classical,
                 math.exp(beta * (work - cf.delta_F(params))), relative=True)
-    report.provenance["csv"] = csv_path.name
-    return report.finalize()
 
 
-def run_figure4(config: ScenarioConfig) -> VerificationReport:
+def run_figure4(config: ScenarioConfig, report: VerificationReport) -> None:
     """Distortion factors versus chi: q_align on the p_f = 0.8 slice and
     q_size, over the configured p grid."""
-    tol = config.effective_tolerance()
-    report = VerificationReport("figure4", tol, [], config.provenance())
     chis = config.chi_grid or _default_chi_grid()
     p_grid = config.p_grid or (0.2, 0.4, 0.6)
     p_f = 0.8
@@ -689,28 +654,19 @@ def run_figure4(config: ScenarioConfig) -> VerificationReport:
         for p in p_grid:
             q_a = cf.q_align(p, p_f, chi) if p != p_f else None
             rows.append([chi, p, q_a, cf.q_size(p, chi)])
-    out = Path(config.out_dir or ".")
-    csv_path = write_csv(out / "figure4.csv", header, rows)
-    _write_gnuplot(out / "figure4.gp", "figure4.csv",
-                   "quantum distortion factors vs chi", header[2:])
-    _, parsed = read_csv(csv_path)
-    for row in parsed:
-        chi, p, q_a, q_s = row
+    plot = ("quantum distortion factors vs chi", header[2:])
+    for chi, p, q_a, q_s in _emit_rows(report, config, header, rows, plot):
         if q_a is not None:
             _record(report, f"chi={_fmt(chi)}-p={_fmt(p)}-align",
                     {"chi": chi, "p": p, "p_f": p_f},
                     q_a, cf.q_align(p, p_f, chi), relative=True)
         _record(report, f"chi={_fmt(chi)}-p={_fmt(p)}-size",
                 {"chi": chi, "p": p}, q_s, cf.q_size(p, chi), relative=True)
-    report.provenance["csv"] = csv_path.name
-    return report.finalize()
 
 
-def run_harmonic_limit(config: ScenarioConfig) -> VerificationReport:
+def run_harmonic_limit(config: ScenarioConfig, report: VerificationReport) -> None:
     """Convergence of binomial batteries to the coherent limit: state overlap,
     characteristic-function gap, and the distortion factor against tanh(chi)/chi."""
-    tol = config.effective_tolerance()
-    report = VerificationReport("harmonic-limit", tol, [], config.provenance())
     lam = 1.0
     sizes = config.n_grid or (8, 32, 128)
     overlaps = []
@@ -741,13 +697,10 @@ def run_harmonic_limit(config: ScenarioConfig) -> VerificationReport:
         _record(report, f"distortion-chi{chi}",
                 {"chi": chi, "n": n_large},
                 q_val, cf.q_harmonic(chi), tolerance=1e-3, relative=False)
-    return report.finalize()
 
 
-def run_sweep(config: ScenarioConfig) -> VerificationReport:
+def run_sweep(config: ScenarioConfig, report: VerificationReport) -> None:
     """Closed-form curve sweep over the chi grid, emitted as plot-ready CSV."""
-    tol = config.effective_tolerance()
-    report = VerificationReport("sweep", tol, [], config.provenance())
     chis = config.chi_grid or _default_chi_grid()
     omega_i = float(config.omega_i)
     omega_f = float(config.omega_f)
@@ -763,75 +716,77 @@ def run_sweep(config: ScenarioConfig) -> VerificationReport:
                      cf.jarzynski_rhs(params, +1),
                      cf.jarzynski_rhs(params, -1),
                      cf.q_harmonic(chi)])
-    out = Path(config.out_dir or ".")
-    csv_path = write_csv(out / "sweep.csv", header, rows)
-    _, parsed = read_csv(csv_path)
-    for row in parsed:
+    for row in _emit_rows(report, config, header, rows):
         chi = row[0]
         beta = 2.0 * chi / omega_i
         params = cf.ScenarioParams(beta, omega_i, omega_f)
         _record(report, f"chi={_fmt(chi)}", {"chi": chi},
                 row[1], cf.delta_F(params), relative=False)
-    report.provenance["csv"] = csv_path.name
-    return report.finalize()
 
 
-#: kind-specific config defaults applied by default_config (and the CLI)
-KIND_DEFAULTS: dict[str, dict] = {
-    "global-ft": {"cases": 200, "system_cutoff": 12, "ladder_dim": 24},
-    "figure2": {"omega_i": 1, "omega_f": Fraction(3, 2)},
-    "figure3": {"omega_i": 1, "omega_f": 5},
-    "figure4": {},
-    "jarzynski": {"omega_i": 1, "omega_f": 2, "system_cutoff": 5,
-                  "ladder_dim": 44},
-    "crooks-added": {"system_cutoff": 8, "ladder_dim": 24},
-    "crooks-subtracted": {"system_cutoff": 8, "ladder_dim": 24},
-    "crooks-binomial-align": {"system_cutoff": 4, "ladder_dim": 12},
-    "crooks-binomial-size": {"system_cutoff": 4, "ladder_dim": 12},
-    "harmonic-limit": {},
-    "sweep": {},
+@dataclass(frozen=True)
+class Suite:
+    """One verification suite: the runner that fills its report, its default
+    pass tolerance, and the config fields it runs with unless told otherwise."""
+
+    runner: Callable[[ScenarioConfig, VerificationReport], None]
+    tolerance: float
+    defaults: dict = field(default_factory=dict)
+
+
+#: every suite by kind, in the order ``verify_all`` runs them
+SUITES: dict[str, Suite] = {
+    "global-ft": Suite(run_global_ft, 1e-8,
+                       {"cases": 200, "system_cutoff": 12, "ladder_dim": 24}),
+    "figure2": Suite(run_figure2, 1e-12, {"omega_i": 1, "omega_f": Fraction(3, 2)}),
+    "figure3": Suite(run_figure3, 1e-12, {"omega_i": 1, "omega_f": 5}),
+    "figure4": Suite(run_figure4, 1e-12),
+    "sweep": Suite(run_sweep, 1e-12),
+    "harmonic-limit": Suite(run_harmonic_limit, 1e-3),
+    "crooks-binomial-align": Suite(partial(_run_crooks_binomial, regime="align"), 1e-6,
+                                   {"system_cutoff": 4, "ladder_dim": 12}),
+    "crooks-binomial-size": Suite(partial(_run_crooks_binomial, regime="size"), 1e-6,
+                                  {"system_cutoff": 4, "ladder_dim": 12}),
+    "crooks-added": Suite(partial(_crooks_pair_scan, sign=+1), 1e-6,
+                          {"system_cutoff": 8, "ladder_dim": 24}),
+    "crooks-subtracted": Suite(partial(_crooks_pair_scan, sign=-1), 1e-6,
+                               {"system_cutoff": 8, "ladder_dim": 24}),
+    "jarzynski": Suite(run_jarzynski, 1e-6, {"omega_i": 1, "omega_f": 2,
+                                             "system_cutoff": 5, "ladder_dim": 44}),
 }
 
 
-def default_config(kind: str, **overrides) -> ScenarioConfig:
-    """Config for ``kind`` with its conventional parameters, plus overrides."""
-    if kind not in SCENARIO_KINDS:
+def default_config(kind: str, path=None, **overrides) -> ScenarioConfig:
+    """The config loader: the suite defaults of ``kind``, then the JSON object
+    read from ``path`` (its ``kind`` may be omitted but must match), then
+    every override that is not None, each overriding the one before."""
+    if kind not in SUITES:
         raise ConfigError(f"unknown scenario kind {kind!r}")
-    data = {"kind": kind}
-    data.update(KIND_DEFAULTS.get(kind, {}))
+    data = {"kind": kind, **SUITES[kind].defaults}
+    if path is not None:
+        try:
+            loaded = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError("config must be a JSON object")
+        if loaded.setdefault("kind", kind) != kind:
+            raise ConfigError(f"config kind {loaded['kind']!r} is not {kind!r}")
+        data.update(loaded)
     data.update({k: v for k, v in overrides.items() if v is not None})
     return ScenarioConfig.from_mapping(data)
 
 
-_RUNNERS: dict[str, Callable[[ScenarioConfig], VerificationReport]] = {
-    "global-ft": run_global_ft,
-    "crooks-added": run_crooks_added,
-    "crooks-subtracted": run_crooks_subtracted,
-    "crooks-binomial-align": run_crooks_binomial_align,
-    "crooks-binomial-size": run_crooks_binomial_size,
-    "jarzynski": run_jarzynski,
-    "figure2": run_figure2,
-    "figure3": run_figure3,
-    "figure4": run_figure4,
-    "harmonic-limit": run_harmonic_limit,
-    "sweep": run_sweep,
-}
-
-
 def run_scenario(config: ScenarioConfig) -> VerificationReport:
-    """Dispatch a scenario; writes `<kind>.json` (and CSV artifacts for the
+    """Run one suite; writes `<kind>.json` (and CSV artifacts for the
     figure kinds) into config.out_dir when set."""
-    report = _RUNNERS[config.kind](config)
+    report = VerificationReport(config.kind, config.effective_tolerance(), [],
+                                config.provenance())
+    SUITES[config.kind].runner(config, report)
+    report.finalize()
     if config.out_dir is not None:
         report.write(Path(config.out_dir) / f"{config.kind}.json")
     return report
-
-
-#: suites composing the default verification run, in execution order
-VERIFY_SUITES = ("global-ft", "figure2", "figure3", "figure4", "sweep",
-                 "harmonic-limit", "crooks-binomial-align",
-                 "crooks-binomial-size", "crooks-added", "crooks-subtracted",
-                 "jarzynski")
 
 
 def verify_all(seed: int = 2024, budget_seconds: float = 600.0,
@@ -840,8 +795,8 @@ def verify_all(seed: int = 2024, budget_seconds: float = 600.0,
     """Run every verification suite under a wall-clock budget; returns an
     aggregate mapping with per-suite summaries and an overall flag."""
     t0 = time.perf_counter()
-    results: dict = {"seed": seed, "tool_version": TOOL_VERSION, "suites": {}}
-    for kind in VERIFY_SUITES:
+    results: dict = {"seed": seed, "tool_version": __version__, "suites": {}}
+    for kind in SUITES:
         elapsed = time.perf_counter() - t0
         if elapsed > budget_seconds:
             raise BudgetExceededError(

@@ -99,6 +99,12 @@ class TestFreeEnergyPieces:
             alt = (log_ztilde(params.chi_i) - log_ztilde(params.chi_f)) / params.beta
             assert direct == pytest.approx(alt, abs=1e-12)
 
+    def test_delta_f_rejects_chi_too_small_for_double_precision(self):
+        # e^(-2 chi) rounds to 1 below chi ~ 5.5e-17, so ln Z has no value
+        with pytest.raises(DomainError):
+            cf.delta_F(cf.ScenarioParams(2e-17, 1.0, 1.0))
+        assert math.isfinite(cf.delta_F(cf.ScenarioParams(2e-16, 1.0, 1.5)))
+
     def test_gen_free_energy_pm_sign_guard(self):
         with pytest.raises(DomainError):
             cf.gen_free_energy_pm(cf.ScenarioParams(1.0, 1.0, 1.5), 2)

@@ -73,6 +73,15 @@ class TestBuildJointModel:
         assembled = (np.kron(eye_s, h_b) + np.kron(h_i, p_i) + np.kron(h_f, p_f))
         assert np.abs(assembled - model.hamiltonian().matrix).max() == 0.0
 
+    @pytest.mark.parametrize("omega_f", [Fraction(3, 2), Fraction(1, 3)])
+    def test_system_hamiltonian_is_mode_hamiltonian(self, omega_f):
+        model = small_model(1, omega_f, 4, 6)
+        for sector in (dyn.SECTOR_INITIAL, dyn.SECTOR_FINAL):
+            omega = float(model.omega_i if sector == dyn.SECTOR_INITIAL else omega_f)
+            h = model.system_hamiltonian(sector)
+            assert h.space == fock.HilbertSpace(4, "system")
+            assert np.array_equal(h.matrix, np.diag(omega * (np.arange(4.0) + 0.5)))
+
     def test_projectors_partition_battery(self):
         battery = dyn.SwitchedBattery(7, Fraction(1, 3))
         p_i = battery.sector_projector(0).matrix

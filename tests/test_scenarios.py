@@ -1,7 +1,10 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qflux import cli
 from qflux import closedform as cf
@@ -61,14 +64,98 @@ class TestScenarioConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"kind": "figure2", "seed": 5,
                                     "chi_grid": [0.1, 1.0]}))
-        config = sc.ScenarioConfig.from_json(path)
+        config = sc.default_config("figure2", path)
         assert config.kind == "figure2" and config.seed == 5
 
     def test_from_json_malformed(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
-            sc.ScenarioConfig.from_json(path)
+            sc.default_config("figure2", path)
+
+
+class TestSchema:
+    """Values the code cannot evaluate are rejected when the config is built."""
+
+    @pytest.mark.parametrize("fields", [
+        {"chi_grid": "25"}, {"chi_grid": "a"}, {"p_grid": 0.5},
+        {"w_values": [1.0, "2"]}, {"chi_grid": [True]},
+    ])
+    def test_grids_must_be_arrays_of_numbers(self, fields):
+        with pytest.raises(ConfigError):
+            sc.default_config("figure3", **fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"cases": 2.5}, {"seed": 1.5}, {"seed": True}, {"system_cutoff": 8.0},
+        {"ladder_dim": "24"}, {"n_grid": [2.7, True]}, {"n_grid": [2, 4.0]},
+    ])
+    def test_integer_fields_must_be_integers(self, fields):
+        with pytest.raises(ConfigError):
+            sc.default_config("harmonic-limit", **fields)
+
+    @pytest.mark.parametrize("tolerance", [[], "0.1", -1e-9, math.nan, math.inf, False])
+    def test_tolerance_must_be_a_finite_nonnegative_number(self, tolerance):
+        with pytest.raises(ConfigError):
+            sc.ScenarioConfig(kind="figure2", tolerance=tolerance)
+
+    def test_valid_values_are_kept(self):
+        config = sc.ScenarioConfig(kind="figure4", chi_grid=[1e-6, 50], n_grid=[3],
+                                   w_values=(-2, 0.5), tolerance=0)
+        assert config.chi_grid == (1e-6, 50.0) and config.n_grid == (3,)
+        assert config.w_values == (-2.0, 0.5) and config.tolerance == 0
+
+    @pytest.mark.parametrize("chi", [math.nan, math.inf, 1000.0, 50.000001, 1e-9, 0.0])
+    def test_chi_grid_outside_documented_range(self, chi):
+        with pytest.raises(ConfigError):
+            sc.ScenarioConfig(kind="figure3", chi_grid=(0.5, chi))
+
+    @pytest.mark.parametrize("work", [math.nan, math.inf, -math.inf,
+                                      pytest.param(10 ** 400, id="1e400")])
+    def test_w_values_must_be_finite(self, work):
+        with pytest.raises(ConfigError):
+            sc.ScenarioConfig(kind="figure3", w_values=(0.0, work))
+
+    @pytest.mark.parametrize("cutoffs", [(3, 24), (12, 7), (2, 2)])
+    def test_global_ft_rejects_cutoffs_below_its_draw_ranges(self, cutoffs):
+        cfg = sc.default_config("global-ft", cases=1, system_cutoff=cutoffs[0],
+                                ladder_dim=cutoffs[1])
+        with pytest.raises(ConfigError):
+            sc.run_scenario(cfg)
+
+    def test_global_ft_smallest_accepted_cutoffs(self):
+        report = sc.run_scenario(sc.default_config("global-ft", cases=2, seed=3,
+                                                   system_cutoff=4, ladder_dim=8))
+        assert report.summary["cases"] == 2
+
+
+class TestDefaultConfig:
+    """default_config is the one loader: suite defaults < file < overrides."""
+
+    def test_field_order(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 5, "ladder_dim": 40}))
+        config = sc.default_config("jarzynski", path, seed=6, tolerance=None)
+        assert config.omega_f == 2 and config.system_cutoff == 5   # suite defaults
+        assert config.ladder_dim == 40                             # file
+        assert config.seed == 6                                    # override
+        assert config.tolerance is None
+
+    def test_file_and_cli_read_alike(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "jarzynski"}))
+        assert sc.default_config("jarzynski", path) == sc.default_config("jarzynski")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"kind": "sweep"}', '{"bogus": 1}',
+                                      "\xff"])
+    def test_rejected_files(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigError):
+            sc.default_config("figure2", path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError):
+            sc.default_config("figure2", tmp_path / "absent.json")
 
 
 class TestReports:
@@ -156,6 +243,17 @@ class TestFigureData:
 
 
 class TestVerifyAll:
+    def test_runs_suites_in_registry_order(self, monkeypatch):
+        ran = []
+
+        def fake_run(config):
+            ran.append(config.kind)
+            return sc.VerificationReport(config.kind, 0.0, [], {}).finalize()
+
+        monkeypatch.setattr(sc, "run_scenario", fake_run)
+        results = sc.verify_all(seed=1)
+        assert tuple(ran) == tuple(sc.SUITES) == tuple(results["suites"])
+
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             sc.verify_all(seed=1, budget_seconds=-1.0)
@@ -225,3 +323,69 @@ class TestCli:
         assert code == 0
         header, rows = sc.read_csv(tmp_path / "sweep.csv")
         assert len(rows) == 2
+
+    def test_missing_config_file_exit_two(self, tmp_path, capsys):
+        code = cli.main(["figure2", "--config", str(tmp_path / "absent.json"),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_malformed_config_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+        code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [
+        {"chi_grid": "25"}, {"tolerance": []}, {"cases": 2.5}, {"seed": 1.5},
+        {"n_grid": [2.7, True]}, {"chi_grid": [float("nan")]}, {"chi_grid": [1000]},
+        {"w_values": [float("inf")]},
+    ])
+    def test_schema_violation_exit_two(self, tmp_path, capsys, fields):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        code = cli.main(["figure3", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [{"chi_grid": [50], "omega_f": 40},
+                                        {"w_values": [1389]}])
+    def test_overflow_exit_three(self, tmp_path, capsys, fields):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        code = cli.main(["figure3", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 3
+        assert "OverflowError" in capsys.readouterr().err
+
+
+_NUMBERS = st.one_of(st.floats(), st.integers(-10 ** 4, 10 ** 4),
+                     st.floats(1e-7, 60.0), st.booleans())
+_VALUES = st.one_of(st.none(), _NUMBERS, st.text(max_size=3),
+                    st.lists(_NUMBERS, max_size=3))
+_GRIDS = st.one_of(st.lists(_NUMBERS, max_size=4), st.text(max_size=3), _NUMBERS)
+_RATIONALS = st.one_of(_NUMBERS, st.sampled_from(["1/2", "3/2", "5", "40", "1/99", "x"]))
+_FIGURE_CONFIGS = st.fixed_dictionaries({}, optional={
+    "chi_grid": _GRIDS, "p_grid": _GRIDS, "n_grid": _GRIDS, "w_values": _GRIDS,
+    "omega_i": _RATIONALS, "omega_f": _RATIONALS, "tolerance": _VALUES,
+    "seed": _VALUES, "cases": _VALUES, "system_cutoff": _VALUES,
+    "ladder_dim": _VALUES,
+})
+
+
+class TestCliFuzz:
+    """Every figure/sweep config ends in one of the four documented exit codes."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(kind=st.sampled_from(["figure2", "figure3", "figure4", "sweep"]),
+           fields=_FIGURE_CONFIGS)
+    def test_exit_code_contract(self, kind, fields):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+            cfg.write_text(json.dumps(fields))
+            code = cli.main([kind, "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 1, 2, 3)
+            if code == 1:
+                report = json.loads((out / f"{kind}.json").read_text())
+                assert any(not case["passed"] for case in report["cases"])
