@@ -22,7 +22,7 @@ from .fock import (DensityState, HilbertSpace, OperatorMatrix, OscillatorMode,
 from .gibbs import (EffectivePotentialValue, MeasurementOperator,
                     effective_potential, gen_free_energy_diff, gen_work_diff,
                     gibbs_map, gibbs_map_inverse, time_reversal)
-from .dynamics import (ConservingUnitary, EnergyBlock, JointModel,
+from .dynamics import (ConservingUnitary, JointModel,
                        SwitchedBattery, battery_spacing_for, build_joint_model,
                        conditional_photon_number, q_quantity,
                        sample_conserving_unitary,

@@ -2,7 +2,8 @@
 
 Subcommands: verify, figure2, figure3, figure4, sweep, jarzynski. Every run is
 deterministic in (--config, --seed); outputs land in --out as CSV + JSON plus
-a small gnuplot script for the figure kinds.
+a small gnuplot script for the figure kinds. ``verify`` runs every suite at
+its defaults, so only the per-kind subcommands take --config.
 
 Exit codes: 0 pass, 1 verification failure, 2 configuration error,
 3 numeric/domain error.
@@ -31,8 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None,
-                        help="JSON scenario config (overrides defaults)")
     common.add_argument("--seed", type=int, default=None,
                         help="master seed for all stochastic scenarios")
     common.add_argument("--out", type=Path, default=Path("out"),
@@ -44,8 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--budget", type=float, default=600.0,
                         help="wall-clock budget in seconds")
     for kind in ("figure2", "figure3", "figure4", "sweep", "jarzynski"):
-        sub.add_parser(kind, parents=[common],
-                       help=f"run the {kind} scenario")
+        run = sub.add_parser(kind, parents=[common], help=f"run the {kind} scenario")
+        run.add_argument("--config", type=Path, default=None,
+                         help="JSON scenario config (overrides defaults)")
     return parser
 
 

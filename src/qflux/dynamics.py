@@ -3,8 +3,9 @@
 The battery is a uniform ladder tensored with a two-level switch; the switch
 selects which system Hamiltonian (initial or final frequency) is active, so a
 single time-independent joint Hamiltonian realizes the frequency quench.
-Energies are tracked as exact rationals: degeneracy is decided by Fraction
-equality, never by floating-point comparison.
+Energies are exact: every joint energy is an integer multiple of one rational
+unit, so ``levels[k] * energy_unit`` is the energy of joint index k and
+degeneracy is decided by integer equality, never by floating-point comparison.
 
 Basis layout (row-major): full index k = (n * L + w) * 2 + s for system level
 n, battery ladder level w, switch sector s (0 = initial, 1 = final). The
@@ -42,12 +43,11 @@ SYMMETRY_TOL = 1e-12
 RationalLike = Union[int, float, str, Fraction]
 
 
-def as_fraction(value: RationalLike) -> Fraction:
-    """Exact rational conversion. Floats convert via their binary expansion,
-    so only values that are honestly rational (1.5, 0.25, ...) stay small."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
+def _rational_gcd(*values: Fraction) -> Fraction:
+    """The largest rational of which every (positive) value is an integer
+    multiple: gcd of the numerators over lcm of the denominators."""
+    return Fraction(math.gcd(*(v.numerator for v in values)),
+                    math.lcm(*(v.denominator for v in values)))
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class SwitchedBattery:
     spacing: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "spacing", as_fraction(self.spacing))
+        object.__setattr__(self, "spacing", Fraction(self.spacing))
         if self.ladder_dim < 2:
             raise DomainError("battery ladder needs at least 2 levels")
         if self.spacing <= 0:
@@ -104,21 +104,24 @@ class SwitchedBattery:
 def battery_spacing_for(omega_i: RationalLike, omega_f: RationalLike) -> Fraction:
     """Half the gcd of the two frequencies: the coarsest ladder spacing that
     makes cross-sector degeneracies dense."""
-    a, b = as_fraction(omega_i), as_fraction(omega_f)
-    g = Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-                 a.denominator * b.denominator)
-    return g / 2
+    return _rational_gcd(Fraction(omega_i), Fraction(omega_f)) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointModel:
-    """System otimes battery with the switch-selected joint Hamiltonian."""
+    """System otimes battery with the switch-selected joint Hamiltonian.
+
+    The Hamiltonian is diagonal; joint index k has the exact energy
+    ``levels[k] * energy_unit``. ``levels`` is int64 when its largest entry
+    fits, otherwise an object array of Python ints.
+    """
 
     omega_i: Fraction
     omega_f: Fraction
     system_cutoff: int
     battery: SwitchedBattery
-    exact_energies: tuple[Fraction, ...] = field(repr=False)
+    energy_unit: Fraction
+    levels: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -136,11 +139,6 @@ class JointModel:
     def index(self, n: int, level: int, sector: int) -> int:
         return (n * self.battery.ladder_dim + level) * 2 + sector
 
-    def decode(self, k: int) -> tuple[int, int, int]:
-        n, rem = divmod(k, self.battery.dim)
-        level, sector = divmod(rem, 2)
-        return n, level, sector
-
     def system_mode(self, sector: int) -> OscillatorMode:
         omega = self.omega_i if sector == SECTOR_INITIAL else self.omega_f
         return OscillatorMode(omega, self.system_cutoff)
@@ -148,70 +146,54 @@ class JointModel:
     def system_hamiltonian(self, sector: int) -> OperatorMatrix:
         return hamiltonian(self.system_mode(sector))
 
-    def hamiltonian(self) -> OperatorMatrix:
-        return OperatorMatrix(self.space,
-                              np.diag([float(e) for e in self.exact_energies]))
-
 
 def build_joint_model(omega_i: RationalLike, omega_f: RationalLike,
                       system_cutoff: int, battery: SwitchedBattery, *,
                       min_cross_degeneracies: int = 1) -> JointModel:
     """Assemble the joint model and verify the spectrum supports dynamics.
 
-    The diagonal reads omega_s (n + 1/2) + delta * w over (n, w, s). If fewer
-    than ``min_cross_degeneracies`` pairs of equal-energy states straddle the
-    two sectors, no population can ever cross and IncommensurateError is
-    raised (the generic signature of irrational frequency ratios).
+    The diagonal reads omega_s (n + 1/2) + delta * w over (n, w, s). Every
+    entry is an integer multiple of u = gcd(omega_i / 2, omega_f / 2, delta),
+    the model's ``energy_unit``. If fewer than ``min_cross_degeneracies``
+    pairs of equal-energy states straddle the two sectors, no population can
+    ever cross and IncommensurateError is raised (the generic signature of
+    irrational frequency ratios).
     """
-    w_i, w_f = as_fraction(omega_i), as_fraction(omega_f)
+    w_i, w_f = Fraction(omega_i), Fraction(omega_f)
     if w_i <= 0 or w_f <= 0:
         raise DomainError("frequencies must be positive")
     if system_cutoff < 2:
         raise DomainError("system cutoff must be >= 2")
-    ladder = battery.ladder_dim
-    energies: list[Fraction] = []
-    for n in range(system_cutoff):
-        half = Fraction(2 * n + 1, 2)
-        e_i = w_i * half
-        e_f = w_f * half
-        for w in range(ladder):
-            shift = battery.spacing * w
-            energies.append(e_i + shift)
-            energies.append(e_f + shift)
-    model = JointModel(w_i, w_f, system_cutoff, battery, tuple(energies))
-    counts: dict[Fraction, list[int]] = {}
-    for k, e in enumerate(energies):
-        counts.setdefault(e, [0, 0])[k % 2] += 1
-    crossings = sum(ci * cf for ci, cf in counts.values())
+    unit = _rational_gcd(w_i / 2, w_f / 2, battery.spacing)
+    half_i, half_f, step = (int(v / unit) for v in (w_i / 2, w_f / 2, battery.spacing))
+    top = max(half_i, half_f) * (2 * system_cutoff - 1) + step * (battery.ladder_dim - 1)
+    dtype = np.int64 if top <= np.iinfo(np.int64).max else object
+    odd = 2 * np.arange(system_cutoff, dtype=dtype) + 1
+    shift = step * np.arange(battery.ladder_dim, dtype=dtype)
+    levels = (odd[:, None, None] * np.array([half_i, half_f], dtype=dtype)
+              + shift[None, :, None]).ravel()
+    values, inverse = np.unique(levels, return_inverse=True)
+    initial, final = (np.bincount(inverse[s::2], minlength=values.size)
+                      for s in (SECTOR_INITIAL, SECTOR_FINAL))
+    crossings = int(initial @ final)
     if crossings < min_cross_degeneracies:
         raise IncommensurateError(
             f"only {crossings} cross-sector degeneracies (need "
             f">= {min_cross_degeneracies}); frequencies "
             f"{w_i}/{w_f} are effectively incommensurate at these cutoffs"
         )
-    return model
+    return JointModel(w_i, w_f, system_cutoff, battery, unit, levels)
 
 
-@dataclass(frozen=True)
-class EnergyBlock:
-    """Indices of one degenerate eigenspace of the joint Hamiltonian."""
+def spectral_blocks(model: JointModel) -> list[np.ndarray]:
+    """Partition the basis into degenerate blocks: one ascending array of
+    joint indices per eigenspace, in ascending energy.
 
-    energy: Fraction
-    indices: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
-def spectral_blocks(model: JointModel) -> list[EnergyBlock]:
-    """Partition the basis into degenerate blocks, ascending in energy.
-
-    Energies are exact rationals, so blocks are their equality classes."""
-    groups: dict[Fraction, list[int]] = {}
-    for k, e in enumerate(model.exact_energies):
-        groups.setdefault(e, []).append(k)
-    return [EnergyBlock(e, tuple(sorted(idx))) for e, idx in sorted(groups.items())]
+    Levels are exact integers, so a block is a run of equal levels after a
+    stable sort."""
+    order = np.argsort(model.levels, kind="stable")
+    ranked = model.levels[order]
+    return np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
 
 
 @dataclass(frozen=True)
@@ -307,7 +289,7 @@ class ConservingUnitary:
 
     def assert_valid(self, model: JointModel) -> None:
         """Every block is unitary and symmetric to 1e-12, and its indices
-        share one exact energy; together the blocks partition the basis."""
+        share one energy level; together the blocks partition the basis."""
         indices = np.concatenate([idx for idx, _ in self.blocks])
         if not np.array_equal(np.sort(indices), np.arange(model.dim)):
             raise DimensionError("unitary blocks do not partition the model basis")
@@ -315,7 +297,7 @@ class ConservingUnitary:
             size = len(idx)
             if mat.shape != (size, size):
                 raise DimensionError(f"block of {size} indices holds a {mat.shape} matrix")
-            if len({model.exact_energies[k] for k in idx}) != 1:
+            if np.unique(model.levels[idx]).size != 1:
                 raise ValueError("block mixes joint energies: it does not commute "
                                  "with the joint Hamiltonian")
             if np.abs(mat.conj().T @ mat - np.eye(size)).max() > UNITARITY_TOL:
@@ -324,37 +306,31 @@ class ConservingUnitary:
                 raise ValueError("block is not symmetric within 1e-12")
 
 
-def _symmetric_block_unitary(rng: np.random.Generator, size: int) -> np.ndarray:
-    """exp(i K) for K a symmetrized Gaussian real matrix: unitary and symmetric."""
+def _block_unitary(rng: np.random.Generator, size: int) -> np.ndarray:
+    """A random symmetric unitary on one block: a random phase for a
+    singleton, otherwise exp(i K) for K a symmetrized Gaussian real matrix."""
+    if size == 1:
+        return np.array([[np.exp(2j * np.pi * rng.random())]])
     a = rng.standard_normal((size, size))
     k = (a + a.T) / 2.0
     lam, vec = np.linalg.eigh(k)
     return (vec * np.exp(1j * lam)) @ vec.T
 
 
-def _random_phase(rng: np.random.Generator) -> np.ndarray:
-    return np.array([[np.exp(2j * np.pi * rng.random())]])
-
-
-def sample_conserving_unitary(blocks: Sequence[EnergyBlock],
+def sample_conserving_unitary(blocks: Sequence[np.ndarray],
                               seed: int) -> ConservingUnitary:
-    """Draw an independent random symmetric unitary on every degenerate block;
-    singleton blocks receive a random phase. Deterministic in (blocks, seed)."""
+    """Draw an independent random symmetric unitary on every degenerate block
+    (an index array from ``spectral_blocks``). Deterministic in (blocks, seed)."""
     rng = np.random.default_rng(seed)
-    pairs = []
-    for block in blocks:
-        mat = (_random_phase(rng) if block.size == 1
-               else _symmetric_block_unitary(rng, block.size))
-        pairs.append((np.array(block.indices), mat))
-    return ConservingUnitary(tuple(pairs), seed)
+    return ConservingUnitary(tuple((idx, _block_unitary(rng, idx.size)) for idx in blocks),
+                             seed)
 
 
-def _block_signature(model: JointModel, block: EnergyBlock) -> tuple:
-    """Battery-translation-invariant fingerprint: member list as
-    (system level, sector, ladder level offset from the block minimum)."""
-    decoded = [model.decode(k) for k in block.indices]
-    w_min = min(w for _, w, _ in decoded)
-    return tuple((n, s, w - w_min) for n, w, s in decoded)
+def _block_signature(model: JointModel, block: np.ndarray) -> bytes:
+    """Battery-translation-invariant fingerprint: the (system level, sector,
+    ladder level offset from the block minimum) of every member, as bytes."""
+    n, w, s = np.unravel_index(block, (model.system_cutoff, model.battery.ladder_dim, 2))
+    return np.stack([n, s, w - w.min()], axis=1).tobytes()
 
 
 def translation_reach(model: JointModel) -> int:
@@ -370,7 +346,7 @@ def translation_reach(model: JointModel) -> int:
 
 
 def sample_translation_invariant_unitary(model: JointModel,
-                                         blocks: Sequence[EnergyBlock],
+                                         blocks: Sequence[np.ndarray],
                                          window: tuple[int, int],
                                          seed: int) -> ConservingUnitary:
     """Like sample_conserving_unitary, but blocks that are battery translates
@@ -392,14 +368,13 @@ def sample_translation_invariant_unitary(model: JointModel,
             f"[{reach}, {top - reach}] (reach {reach} on a {top + 1}-level ladder)"
         )
     rng = np.random.default_rng(seed)
-    generators: dict[tuple, np.ndarray] = {}
+    generators: dict[bytes, np.ndarray] = {}
     pairs = []
-    for block in blocks:
-        sig = _block_signature(model, block)
+    for idx in blocks:
+        sig = _block_signature(model, idx)
         if sig not in generators:
-            generators[sig] = (_random_phase(rng) if block.size == 1
-                               else _symmetric_block_unitary(rng, block.size))
-        pairs.append((np.array(block.indices), generators[sig]))
+            generators[sig] = _block_unitary(rng, idx.size)
+        pairs.append((idx, generators[sig]))
     return ConservingUnitary(tuple(pairs), seed, window=(lo, hi))
 
 

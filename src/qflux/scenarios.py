@@ -74,11 +74,15 @@ def _is_finite(value) -> bool:
 
 
 def _grid(name: str, values, is_entry, convert) -> tuple:
-    """An array (list or tuple) whose entries pass ``is_entry``, as a tuple."""
+    """An array (list or tuple) of distinct entries that pass ``is_entry``, as
+    a tuple. A repeated entry would record its cases twice under one key."""
     if not isinstance(values, (list, tuple)) or not all(map(is_entry, values)):
         raise ConfigError(f"{name} must be an array of "
                           f"{'integers' if convert is int else 'finite numbers'}")
-    return tuple(convert(v) for v in values)
+    grid = tuple(convert(v) for v in values)
+    if len(set(grid)) != len(grid):
+        raise ConfigError(f"{name} must not repeat an entry")
+    return grid
 
 
 @dataclass(frozen=True)

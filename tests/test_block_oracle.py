@@ -1,20 +1,26 @@
-"""Block-stored unitaries against a dense oracle.
+"""Block-stored unitaries and the integer energy lattice against oracles.
 
 qflux stores a conserving unitary as its energy blocks and never forms the
 d x d matrix. The oracle here does: it expands ``u.matrix`` (a sparse export
 of the blocks) to a dense array and evaluates Q, transition probabilities,
 conditional photon numbers and work distributions with dense products.
+
+qflux decides degeneracy on integer levels. The partition oracle computes
+every joint energy as a ``Fraction`` and groups equal ones in a dict.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from qflux import dynamics as dyn
 from qflux import fock
-from qflux.errors import DimensionError
+from qflux.errors import DimensionError, IncommensurateError
+from qflux.scenarios import _FT_FREQUENCIES
 
 
 def make_model(omega_i, omega_f, cutoff, ladder, spacing=None, **kwargs):
@@ -183,8 +189,60 @@ class TestReadsEqualDense:
                             for w in range(model.battery.ladder_dim)}
 
 
+def fraction_partition(model):
+    """The exact energies as Fractions in joint-index order, their equality
+    classes ascending in energy, and the number of equal-energy pairs that
+    straddle the two sectors."""
+    spacing = model.battery.spacing
+    energies = [omega * Fraction(2 * n + 1, 2) + spacing * w
+                for n in range(model.system_cutoff)
+                for w in range(model.battery.ladder_dim)
+                for omega in (model.omega_i, model.omega_f)]
+    groups: dict[Fraction, list[int]] = {}
+    for k, e in enumerate(energies):
+        groups.setdefault(e, []).append(k)
+    blocks = [idx for _, idx in sorted(groups.items())]
+    crossings = sum(sum(k % 2 == 0 for k in idx) * sum(k % 2 == 1 for k in idx)
+                    for idx in blocks)
+    return energies, blocks, crossings
+
+
+# (omega_i, omega_f, cutoff, ladder, spacing, levels dtype)
+PARTITION_MODELS = {
+    **{f"global-ft-{wi}-{wf}": (wi, wf, 12, 24, None, np.int64)
+       for wi, wf in product(_FT_FREQUENCIES, repeat=2)},
+    "crooks-16x96": (1, Fraction(3, 2), 16, 96, None, np.int64),
+    # float sqrt(2) is p / 2**52: the unit is 2**-53, the levels still fit int64
+    "sqrt2": (1, math.sqrt(2), 5, 12, Fraction(1, 2), np.int64),
+    # float 0.1 is q / 2**55: 256 ladder levels of 1/2 = 2**55 units push
+    # the top level past int64
+    "float-0.1": (1, 0.1, 5, 256, Fraction(1, 2), object),
+}
+
+
+class TestPartitionOracle:
+    @pytest.mark.parametrize("name", PARTITION_MODELS)
+    def test_blocks_match_fraction_grouping(self, name):
+        omega_i, omega_f, cutoff, ladder, spacing, dtype = PARTITION_MODELS[name]
+        model = make_model(omega_i, omega_f, cutoff, ladder, spacing,
+                           min_cross_degeneracies=0)
+        energies, blocks, crossings = fraction_partition(model)
+        assert model.levels.dtype == dtype
+        assert [int(level) * model.energy_unit for level in model.levels] == energies
+        got = dyn.spectral_blocks(model)
+        assert [b.tolist() for b in got] == blocks
+        assert sum(int(np.sum(b % 2 == 0)) * int(np.sum(b % 2 == 1)) for b in got) \
+            == crossings
+        # build_joint_model counts the same crossings
+        make_model(omega_i, omega_f, cutoff, ladder, spacing,
+                   min_cross_degeneracies=crossings)
+        with pytest.raises(IncommensurateError):
+            make_model(omega_i, omega_f, cutoff, ladder, spacing,
+                       min_cross_degeneracies=crossings + 1)
+
+
 def identity_pairs(model):
-    return [(np.array(b.indices), np.eye(b.size, dtype=complex))
+    return [(b, np.eye(b.size, dtype=complex))
             for b in dyn.spectral_blocks(model)]
 
 
@@ -221,7 +279,7 @@ class TestValidation:
         pairs = identity_pairs(model)
         singletons = [i for i, (idx, _) in enumerate(pairs) if len(idx) == 1][:2]
         i0, i1 = (pairs[i][0] for i in singletons)
-        assert model.exact_energies[i0[0]] != model.exact_energies[i1[0]]
+        assert model.levels[i0[0]] != model.levels[i1[0]]
         merged = [(np.concatenate([i0, i1]), np.eye(2, dtype=complex))] + \
             [pair for i, pair in enumerate(pairs) if i not in singletons]
         with pytest.raises(ValueError, match="energies"):

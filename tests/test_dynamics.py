@@ -20,7 +20,7 @@ def small_model(omega_i=1, omega_f=2, cutoff=4, ladder=10):
 def identity_unitary(model):
     """The identity as a conserving unitary: an identity matrix on every block."""
     return dyn.ConservingUnitary(
-        tuple((np.array(b.indices), np.eye(b.size, dtype=complex))
+        tuple((b, np.eye(b.size, dtype=complex))
               for b in dyn.spectral_blocks(model)), seed=0)
 
 
@@ -37,16 +37,16 @@ class TestBuildJointModel:
         # system level 2 is degenerate with the f-sector state one system
         # level down and one battery level down, both at 2.5 + delta*w.
         model = small_model()
-        e_i = model.exact_energies[model.index(2, 5, dyn.SECTOR_INITIAL)]
-        e_f = model.exact_energies[model.index(1, 4, dyn.SECTOR_FINAL)]
+        e_i = int(model.levels[model.index(2, 5, dyn.SECTOR_INITIAL)]) * model.energy_unit
+        e_f = int(model.levels[model.index(1, 4, dyn.SECTOR_FINAL)]) * model.energy_unit
         assert e_i == e_f == Fraction(5, 2) + Fraction(1, 2) * 5
 
     def test_equal_frequencies_pair_every_state(self):
         model = small_model(1, 1, 3, 6)
         for n in range(3):
             for w in range(6):
-                e0 = model.exact_energies[model.index(n, w, 0)]
-                e1 = model.exact_energies[model.index(n, w, 1)]
+                e0 = model.levels[model.index(n, w, 0)]
+                e1 = model.levels[model.index(n, w, 1)]
                 assert e0 == e1
 
     def test_irrational_ratio_raises(self):
@@ -71,7 +71,8 @@ class TestBuildJointModel:
         h_f = model.system_hamiltonian(dyn.SECTOR_FINAL).matrix
         eye_s = np.eye(3)
         assembled = (np.kron(eye_s, h_b) + np.kron(h_i, p_i) + np.kron(h_f, p_f))
-        assert np.abs(assembled - model.hamiltonian().matrix).max() == 0.0
+        stored = np.diag(model.levels * float(model.energy_unit))
+        assert np.abs(assembled - stored).max() == 0.0
 
     @pytest.mark.parametrize("omega_f", [Fraction(3, 2), Fraction(1, 3)])
     def test_system_hamiltonian_is_mode_hamiltonian(self, omega_f):
@@ -94,9 +95,9 @@ class TestSpectralBlocks:
     def test_partition_property(self):
         model = small_model()
         blocks = dyn.spectral_blocks(model)
-        seen = sorted(i for b in blocks for i in b.indices)
+        seen = sorted(i for b in blocks for i in b)
         assert seen == list(range(model.dim))
-        energies = [b.energy for b in blocks]
+        energies = [int(model.levels[b[0]]) * model.energy_unit for b in blocks]
         assert energies == sorted(energies)
 
     def test_all_singletons_without_resonance(self):
@@ -111,7 +112,8 @@ class TestSpectralBlocks:
         # energies (in halves) i-sector: 1,2,3 / 3,4,5 ; f-sector: 2,3,4 / 6,7,8
         model = small_model(1, 2, 2, 3)
         blocks = dyn.spectral_blocks(model)
-        counted = {float(b.energy): b.size for b in blocks}
+        counted = {float(int(model.levels[b[0]]) * model.energy_unit): b.size
+                   for b in blocks}
         expected = {0.5: 1, 1.0: 2, 1.5: 3, 2.0: 2, 2.5: 1, 3.0: 1, 3.5: 1, 4.0: 1}
         assert counted == expected
 

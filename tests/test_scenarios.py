@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qflux import cli
 from qflux import closedform as cf
@@ -114,6 +114,14 @@ class TestSchema:
     def test_w_values_must_be_finite(self, work):
         with pytest.raises(ConfigError):
             sc.ScenarioConfig(kind="figure3", w_values=(0.0, work))
+
+    @pytest.mark.parametrize("fields", [
+        {"chi_grid": [0.5, 0.5]}, {"p_grid": [0.2, 0.4, 0.2]}, {"n_grid": [2, 2]},
+        {"w_values": [1.0, 1]},
+    ], ids=["chi_grid", "p_grid", "n_grid", "w_values"])
+    def test_grids_reject_repeated_entries(self, fields):
+        with pytest.raises(ConfigError, match="repeat"):
+            sc.default_config("figure3", **fields)
 
     @pytest.mark.parametrize("cutoffs", [(3, 24), (12, 7), (2, 2)])
     def test_global_ft_rejects_cutoffs_below_its_draw_ranges(self, cutoffs):
@@ -273,6 +281,9 @@ class TestVerifyAll:
             assert suites[kind]["summary"]["all_passed"], kind
         assert not r1["all_passed"]
         assert not suites["crooks-added"]["summary"]["all_passed"]
+        for kind, suite in suites.items():
+            keys = [case["key"] for case in suite["cases"]]
+            assert len(set(keys)) == len(keys), kind
 
 
 class TestCli:
@@ -324,6 +335,14 @@ class TestCli:
         header, rows = sc.read_csv(tmp_path / "sweep.csv")
         assert len(rows) == 2
 
+    def test_verify_rejects_config(self, tmp_path):
+        # verify runs every suite at its defaults; a config it would ignore
+        # is a usage error
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--config", str(tmp_path / "absent.json"),
+                      "--budget", "0.01"])
+        assert exc.value.code == 2
+
     def test_missing_config_file_exit_two(self, tmp_path, capsys):
         code = cli.main(["figure2", "--config", str(tmp_path / "absent.json"),
                          "--out", str(tmp_path)])
@@ -373,19 +392,55 @@ _FIGURE_CONFIGS = st.fixed_dictionaries({}, optional={
 })
 
 
+# numerators up to 1e18: with QFLUX_MAX_DIM = 16 such frequencies put the
+# joint levels beyond int64, which builds them as Python ints
+_FREQUENCIES = st.one_of(
+    _RATIONALS, st.integers(1, 6),
+    st.builds("{}/{}".format, st.one_of(st.integers(1, 12), st.integers(1, 10 ** 18)),
+              st.integers(1, 64)))
+# half the size draws are small enough for the runner's translation window
+_JARZYNSKI_CONFIGS = st.fixed_dictionaries(
+    {"system_cutoff": st.one_of(st.integers(2, 3), st.integers(-1, 20)),
+     "ladder_dim": st.one_of(st.integers(11, 16), st.integers(-1, 20))},
+    optional={"chi_grid": st.one_of(st.lists(st.floats(1e-6, 50.0), max_size=3, unique=True),
+                                    st.lists(st.floats(0.0, 60.0), max_size=3)),
+              "omega_i": _FREQUENCIES, "omega_f": _FREQUENCIES,
+              "tolerance": st.one_of(st.none(), st.floats(0.0, 1.0)),
+              "seed": st.integers(0, 2 ** 32)})
+
+
+def _assert_exit_code_contract(kind, fields):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(fields))
+        code = cli.main([kind, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            report = json.loads((out / f"{kind}.json").read_text())
+            assert any(not case["passed"] for case in report["cases"])
+
+
 class TestCliFuzz:
-    """Every figure/sweep config ends in one of the four documented exit codes."""
+    """Every figure, sweep and jarzynski config ends in one of the four
+    documented exit codes."""
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(kind=st.sampled_from(["figure2", "figure3", "figure4", "sweep"]),
            fields=_FIGURE_CONFIGS)
     def test_exit_code_contract(self, kind, fields):
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
-            cfg.write_text(json.dumps(fields))
-            code = cli.main([kind, "--config", str(cfg), "--out", str(out)])
-            assert code in (0, 1, 2, 3)
-            if code == 1:
-                report = json.loads((out / f"{kind}.json").read_text())
-                assert any(not case["passed"] for case in report["cases"])
+        _assert_exit_code_contract(kind, fields)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(fields=_JARZYNSKI_CONFIGS)
+    # levels past int64 (object dtype), with cross-sector degeneracies
+    @example(fields={"omega_i": "15625000000000000", "omega_f": "1000000000000000001/64",
+                     "system_cutoff": 8, "ladder_dim": 16, "chi_grid": [0.5]})
+    # a model small enough to run the dynamics
+    @example(fields={"omega_i": 1, "omega_f": 2, "system_cutoff": 2, "ladder_dim": 16})
+    def test_jarzynski_exit_code_contract(self, monkeypatch, fields):
+        # the one subcommand that builds a joint model; the cap keeps it small
+        monkeypatch.setenv("QFLUX_MAX_DIM", "16")
+        _assert_exit_code_contract("jarzynski", fields)
