@@ -13,8 +13,8 @@ battery's own basis index is b = 2 w + s.
 
 A conserving unitary is block-diagonal over the degenerate eigenspaces of
 the joint Hamiltonian and is stored as those blocks only; Q, transition
-probabilities and work distributions are evaluated from the blocks, and no
-d x d array of U is ever formed.
+probabilities and work distributions are evaluated from the blocks, Q from
+the system and battery factors of X and rho: no d x d array is ever formed.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ class _BlockLayout:
     ``size[b]`` indices. For joint index k, ``block[k]`` numbers its block
     and ``slot[k]`` is its position inside it. Each ``stacks`` item holds the
     m blocks of one size s: their (m, s) joint indices and an (m, s, s) view
-    of their matrices.
+    of their matrices; block b is row ``place[b]`` of stack ``stack[b]``.
     """
 
     block: np.ndarray
@@ -214,6 +214,8 @@ class _BlockLayout:
     size: np.ndarray
     entries: np.ndarray
     stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    stack: np.ndarray
+    place: np.ndarray
 
 
 def _block_layout(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> _BlockLayout:
@@ -227,14 +229,16 @@ def _block_layout(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> _BlockLayo
     block[order] = np.repeat(np.arange(size.size), size)
     slot = np.empty(order.size, dtype=np.intp)
     slot[order] = np.arange(order.size) - np.repeat(start, size)
-    stacks = []
-    for s in np.unique(size):
+    sizes, stacks = np.unique(size), []
+    for s in sizes:
         first, stop = np.searchsorted(size, [s, s + 1])
         m = stop - first
         indices = order[start[first]:start[first] + m * s].reshape(m, s)
         matrices = entries[offset[first]:offset[first] + m * s * s].reshape(m, s, s)
         stacks.append((indices, matrices))
-    return _BlockLayout(block, slot, offset, size, entries, tuple(stacks))
+    place = np.arange(size.size) - np.searchsorted(size, size)
+    return _BlockLayout(block, slot, offset, size, entries, tuple(stacks),
+                        np.searchsorted(sizes, size), place)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,12 +340,8 @@ def _block_signature(model: JointModel, block: np.ndarray) -> bytes:
 def translation_reach(model: JointModel) -> int:
     """Largest battery-level change any single interaction can produce:
     ceil(system spectral spread / ladder spacing), computed exactly."""
-    tops = []
-    bottoms = []
-    for omega in (model.omega_i, model.omega_f):
-        bottoms.append(omega * Fraction(1, 2))
-        tops.append(omega * Fraction(2 * model.system_cutoff - 1, 2))
-    spread = max(tops) - min(bottoms)
+    omegas = (model.omega_i, model.omega_f)
+    spread = max(omegas) * Fraction(2 * model.system_cutoff - 1, 2) - min(omegas) / 2
     return int(math.ceil(spread / model.battery.spacing))
 
 
@@ -382,39 +382,81 @@ def sample_translation_invariant_unitary(model: JointModel,
 # measured quantities
 # ---------------------------------------------------------------------------
 
-def _blocks_times(layout: _BlockLayout, panel: np.ndarray,
-                  adjoint: bool) -> np.ndarray:
-    """U @ panel, or U^dag @ panel: every block multiplies the rows of
-    ``panel`` it holds, one stack of equal-size blocks at a time; d sum(s^2)
-    complex multiply-adds for a panel of d columns."""
-    out = np.empty(panel.shape, dtype=complex)
-    for indices, matrices in layout.stacks:
-        if adjoint:
-            matrices = matrices.conj().transpose(0, 2, 1)
-        out[indices] = np.matmul(matrices, panel[indices])
-    return out
+#: complex entries per gathered array in one batch of block pairs (bounds memory)
+_PAIR_CHUNK = 1 << 15
 
 
-def q_quantity(x, rho, u: ConservingUnitary) -> float:
-    """Tr[X U rho U^dag], clamped to zero when within -1e-14 of it.
+def _energy_offsets(f_s: np.ndarray, f_b: np.ndarray, model: JointModel) -> np.ndarray:
+    """Every ``levels[i] - levels[j]`` over the nonzero entries (i, j) of
+    f_s (x) f_b, ascending: per sector pair (s, t), the sums of a system
+    difference set (its levels depend on the sector) and a ladder one."""
+    levels = model.levels.reshape(model.system_cutoff, model.battery.ladder_dim, 2)
+    system, ladder = levels[:, 0, :], levels[0, :, 0] - levels[0, 0, 0]
+    n_i, n_j = np.nonzero(f_s)
+    sums = [np.empty(0, dtype=levels.dtype)]
+    for s, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        w_i, w_j = np.nonzero(f_b[s::2, t::2])
+        sums.append(np.add.outer(np.unique(system[n_i, s] - system[n_j, t]),
+                                 np.unique(ladder[w_i] - ladder[w_j])).ravel())
+    return np.unique(np.concatenate(sums))
 
-    Evaluated as Tr[(U^dag X)(U rho)], each factor formed block by block
-    from the rows of X or rho that the block holds: 2 d sum(s^2) complex
-    multiply-adds for block sizes s, instead of the 2 d^3 of dense products.
-    """
-    xm = x.matrix if hasattr(x, "matrix") else np.asarray(x, dtype=complex)
-    rm = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
-    d = u.dim
-    if xm.shape != (d, d) or rm.shape != (d, d):
-        raise DimensionError(
-            f"shape mismatch: X {xm.shape}, rho {rm.shape}, U {(d, d)}"
-        )
-    udag_x = _blocks_times(u._layout, xm, adjoint=True)
-    u_rho = _blocks_times(u._layout, rm, adjoint=False)
-    val = np.einsum('ab,ba->', udag_x, u_rho).real
-    if -1e-14 <= val < 0.0:
-        return 0.0
-    return float(val)
+
+def _block_pairs(energy: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of blocks (k, l) with ``energy[k] - energy[l]`` in ``offsets``."""
+    order = np.argsort(energy, kind="stable")
+    ranked = energy[order]
+    target = np.add.outer(ranked, offsets)
+    lo = np.searchsorted(ranked, target, side="left").ravel()
+    count = np.searchsorted(ranked, target, side="right").ravel() - lo
+    first = np.repeat(np.cumsum(count) - count, count)
+    k = order[np.repeat(lo, count) + np.arange(first.size) - first]
+    return k, np.repeat(np.repeat(order, offsets.size), count)
+
+
+def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> float:
+    """Tr[X U rho U^dag] for X = x_s (x) x_b and rho = rho_s (x) rho_b,
+    clamped to zero when within -1e-14 of it.
+
+    ``x`` and ``rho`` are the factor pairs ``(system, battery)``, each an
+    array or an ``OperatorMatrix``. Q sums Tr[X_lk U_k rho_kl U_l^dag] over
+    the pairs of energy blocks (k, l) with E_k - E_l an energy offset of rho
+    and E_l - E_k one of X, where k holds a nonzero row of rho and column of
+    X and l the converse. X_lk and rho_kl are gathered entrywise from the
+    factors, batched by block sizes in chunks of fixed size: no d x d array
+    is formed (README, "How a unitary is stored")."""
+    (x_s, x_b), (rho_s, rho_b) = (
+        [f.matrix if hasattr(f, "matrix") else np.asarray(f, dtype=complex) for f in pair]
+        for pair in (x, rho))
+    layout, bdim = u._layout, model.battery.dim
+    if ({x_s.shape, rho_s.shape} != {(model.system_cutoff,) * 2} or u.dim != model.dim
+            or {x_b.shape, rho_b.shape} != {(bdim, bdim)}):
+        raise DimensionError(f"factors {x_s.shape, x_b.shape}, {rho_s.shape, rho_b.shape} "
+                             f"and U of dim {u.dim} do not fit the model")
+
+    def holds(f_s, f_b, axis):   # per block: a nonzero row (1) or column (0)
+        return np.bincount(layout.block, np.outer(f_s.any(axis), f_b.any(axis)).ravel()) > 0
+
+    energy = np.concatenate([model.levels[idx[:, 0]] for idx, _ in layout.stacks])
+    k, l = _block_pairs(energy, np.intersect1d(_energy_offsets(rho_s, rho_b, model),
+                                               -_energy_offsets(x_s, x_b, model)))
+    keep = (holds(rho_s, rho_b, 1) & holds(x_s, x_b, 0))[k] & \
+        (holds(rho_s, rho_b, 0) & holds(x_s, x_b, 1))[l]
+    k, l = k[keep], l[keep]
+    group = layout.stack[k] * len(layout.stacks) + layout.stack[l]
+    total = 0j
+    for g in np.unique(group):
+        (idx_k, u_k), (idx_l, u_l) = (layout.stacks[i] for i in divmod(g, len(layout.stacks)))
+        k_g, l_g = layout.place[k[group == g]], layout.place[l[group == g]]
+        chunk = max(1, _PAIR_CHUNK // max(idx_k.shape[1], idx_l.shape[1]) ** 2)
+        for at in range(0, k_g.size, chunk):
+            p_k, p_l = k_g[at:at + chunk], l_g[at:at + chunk]
+            n_k, b_k = np.divmod(idx_k[p_k][:, :, None], bdim)
+            n_l, b_l = np.divmod(idx_l[p_l][:, None, :], bdim)
+            rho_kl = rho_s[n_k, n_l] * rho_b[b_k, b_l]
+            x_lk_t = x_s[n_l, n_k] * x_b[b_l, b_k]
+            evolved = u_k[p_k] @ rho_kl @ u_l[p_l].conj().transpose(0, 2, 1)
+            total += np.einsum('pab,pab->', x_lk_t, evolved)
+    return 0.0 if -1e-14 <= total.real < 0.0 else float(total.real)
 
 
 def _system_density(system_state) -> np.ndarray:

@@ -374,8 +374,8 @@ def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
         rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta).matrix
         rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta).matrix
 
-        q_f = dyn.q_quantity(np.kron(x_s_f, x_b_f), np.kron(rho_s_i, rho_b_i), u)
-        q_r = dyn.q_quantity(np.kron(x_s_i, x_b_i), np.kron(rho_s_f, rho_b_f), u)
+        q_f = dyn.q_quantity((x_s_f, x_b_f), (rho_s_i, rho_b_i), u, model)
+        q_r = dyn.q_quantity((x_s_i, x_b_i), (rho_s_f, rho_b_f), u, model)
         if q_f <= 1e-12 or q_r <= 1e-12:
             continue
         d_f_tilde = gibbs.gen_free_energy_diff(beta, h_i, x_s_i, h_f, x_s_f)
@@ -480,10 +480,8 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
             rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta).matrix
             rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta).matrix
             eye_s = np.eye(config.system_cutoff, dtype=complex)
-            p_fwd = dyn.q_quantity(np.kron(eye_s, x_b_f),
-                                   np.kron(gamma.matrix, rho_b_i), u)
-            p_rev = dyn.q_quantity(np.kron(eye_s, x_b_i),
-                                   np.kron(gamma.matrix, rho_b_f), u)
+            p_fwd = dyn.q_quantity((eye_s, x_b_f), (gamma, rho_b_i), u, model)
+            p_rev = dyn.q_quantity((eye_s, x_b_i), (gamma, rho_b_f), u, model)
             if p_fwd <= 1e-12 or p_rev <= 1e-12:
                 continue
             if regime == "align":
@@ -796,21 +794,23 @@ def run_scenario(config: ScenarioConfig) -> VerificationReport:
 def verify_all(seed: int = 2024, budget_seconds: float = 600.0,
                out_dir: Optional[str] = None,
                tolerance: Optional[float] = None) -> dict:
-    """Run every verification suite under a wall-clock budget; returns an
+    """Run every verification suite under a wall-clock budget, all configs and
+    the budget (NaN is a ConfigError) checked before the first; returns an
     aggregate mapping with per-suite summaries and an overall flag."""
+    if math.isnan(budget_seconds):
+        raise ConfigError("budget must be a number of seconds, got nan")
+    configs = [default_config(kind, seed=seed, out_dir=out_dir, tolerance=tolerance)
+               for kind in SUITES]
     t0 = time.perf_counter()
     results: dict = {"seed": seed, "tool_version": __version__, "suites": {}}
-    for kind in SUITES:
+    for config in configs:
         elapsed = time.perf_counter() - t0
         if elapsed > budget_seconds:
             raise BudgetExceededError(
                 f"verification exceeded budget: {elapsed:.1f}s > {budget_seconds}s "
-                f"before suite {kind!r}"
+                f"before suite {config.kind!r}"
             )
-        config = default_config(kind, seed=seed, out_dir=out_dir,
-                                tolerance=tolerance)
-        report = run_scenario(config)
-        results["suites"][kind] = report.to_dict()
+        results["suites"][config.kind] = run_scenario(config).to_dict()
     results["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
     results["all_passed"] = all(s["summary"]["all_passed"]
                                 for s in results["suites"].values())

@@ -17,10 +17,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from qflux import closedform as cf
 from qflux import dynamics as dyn
-from qflux import fock
+from qflux import fock, gibbs
 from qflux.errors import DimensionError, IncommensurateError
-from qflux.scenarios import _FT_FREQUENCIES
+from qflux.scenarios import _FT_FREQUENCIES, _binomial_battery_projector
 
 
 def make_model(omega_i, omega_f, cutoff, ladder, spacing=None, **kwargs):
@@ -117,19 +118,39 @@ class TestExport:
         assert all(b.size == 1 for b in dyn.spectral_blocks(model))
 
 
+def random_factor(rng, d):
+    """A random positive matrix with no zero entry: every energy coherence."""
+    g = random_operator(rng, d)
+    return g @ g.conj().T
+
+
+def product_q(x, rho, u):
+    """The dense oracle on X = x_s (x) x_b and rho = rho_s (x) rho_b."""
+    return dense_q(np.kron(*x), np.kron(*rho), dense(u))
+
+
+def switch_coherent(ladder_op):
+    """A battery factor with a full 2 x 2 switch part: all four sector pairs."""
+    return np.kron(ladder_op, np.array([[1.0, 0.6], [0.6, 0.5]], dtype=complex))
+
+
+# the jarzynski CLI fuzz example: levels beyond int64, with crossings
+OBJECT_MODEL = dict(omega_i=15625000000000000, omega_f=Fraction(1000000000000000001, 64),
+                    cutoff=8, ladder=16)
+
+
 class TestQAgainstDense:
     def test_random_operators(self, model_and_unitary):
+        # dense factors hold every energy coherence, so every pair of blocks
+        # is visited
         model, u = model_and_unitary
         rng = np.random.default_rng(5)
-        um = dense(u)
+        dims = (model.system_cutoff, model.battery.dim)
         for _ in range(3):
-            x = random_operator(rng, model.dim)
-            rho = random_operator(rng, model.dim)
-            x = x @ x.conj().T
-            rho = rho @ rho.conj().T
-            rho /= np.trace(rho).real
-            ref = dense_q(x, rho, um)
-            assert abs(dyn.q_quantity(x, rho, u) - ref) <= 1e-12 * abs(ref)
+            x = tuple(random_factor(rng, d) for d in dims)
+            rho = tuple(f / np.trace(f).real for f in (random_factor(rng, d) for d in dims))
+            ref = product_q(x, rho, u)
+            assert abs(dyn.q_quantity(x, rho, u, model) - ref) <= 1e-12 * abs(ref)
 
     def test_product_operators(self, model_and_unitary):
         # the shape the suites use: X_S (x) X_B and rho_S (x) rho_B; X_B
@@ -141,10 +162,56 @@ class TestQAgainstDense:
         lad = fock.binomial_state(3, 0.4, model.battery.ladder_space).projector().matrix
         x_b = np.kron(lad, np.eye(2, dtype=complex))
         rho_b = np.kron(lad, np.diag([1.0, 0.0]).astype(complex))
-        x, rho = np.kron(x_s, x_b), np.kron(rho_s, rho_b)
-        ref = dense_q(x, rho, dense(u))
+        ref = product_q((x_s, x_b), (rho_s, rho_b), u)
         assert ref > 0.0
-        assert abs(dyn.q_quantity(x, rho, u) - ref) <= 1e-12 * ref
+        assert abs(dyn.q_quantity((x_s, x_b), (rho_s, rho_b), u, model) - ref) <= 1e-12 * ref
+
+
+class TestPairSelection:
+    """The pairs of blocks Q visits, against the dense oracle."""
+
+    def test_switch_coherence(self, model_and_unitary):
+        # x_s = N + a has system offsets of one sign only and an empty first
+        # column; rho_s holds every system coherence
+        model, u = model_and_unitary
+        cutoff = model.system_cutoff
+        x_s = (np.diag(np.arange(cutoff, dtype=complex))
+               + np.diag(np.sqrt(np.arange(1, cutoff)), 1))
+        rho_s = random_factor(np.random.default_rng(6), cutoff)
+        rho_s /= np.trace(rho_s).real
+        lad = fock.binomial_state(3, 0.4, model.battery.ladder_space).projector().matrix
+        x, rho = (x_s, switch_coherent(lad)), (rho_s, switch_coherent(lad) / 1.5)
+        ref = product_q(x, rho, u)
+        assert abs(ref) > 1e-3
+        assert abs(dyn.q_quantity(x, rho, u, model) - ref) <= 1e-12 * abs(ref)
+
+    def test_object_levels(self):
+        model = make_model(**OBJECT_MODEL)
+        assert model.levels.dtype == object
+        assert max(b.size for b in dyn.spectral_blocks(model)) > 1
+        u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 29)
+        rng = np.random.default_rng(8)
+        lad = random_factor(rng, model.battery.ladder_dim)
+        cases = [tuple(random_factor(rng, d) for d in (model.system_cutoff, model.battery.dim))
+                 for _ in range(2)]
+        cases.append((random_factor(rng, model.system_cutoff), switch_coherent(lad)))
+        for x in cases:
+            for rho in cases:
+                ref = product_q(x, rho, u)
+                assert abs(dyn.q_quantity(x, rho, u, model) - ref) <= 1e-12 * abs(ref)
+
+    def test_disjoint_offsets_give_exact_zero(self, model_and_unitary):
+        # rho is diagonal (offset 0 only); X only couples system levels 0
+        # and 1 within a sector, an offset of +-omega_s
+        model, u = model_and_unitary
+        rng = np.random.default_rng(4)
+        x_s = np.zeros((model.system_cutoff,) * 2, dtype=complex)
+        x_s[0, 1] = x_s[1, 0] = 1.0
+        x = (x_s, np.eye(model.battery.dim, dtype=complex))
+        rho = tuple(np.diag(rng.uniform(0.1, 1.0, d)).astype(complex)
+                    for d in (model.system_cutoff, model.battery.dim))
+        assert dyn.q_quantity(x, rho, u, model) == 0.0
+        assert abs(product_q(x, rho, u)) <= 1e-12
 
 
 class TestReadsEqualDense:
@@ -316,3 +383,33 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    def test_binomial_align_at_d_8192(self):
+        # dense X and rho would take 1 GiB each here; the Q calls, the block
+        # layout they build included, stay within 32 MiB
+        battery = dyn.SwitchedBattery(128, dyn.battery_spacing_for(1, 1))
+        model = dyn.build_joint_model(1, 1, 32, battery)
+        assert model.dim == 8192
+        chi, n, p_i, p_f = 0.5, 4, 0.5, 0.8
+        spacing = float(battery.spacing)
+        beta = 2.0 * chi / spacing
+        u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 13)
+        gamma = fock.thermal_state(beta, model.system_mode(0), tail_tol=1.0)
+        h_b = battery.hamiltonian().matrix
+        x_b_i = _binomial_battery_projector(battery, n, p_i, dyn.SECTOR_INITIAL)
+        x_b_f = _binomial_battery_projector(battery, n, p_f, dyn.SECTOR_FINAL)
+        rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta)
+        rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta)
+        eye_s = np.eye(model.system_cutoff, dtype=complex)
+        tracemalloc.start()
+        try:
+            p_fwd = dyn.q_quantity((eye_s, x_b_f), (gamma, rho_b_i), u, model)
+            p_rev = dyn.q_quantity((eye_s, x_b_i), (gamma, rho_b_f), u, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
+        assert p_fwd > 1e-12 and p_rev > 1e-12
+        predicted = math.exp(beta * cf.q_align(p_i, p_f, chi)
+                             * cf.w_q_align(n, p_i, p_f, beta, spacing))
+        assert p_fwd / p_rev == pytest.approx(predicted, rel=1e-8)

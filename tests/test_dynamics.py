@@ -212,23 +212,25 @@ class TestQQuantity:
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 4)
         rho_s = fock.thermal_state(2.0, model.system_mode(0), 1e-1)
         rho_b = model.battery.basis_state(2, 0).density()
-        rho = fock.tensor(rho_s, rho_b)
-        eye = np.eye(model.dim, dtype=complex)
-        assert dyn.q_quantity(eye, rho, u) == pytest.approx(1.0, abs=1e-12)
+        eye = (np.eye(3, dtype=complex), np.eye(model.battery.dim, dtype=complex))
+        assert dyn.q_quantity(eye, (rho_s, rho_b), u, model) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_unitary_eigenstate(self):
         model = small_model(1, 1, 3, 6)
         u = identity_unitary(model)
-        proj = np.zeros((model.dim, model.dim), dtype=complex)
-        k = model.index(1, 3, 0)
-        proj[k, k] = 1.0
-        assert dyn.q_quantity(proj, proj, u) == pytest.approx(1.0)
+        proj_s = np.zeros((3, 3), dtype=complex)
+        proj_s[1, 1] = 1.0
+        proj_b = model.battery.basis_state(3, 0).density().matrix
+        assert dyn.q_quantity((proj_s, proj_b), (proj_s, proj_b), u, model) == \
+            pytest.approx(1.0)
 
     def test_dimension_guard(self):
         model = small_model(1, 1, 3, 6)
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 1)
+        eye_b = np.eye(model.battery.dim)
         with pytest.raises(DimensionError):
-            dyn.q_quantity(np.eye(4), np.eye(model.dim) / model.dim, u)
+            dyn.q_quantity((np.eye(4), eye_b), (np.eye(3) / 3, eye_b / eye_b.shape[0]),
+                           u, model)
 
     def test_global_fluctuation_identity_random_scenario(self):
         # the master equality with operators mapped through the Gibbs rescale
@@ -244,12 +246,10 @@ class TestQQuantity:
         x_b_i = np.kron(lad.projector().matrix, np.diag([1.0, 0.0]))
         proj7 = np.zeros((14, 14)); proj7[7, 7] = 1.0
         x_b_f = np.kron(proj7, np.diag([0.0, 1.0]))
-        rho_f = np.kron(gibbs.gibbs_map(x_s_i, h_i, beta).matrix,
-                        gibbs.gibbs_map(x_b_i, h_b, beta).matrix)
-        rho_r = np.kron(gibbs.gibbs_map(x_s_f, h_f, beta).matrix,
-                        gibbs.gibbs_map(x_b_f, h_b, beta).matrix)
-        q_f = dyn.q_quantity(np.kron(x_s_f, x_b_f), rho_f, u)
-        q_r = dyn.q_quantity(np.kron(x_s_i, x_b_i), rho_r, u)
+        rho_f = (gibbs.gibbs_map(x_s_i, h_i, beta), gibbs.gibbs_map(x_b_i, h_b, beta))
+        rho_r = (gibbs.gibbs_map(x_s_f, h_f, beta), gibbs.gibbs_map(x_b_f, h_b, beta))
+        q_f = dyn.q_quantity((x_s_f, x_b_f), rho_f, u, model)
+        q_r = dyn.q_quantity((x_s_i, x_b_i), rho_r, u, model)
         assert q_f > 1e-12 and q_r > 1e-12
         lhs = math.log(q_f / q_r)
         rhs = beta * (gibbs.gen_work_diff(beta, h_b, x_b_i, x_b_f)
@@ -456,10 +456,8 @@ class TestBinomialBatteryCrooks:
         rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta).matrix
         rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta).matrix
         eye_s = np.eye(4, dtype=complex)
-        p_fwd = dyn.q_quantity(np.kron(eye_s, x_b_f),
-                               np.kron(gamma.matrix, rho_b_i), u)
-        p_rev = dyn.q_quantity(np.kron(eye_s, x_b_i),
-                               np.kron(gamma.matrix, rho_b_f), u)
+        p_fwd = dyn.q_quantity((eye_s, x_b_f), (gamma, rho_b_i), u, model)
+        p_rev = dyn.q_quantity((eye_s, x_b_i), (gamma, rho_b_f), u, model)
         assert p_fwd > 1e-12 and p_rev > 1e-12
         predicted = math.exp(beta * cf.q_align(p_i, p_f, chi_b)
                              * cf.w_q_align(n, p_i, p_f, beta, float(spacing)))

@@ -266,6 +266,17 @@ class TestVerifyAll:
         with pytest.raises(BudgetExceededError):
             sc.verify_all(seed=1, budget_seconds=-1.0)
 
+    @pytest.mark.parametrize("arguments", [{"budget_seconds": math.nan},
+                                           {"tolerance": math.nan, "budget_seconds": 0.0},
+                                           {"tolerance": -1.0}])
+    def test_unusable_budget_or_tolerance_fails_before_any_suite(self, monkeypatch,
+                                                                 arguments):
+        ran = []
+        monkeypatch.setattr(sc, "run_scenario", ran.append)
+        with pytest.raises(ConfigError):
+            sc.verify_all(seed=1, **arguments)
+        assert ran == []
+
     def test_report_bytes_deterministic_in_seed(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         r1 = sc.verify_all(seed=77, out_dir=str(out1))
@@ -421,8 +432,8 @@ def _assert_exit_code_contract(kind, fields):
 
 
 class TestCliFuzz:
-    """Every figure, sweep and jarzynski config ends in one of the four
-    documented exit codes."""
+    """Every figure, sweep and jarzynski config, and every verify
+    tolerance, ends in one of the four documented exit codes."""
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -444,3 +455,19 @@ class TestCliFuzz:
         # the one subcommand that builds a joint model; the cap keeps it small
         monkeypatch.setenv("QFLUX_MAX_DIM", "16")
         _assert_exit_code_contract("jarzynski", fields)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tolerance=st.floats())
+    @example(tolerance=math.nan)
+    @example(tolerance=math.inf)
+    @example(tolerance=-math.inf)
+    @example(tolerance=-1.0)
+    @example(tolerance=0.0)
+    def test_verify_tolerance_exit_code_contract(self, tolerance):
+        # budget 0 stops verify before its first suite: an invalid tolerance
+        # is a config error (2), a valid one reaches the budget check (3)
+        valid = math.isfinite(tolerance) and tolerance >= 0
+        with tempfile.TemporaryDirectory() as tmp:
+            code = cli.main(["verify", f"--tolerance={tolerance!r}", "--budget", "0",
+                             "--out", tmp])
+        assert code == (3 if valid else 2)
