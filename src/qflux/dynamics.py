@@ -198,47 +198,33 @@ def spectral_blocks(model: JointModel) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class _BlockLayout:
-    """The blocks of one unitary, regrouped for evaluation.
+    """The blocks of one unitary, zero-padded to the largest block size.
 
-    Blocks are ordered by size (stably). ``entries`` holds every block matrix
-    row-major, back to back, block b from ``offset[b]`` on, with
-    ``size[b]`` indices. For joint index k, ``block[k]`` numbers its block
-    and ``slot[k]`` is its position inside it. Each ``stacks`` item holds the
-    m blocks of one size s: their (m, s) joint indices and an (m, s, s) view
-    of their matrices; block b is row ``place[b]`` of stack ``stack[b]``.
+    Block b (in ``ConservingUnitary.blocks`` order) has ``size[b]`` joint
+    indices ``indices[b, :size[b]]`` and the matrix ``matrices[b, :size[b],
+    :size[b]]``; past ``size[b]`` the index is 0 and the rows and columns
+    are exact zeros. Joint index k sits at ``slot[k]`` in block ``block[k]``.
     """
 
+    indices: np.ndarray
+    matrices: np.ndarray
+    size: np.ndarray
     block: np.ndarray
     slot: np.ndarray
-    offset: np.ndarray
-    size: np.ndarray
-    entries: np.ndarray
-    stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
-    stack: np.ndarray
-    place: np.ndarray
 
 
 def _block_layout(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> _BlockLayout:
-    ordered = sorted(blocks, key=lambda pair: len(pair[0]))
-    size = np.array([len(idx) for idx, _ in ordered])
-    order = np.concatenate([idx for idx, _ in ordered])
-    entries = np.concatenate([np.ravel(mat) for _, mat in ordered], dtype=complex)
-    offset = np.concatenate(([0], np.cumsum(size ** 2)[:-1]))
-    start = np.concatenate(([0], np.cumsum(size)[:-1]))
-    block = np.empty(order.size, dtype=np.intp)
-    block[order] = np.repeat(np.arange(size.size), size)
-    slot = np.empty(order.size, dtype=np.intp)
-    slot[order] = np.arange(order.size) - np.repeat(start, size)
-    sizes, stacks = np.unique(size), []
-    for s in sizes:
-        first, stop = np.searchsorted(size, [s, s + 1])
-        m = stop - first
-        indices = order[start[first]:start[first] + m * s].reshape(m, s)
-        matrices = entries[offset[first]:offset[first] + m * s * s].reshape(m, s, s)
-        stacks.append((indices, matrices))
-    place = np.arange(size.size) - np.searchsorted(size, size)
-    return _BlockLayout(block, slot, offset, size, entries, tuple(stacks),
-                        np.searchsorted(sizes, size), place)
+    size = np.array([len(idx) for idx, _ in blocks])
+    held = np.arange(size.max()) < size[:, None]
+    order = np.concatenate([idx for idx, _ in blocks])
+    indices = np.zeros(held.shape, dtype=np.intp)
+    indices[held] = order
+    matrices = np.zeros(held.shape + held.shape[1:], dtype=complex)
+    for b, (_, mat) in enumerate(blocks):
+        matrices[b, :size[b], :size[b]] = mat
+    block, slot = np.empty((2, order.size), dtype=np.intp)
+    block[order], slot[order] = np.nonzero(held)
+    return _BlockLayout(indices, matrices, size, block, slot)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,16 +265,15 @@ class ConservingUnitary:
         return sparse.csr_array((data, (rows, cols)), shape=(self.dim, self.dim))
 
     def entries(self, rows, cols) -> np.ndarray:
-        """U restricted to ``rows`` and ``cols`` as a dense array, read from
-        the blocks; entries of different blocks are zero."""
+        """U restricted to ``rows`` and ``cols`` as a dense array: one gather
+        ``matrices[block[r], slot[r], slot[c]]`` from the padded blocks where
+        row and column share a block, zero elsewhere."""
         layout = self._layout
         rows, cols = np.asarray(rows), np.asarray(cols)
         row_block = layout.block[rows]
-        same = row_block[:, None] == layout.block[cols][None, :]
-        at = ((layout.offset[row_block] + layout.slot[rows] * layout.size[row_block])[:, None]
-              + layout.slot[cols][None, :])
-        out = np.zeros(same.shape, dtype=complex)
-        out[same] = layout.entries[at[same]]
+        r, c = np.nonzero(row_block[:, None] == layout.block[cols][None, :])
+        out = np.zeros((rows.size, cols.size), dtype=complex)
+        out[r, c] = layout.matrices[row_block[r], layout.slot[rows[r]], layout.slot[cols[c]]]
         return out
 
     def assert_valid(self, model: JointModel) -> None:
@@ -382,8 +367,9 @@ def sample_translation_invariant_unitary(model: JointModel,
 # measured quantities
 # ---------------------------------------------------------------------------
 
-#: complex entries per gathered array in one batch of block pairs (bounds memory)
-_PAIR_CHUNK = 1 << 15
+#: complex entries per gathered array in one chunk of block pairs: bounds
+#: memory; of 2**12 ... 2**16, 2**13 ran fastest at d = 1152 on 2 cores
+_PAIR_CHUNK = 1 << 13
 
 
 def _energy_offsets(f_s: np.ndarray, f_b: np.ndarray, model: JointModel) -> np.ndarray:
@@ -422,8 +408,10 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> float:
     the pairs of energy blocks (k, l) with E_k - E_l an energy offset of rho
     and E_l - E_k one of X, where k holds a nonzero row of rho and column of
     X and l the converse. X_lk and rho_kl are gathered entrywise from the
-    factors, batched by block sizes in chunks of fixed size: no d x d array
-    is formed (README, "How a unitary is stored")."""
+    factors. The pairs run widest first in one loop over chunks of at most
+    ``_PAIR_CHUNK`` entries per array, each padded to its widest block (U's
+    zero padding adds exact zeros for finite factors); no d x d array is
+    formed (README, "How a unitary is stored")."""
     (x_s, x_b), (rho_s, rho_b) = (
         [f.matrix if hasattr(f, "matrix") else np.asarray(f, dtype=complex) for f in pair]
         for pair in (x, rho))
@@ -436,44 +424,51 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> float:
     def holds(f_s, f_b, axis):   # per block: a nonzero row (1) or column (0)
         return np.bincount(layout.block, np.outer(f_s.any(axis), f_b.any(axis)).ravel()) > 0
 
-    energy = np.concatenate([model.levels[idx[:, 0]] for idx, _ in layout.stacks])
-    k, l = _block_pairs(energy, np.intersect1d(_energy_offsets(rho_s, rho_b, model),
-                                               -_energy_offsets(x_s, x_b, model)))
+    k, l = _block_pairs(model.levels[layout.indices[:, 0]],
+                        np.intersect1d(_energy_offsets(rho_s, rho_b, model),
+                                       -_energy_offsets(x_s, x_b, model)))
     keep = (holds(rho_s, rho_b, 1) & holds(x_s, x_b, 0))[k] & \
         (holds(rho_s, rho_b, 0) & holds(x_s, x_b, 1))[l]
-    k, l = k[keep], l[keep]
-    group = layout.stack[k] * len(layout.stacks) + layout.stack[l]
-    total = 0j
-    for g in np.unique(group):
-        (idx_k, u_k), (idx_l, u_l) = (layout.stacks[i] for i in divmod(g, len(layout.stacks)))
-        k_g, l_g = layout.place[k[group == g]], layout.place[l[group == g]]
-        chunk = max(1, _PAIR_CHUNK // max(idx_k.shape[1], idx_l.shape[1]) ** 2)
-        for at in range(0, k_g.size, chunk):
-            p_k, p_l = k_g[at:at + chunk], l_g[at:at + chunk]
-            n_k, b_k = np.divmod(idx_k[p_k][:, :, None], bdim)
-            n_l, b_l = np.divmod(idx_l[p_l][:, None, :], bdim)
-            rho_kl = rho_s[n_k, n_l] * rho_b[b_k, b_l]
-            x_lk_t = x_s[n_l, n_k] * x_b[b_l, b_k]
-            evolved = u_k[p_k] @ rho_kl @ u_l[p_l].conj().transpose(0, 2, 1)
-            total += np.einsum('pab,pab->', x_lk_t, evolved)
+    width = np.maximum(layout.size[k], layout.size[l])
+    order = np.flatnonzero(keep)[np.argsort(-width[keep], kind="stable")]
+    k, l, width = k[order], l[order], width[order]
+    total, at = 0j, 0
+    while at < k.size:   # widths descend: a chunk's first pair is its widest
+        w = width[at]
+        stop = at + max(1, _PAIR_CHUNK // w ** 2)
+        p_k, p_l = k[at:stop], l[at:stop]
+        n_k, b_k = np.divmod(layout.indices[p_k, :w, None], bdim)
+        n_l, b_l = np.divmod(layout.indices[p_l, None, :w], bdim)
+        rho_kl = rho_s[n_k, n_l] * rho_b[b_k, b_l]
+        x_lk_t = x_s[n_l, n_k] * x_b[b_l, b_k]
+        u_k, u_l = layout.matrices[p_k, :w, :w], layout.matrices[p_l, :w, :w]
+        total += np.einsum('pab,pab->', x_lk_t, u_k @ rho_kl @ u_l.conj().transpose(0, 2, 1))
+        at = stop
     return 0.0 if -1e-14 <= total.real < 0.0 else float(total.real)
 
 
-def _system_density(system_state) -> np.ndarray:
+def _system_density(system_state, model: JointModel) -> np.ndarray:
     if isinstance(system_state, PureState):
-        return system_state.density().matrix
-    if isinstance(system_state, DensityState):
-        return system_state.matrix
-    return np.asarray(system_state, dtype=complex)
+        system_state = system_state.density()
+    rho = (system_state.matrix if isinstance(system_state, DensityState)
+           else np.asarray(system_state, dtype=complex))
+    if rho.shape != (model.system_cutoff,) * 2:
+        raise DimensionError(f"system state of shape {rho.shape} does not match "
+                             f"the model cutoff {model.system_cutoff}")
+    return rho
 
 
-def _u_submatrix(u: ConservingUnitary, model: JointModel,
-                 b_out: int, b_in: int) -> np.ndarray:
-    """U restricted to battery-out rows and battery-in columns (system x system)."""
-    ladder2 = model.battery.dim
-    rows = np.arange(model.system_cutoff) * ladder2 + b_out
-    cols = np.arange(model.system_cutoff) * ladder2 + b_in
-    return u.entries(rows, cols)
+def _transition_read(e_f_index: int, system_state, e_i_index: int,
+                     u: ConservingUnitary, model: JointModel):
+    """rho, U on battery-out ``e_f_index`` rows and battery-in ``e_i_index``
+    columns (system x system), and the unclamped transition probability."""
+    bdim = model.battery.dim
+    if not 0 <= e_i_index < bdim or not 0 <= e_f_index < bdim:
+        raise DimensionError("battery eigenstate index out of range")
+    rho = _system_density(system_state, model)
+    system = np.arange(model.system_cutoff) * bdim
+    sub = u.entries(system + e_f_index, system + e_i_index)
+    return rho, sub, float(np.einsum('an,nm,am->', sub.conj(), rho, sub).real)
 
 
 def transition_probability(e_f_index: int, system_state, e_i_index: int,
@@ -484,14 +479,7 @@ def transition_probability(e_f_index: int, system_state, e_i_index: int,
     Battery eigenstate indices are the flat (level, sector) indices
     ``2*level + sector``.
     """
-    if not 0 <= e_i_index < model.battery.dim or not 0 <= e_f_index < model.battery.dim:
-        raise DimensionError("battery eigenstate index out of range")
-    rho = _system_density(system_state)
-    if rho.shape[0] != model.system_cutoff:
-        raise DimensionError("system state does not match the model cutoff")
-    sub = _u_submatrix(u, model, e_f_index, e_i_index)
-    val = np.einsum('an,nm,am->', sub.conj(), rho, sub).real
-    return max(float(val), 0.0)
+    return max(_transition_read(e_f_index, system_state, e_i_index, u, model)[2], 0.0)
 
 
 def conditional_photon_number(e_f_index: int, system_state, e_i_index: int,
@@ -508,9 +496,7 @@ def conditional_photon_number(e_f_index: int, system_state, e_i_index: int,
     """
     if which not in ("N", "N+1"):
         raise DomainError(f'which must be "N" or "N+1", got {which!r}')
-    rho = _system_density(system_state)
-    sub = _u_submatrix(u, model, e_f_index, e_i_index)
-    prob = float(np.einsum('an,nm,am->', sub.conj(), rho, sub).real)
+    rho, sub, prob = _transition_read(e_f_index, system_state, e_i_index, u, model)
     if prob <= prob_floor:
         raise UndefinedRatioError(
             f"transition probability {prob:.3e} at or below floor {prob_floor:.1e}"
@@ -545,7 +531,7 @@ def work_distribution(direction: str, system_state, reference_level: int,
                 f"reference level {reference_level} outside the guaranteed "
                 f"window [{lo}, {hi}]"
             )
-    rho = _system_density(system_state)
+    rho = _system_density(system_state, model)
     b_in = model.battery.basis_index(reference_level, sector)
     cols = np.arange(model.system_cutoff) * model.battery.dim + b_in
     amp = u.entries(np.arange(model.dim), cols)

@@ -395,11 +395,14 @@ def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
                       sign: int) -> None:
     """Measured forward/reverse battery transition ratios for photon
     added (+1) / subtracted (-1) system preparations, compared against the
-    closed-form prediction prefactor_R * exp(beta (W -+ dE_vac - 2 dF))."""
+    closed-form prediction prefactor_R * exp(beta (W -+ dE_vac - 2 dF)).
+    Transitions below the probability floor, or where the closed form is
+    undefined, are counted per reason in ``provenance["dropped"]``."""
     which = "N" if sign == +1 else "N+1"
     ratios = (Fraction(3, 2), Fraction(2), Fraction(5))
     chis = config.chi_grid or (0.1, 0.5, 1.0, 2.0)
     prob_floor = 1e-10
+    dropped = report.provenance["dropped"] = {"below_floor": 0, "undefined_ratio": 0}
     for ratio in ratios:
         omega_i = Fraction(1)
         omega_f = ratio
@@ -427,11 +430,13 @@ def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
                 p_fwd = dyn.transition_probability(b_f, gamma_i, b_i, u, model)
                 p_rev = dyn.transition_probability(b_i, gamma_f, b_f, u, model)
                 if p_fwd <= prob_floor or p_rev <= prob_floor:
+                    dropped["below_floor"] += 1
                     continue
                 work = float(battery.spacing * (w0 - w_meas))
                 try:
                     predicted = cf.crooks_rhs_pm(work, params, sign)
                 except UndefinedRatioError:
+                    dropped["undefined_ratio"] += 1
                     continue
                 _record(report, f"r{ratio}-chi{chi}-W{work:+.3f}",
                         {"omega_ratio": str(ratio), "chi": chi, "W": work,

@@ -167,6 +167,24 @@ class TestQAgainstDense:
         assert abs(dyn.q_quantity((x_s, x_b), (rho_s, rho_b), u, model) - ref) <= 1e-12 * ref
 
 
+class TestChunkBoundaries:
+    """Q with chunks of a few pairs of the widest blocks. Pairs run in
+    descending width, so chunks cross from one width to the next and pad
+    the narrower blocks to the chunk's first pair."""
+
+    @pytest.mark.parametrize("pairs", [2, 5])
+    def test_small_chunks_match_dense(self, model_and_unitary, monkeypatch, pairs):
+        model, u = model_and_unitary
+        widest = max(idx.size for idx, _ in u.blocks)
+        monkeypatch.setattr(dyn, "_PAIR_CHUNK", pairs * widest ** 2)
+        rng = np.random.default_rng(11)
+        dims = (model.system_cutoff, model.battery.dim)
+        x = tuple(random_factor(rng, d) for d in dims)
+        rho = tuple(f / np.trace(f).real for f in (random_factor(rng, d) for d in dims))
+        ref = product_q(x, rho, u)
+        assert abs(dyn.q_quantity(x, rho, u, model) - ref) <= 1e-12 * abs(ref)
+
+
 class TestPairSelection:
     """The pairs of blocks Q visits, against the dense oracle."""
 

@@ -385,6 +385,48 @@ class TestConditionalPhotonNumber:
         assert checked >= 3
 
 
+def _transition_reads(e_f, state, e_i, u, model):
+    """Every read of U at a battery transition, by name."""
+    return {
+        "transition": lambda: dyn.transition_probability(e_f, state, e_i, u, model),
+        "photon-number": lambda: dyn.conditional_photon_number(e_f, state, e_i, u, model),
+        "photon-number-N+1": lambda: dyn.conditional_photon_number(
+            e_f, state, e_i, u, model, "N+1"),
+    }
+
+
+class TestTransitionReadGuards:
+    """Every read validates its battery indices and system state; an index
+    of -1 used to alias the last battery state, and 2L or a state of the
+    wrong size escaped as a numpy IndexError or ValueError."""
+
+    MODEL = dict(omega_i=1, omega_f=2, cutoff=4, ladder=12)
+
+    def model_and_unitary(self):
+        model = small_model(**self.MODEL)
+        u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 3)
+        return model, u, fock.thermal_state(1.0, model.system_mode(0), tail_tol=1.0)
+
+    @pytest.mark.parametrize("read", ["transition", "photon-number", "photon-number-N+1"])
+    @pytest.mark.parametrize("e_f, e_i", [(-1, 7), (7, -1), (24, 7), (7, 24), (-24, 7)])
+    def test_battery_index_out_of_range(self, read, e_f, e_i):
+        model, u, gamma = self.model_and_unitary()
+        assert model.battery.dim == 24
+        with pytest.raises(DimensionError):
+            _transition_reads(e_f, gamma, e_i, u, model)[read]()
+
+    @pytest.mark.parametrize("read", ["transition", "photon-number", "photon-number-N+1",
+                                      "work"])
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 5), (4, 3), (4,)], ids=str)
+    def test_system_state_of_wrong_shape(self, read, shape):
+        model, u, _ = self.model_and_unitary()
+        state = np.full(shape, 0.25, dtype=complex)
+        reads = _transition_reads(1, state, 7, u, model)
+        reads["work"] = lambda: dyn.work_distribution("F", state, 6, u, model)
+        with pytest.raises(DimensionError):
+            reads[read]()
+
+
 class TestWorkDistribution:
     def test_identity_unitary_point_mass(self):
         model = small_model(1, 2, 3, 12)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -200,6 +203,51 @@ class TestReports:
         report = sc.run_scenario(cfg)
         assert report.summary["cases"] == report.summary["passed"] + \
             report.summary["failed"]
+
+
+class TestCrooksDropCounts:
+    """Every candidate (ratio, chi, level) transition of a crooks scan is
+    either a case or counted under one drop reason."""
+
+    @pytest.mark.parametrize("kind, overrides, n_chi, counts", [
+        ("crooks-added", {}, 4, (83, 168, 37)),
+        ("crooks-subtracted", {}, 4, (91, 150, 47)),
+        ("crooks-added", {"chi_grid": (0.3, 3.0), "system_cutoff": 5, "ladder_dim": 14},
+         2, None),
+    ])
+    def test_cases_plus_drops_cover_every_transition(self, kind, overrides, n_chi, counts):
+        cfg = sc.default_config(kind, seed=2024, **overrides)
+        report = sc.run_scenario(cfg)
+        dropped = report.provenance["dropped"]
+        assert set(dropped) == {"below_floor", "undefined_ratio"}
+        got = (len(report.cases), dropped["below_floor"], dropped["undefined_ratio"])
+        assert sum(got) == 3 * n_chi * cfg.ladder_dim
+        if counts is not None:
+            assert got == counts
+
+
+class TestBlasThreads:
+    """The reports of the suites that multiply blocks of U are the same
+    bytes at one and at two BLAS threads."""
+
+    SCRIPT = "\n".join([
+        "import sys",
+        "from qflux import scenarios as sc",
+        "for kind, cases in (('global-ft', 12), ('crooks-binomial-align', None)):",
+        "    sc.run_scenario(sc.default_config(kind, seed=5, cases=cases, out_dir=sys.argv[1]))",
+    ])
+
+    def test_reports_byte_identical_at_one_and_two_threads(self, tmp_path):
+        src = str(Path(sc.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env.update({var: threads for var in
+                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+            subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path / threads)],
+                           env=env, check=True, timeout=300)
+        for name in ("global-ft.json", "crooks-binomial-align.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 class TestFigureData:
