@@ -12,9 +12,10 @@ n, battery ladder level w, switch sector s (0 = initial, 1 = final). The
 battery's own basis index is b = 2 w + s.
 
 A conserving unitary is block-diagonal over the degenerate eigenspaces of
-the joint Hamiltonian and is stored as those blocks only; Q, transition
-probabilities and work distributions are evaluated from the blocks, Q from
-the system and battery factors of X and rho: no d x d array is ever formed.
+the joint Hamiltonian and is stored as those blocks only, zero-padded to the
+largest block; Q, transition probabilities and work distributions are
+evaluated from the blocks, Q from the system and battery factors of X and
+rho: no d x d array is ever formed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -196,67 +196,62 @@ def spectral_blocks(model: JointModel) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
 
 
-@dataclass(frozen=True)
-class _BlockLayout:
-    """The blocks of one unitary, zero-padded to the largest block size.
-
-    Block b (in ``ConservingUnitary.blocks`` order) has ``size[b]`` joint
-    indices ``indices[b, :size[b]]`` and the matrix ``matrices[b, :size[b],
-    :size[b]]``; past ``size[b]`` the index is 0 and the rows and columns
-    are exact zeros. Joint index k sits at ``slot[k]`` in block ``block[k]``.
-    """
-
-    indices: np.ndarray
-    matrices: np.ndarray
-    size: np.ndarray
-    block: np.ndarray
-    slot: np.ndarray
-
-
-def _block_layout(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> _BlockLayout:
-    size = np.array([len(idx) for idx, _ in blocks])
-    held = np.arange(size.max()) < size[:, None]
-    order = np.concatenate([idx for idx, _ in blocks])
-    indices = np.zeros(held.shape, dtype=np.intp)
-    indices[held] = order
-    matrices = np.zeros(held.shape + held.shape[1:], dtype=complex)
-    for b, (_, mat) in enumerate(blocks):
-        matrices[b, :size[b], :size[b]] = mat
-    block, slot = np.empty((2, order.size), dtype=np.intp)
-    block[order], slot[order] = np.nonzero(held)
-    return _BlockLayout(indices, matrices, size, block, slot)
-
-
-@dataclass(frozen=True, eq=False)
 class ConservingUnitary:
     """Block-diagonal symmetric unitary commuting with the joint Hamiltonian.
 
-    Stored as its energy blocks: one ``(indices, matrix)`` pair per
+    Built from its energy blocks, one ``(indices, matrix)`` pair per
     degenerate eigenspace, where ``matrix[i, j]`` is the entry of U at joint
     indices ``(indices[i], indices[j])``; every entry outside the blocks is
-    zero. For block sizes s that is sum(s^2) complex entries instead of d^2.
+    zero. The pairs are copied once into a layout zero-padded to the largest
+    block size s_max, and no reference to them is kept: block b has
+    ``size[b]`` joint indices ``indices[b, :size[b]]`` and the matrix
+    ``matrices[b, :size[b], :size[b]]``; past ``size[b]`` the index is 0 and
+    the rows and columns are exact zeros. Joint index k sits at ``slot[k]``
+    in block ``block[k]``. The arrays are read-only.
+
+    Raises DimensionError unless the blocks partition 0 ... d - 1 and every
+    matrix is s x s for its s indices.
 
     ``window`` is set by the translation-invariant sampler: the inclusive
     battery-level range over which transition probabilities depend only on
     level differences.
     """
 
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
-    seed: int
-    window: Optional[tuple[int, int]] = None
+    def __init__(self, blocks: Sequence[tuple[np.ndarray, np.ndarray]], seed: int,
+                 window: Optional[tuple[int, int]] = None):
+        self.seed, self.window = seed, window
+        self.size = size = np.array([len(idx) for idx, _ in blocks])
+        order = np.concatenate([idx for idx, _ in blocks])
+        if not np.array_equal(np.sort(order), np.arange(order.size)):
+            raise DimensionError("unitary blocks do not partition 0 ... d - 1")
+        held = np.arange(size.max()) < size[:, None]
+        self.indices = np.zeros(held.shape, dtype=np.intp)
+        self.indices[held] = order
+        self.matrices = np.zeros(held.shape + held.shape[1:], dtype=complex)
+        for b, ((_, mat), s) in enumerate(zip(blocks, size.tolist())):
+            if np.shape(mat) != (s, s):
+                raise DimensionError(f"block of {s} indices holds a {np.shape(mat)} matrix")
+            self.matrices[b, :s, :s] = mat
+        self.block, self.slot = np.empty((2, order.size), dtype=np.intp)
+        self.block[order], self.slot[order] = np.nonzero(held)
+        for array in (self.indices, self.matrices, size, self.block, self.slot):
+            array.flags.writeable = False
 
     @property
     def dim(self) -> int:
-        return sum(len(idx) for idx, _ in self.blocks)
+        return int(self.size.sum())
 
-    @cached_property
-    def _layout(self) -> _BlockLayout:
-        return _block_layout(self.blocks)
+    @property
+    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The ``(indices, matrix)`` pairs as read-only views into the
+        padded arrays, in construction order."""
+        return tuple((idx[:s], mat[:s, :s])
+                     for idx, mat, s in zip(self.indices, self.matrices, self.size))
 
     @property
     def matrix(self):
         """U as a ``scipy.sparse.csr_array``, assembled from the blocks on
-        every access. An export for callers; qflux itself reads the blocks."""
+        every access. An export for callers; qflux itself reads the padded arrays."""
         from scipy import sparse
 
         rows = np.concatenate([np.repeat(idx, len(idx)) for idx, _ in self.blocks])
@@ -267,29 +262,28 @@ class ConservingUnitary:
     def entries(self, rows, cols) -> np.ndarray:
         """U restricted to ``rows`` and ``cols`` as a dense array: one gather
         ``matrices[block[r], slot[r], slot[c]]`` from the padded blocks where
-        row and column share a block, zero elsewhere."""
-        layout = self._layout
+        row and column share a block, zero elsewhere. Raises DimensionError
+        for an index outside 0 ... d - 1."""
         rows, cols = np.asarray(rows), np.asarray(cols)
-        row_block = layout.block[rows]
-        r, c = np.nonzero(row_block[:, None] == layout.block[cols][None, :])
+        d = self.block.size   # a negative index wraps past d as an unsigned one
+        if np.concatenate((rows, cols)).astype(np.uintp).max(initial=0) >= d:
+            raise DimensionError(f"unitary entries outside 0 ... {d - 1}")
+        row_block = self.block[rows]
+        r, c = np.nonzero(row_block[:, None] == self.block[cols][None, :])
         out = np.zeros((rows.size, cols.size), dtype=complex)
-        out[r, c] = layout.matrices[row_block[r], layout.slot[rows[r]], layout.slot[cols[c]]]
+        out[r, c] = self.matrices[row_block[r], self.slot[rows[r]], self.slot[cols[c]]]
         return out
 
     def assert_valid(self, model: JointModel) -> None:
-        """Every block is unitary and symmetric to 1e-12, and its indices
-        share one energy level; together the blocks partition the basis."""
-        indices = np.concatenate([idx for idx, _ in self.blocks])
-        if not np.array_equal(np.sort(indices), np.arange(model.dim)):
+        """U spans the model basis, and every block is unitary and symmetric
+        to 1e-12 and its indices share one energy level."""
+        if self.dim != model.dim:
             raise DimensionError("unitary blocks do not partition the model basis")
         for idx, mat in self.blocks:
-            size = len(idx)
-            if mat.shape != (size, size):
-                raise DimensionError(f"block of {size} indices holds a {mat.shape} matrix")
             if np.unique(model.levels[idx]).size != 1:
                 raise ValueError("block mixes joint energies: it does not commute "
                                  "with the joint Hamiltonian")
-            if np.abs(mat.conj().T @ mat - np.eye(size)).max() > UNITARITY_TOL:
+            if np.abs(mat.conj().T @ mat - np.eye(idx.size)).max() > UNITARITY_TOL:
                 raise ValueError("block is not unitary within 1e-12")
             if np.abs(mat - mat.T).max() > SYMMETRY_TOL:
                 raise ValueError("block is not symmetric within 1e-12")
@@ -415,21 +409,21 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> float:
     (x_s, x_b), (rho_s, rho_b) = (
         [f.matrix if hasattr(f, "matrix") else np.asarray(f, dtype=complex) for f in pair]
         for pair in (x, rho))
-    layout, bdim = u._layout, model.battery.dim
+    bdim = model.battery.dim
     if ({x_s.shape, rho_s.shape} != {(model.system_cutoff,) * 2} or u.dim != model.dim
             or {x_b.shape, rho_b.shape} != {(bdim, bdim)}):
         raise DimensionError(f"factors {x_s.shape, x_b.shape}, {rho_s.shape, rho_b.shape} "
                              f"and U of dim {u.dim} do not fit the model")
 
     def holds(f_s, f_b, axis):   # per block: a nonzero row (1) or column (0)
-        return np.bincount(layout.block, np.outer(f_s.any(axis), f_b.any(axis)).ravel()) > 0
+        return np.bincount(u.block, np.outer(f_s.any(axis), f_b.any(axis)).ravel()) > 0
 
-    k, l = _block_pairs(model.levels[layout.indices[:, 0]],
+    k, l = _block_pairs(model.levels[u.indices[:, 0]],
                         np.intersect1d(_energy_offsets(rho_s, rho_b, model),
                                        -_energy_offsets(x_s, x_b, model)))
     keep = (holds(rho_s, rho_b, 1) & holds(x_s, x_b, 0))[k] & \
         (holds(rho_s, rho_b, 0) & holds(x_s, x_b, 1))[l]
-    width = np.maximum(layout.size[k], layout.size[l])
+    width = np.maximum(u.size[k], u.size[l])
     order = np.flatnonzero(keep)[np.argsort(-width[keep], kind="stable")]
     k, l, width = k[order], l[order], width[order]
     total, at = 0j, 0
@@ -437,11 +431,11 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> float:
         w = width[at]
         stop = at + max(1, _PAIR_CHUNK // w ** 2)
         p_k, p_l = k[at:stop], l[at:stop]
-        n_k, b_k = np.divmod(layout.indices[p_k, :w, None], bdim)
-        n_l, b_l = np.divmod(layout.indices[p_l, None, :w], bdim)
+        n_k, b_k = np.divmod(u.indices[p_k, :w, None], bdim)
+        n_l, b_l = np.divmod(u.indices[p_l, None, :w], bdim)
         rho_kl = rho_s[n_k, n_l] * rho_b[b_k, b_l]
         x_lk_t = x_s[n_l, n_k] * x_b[b_l, b_k]
-        u_k, u_l = layout.matrices[p_k, :w, :w], layout.matrices[p_l, :w, :w]
+        u_k, u_l = u.matrices[p_k, :w, :w], u.matrices[p_l, :w, :w]
         total += np.einsum('pab,pab->', x_lk_t, u_k @ rho_kl @ u_l.conj().transpose(0, 2, 1))
         at = stop
     return 0.0 if -1e-14 <= total.real < 0.0 else float(total.real)

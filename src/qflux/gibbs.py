@@ -21,7 +21,9 @@ BETA_MIN = 1e-6
 #: support weight threshold, relative to the largest diagonal entry
 SUPPORT_RTOL = 1e-14
 #: largest allowed exp(beta * spectral range) in the inverse map
-DEFAULT_MAX_AMPLIFICATION = 1e280
+MAX_AMPLIFICATION = 1e280
+#: smallest shifted normalizer Tr[exp(-beta (H - E_0)) X] the map accepts
+MIN_NORMALIZER = 1e-300
 
 BOUNDS_SLACK = 1e-10
 
@@ -95,7 +97,7 @@ def time_reversal(op):
     return np.asarray(op).T
 
 
-def gibbs_map(x, h, beta: float, *, min_normalizer: float = 1e-300) -> DensityState:
+def gibbs_map(x, h, beta: float) -> DensityState:
     """Map a measurement operator to its prepared state:
     T(exp(-beta H/2) X exp(-beta H/2)), normalized to unit trace.
 
@@ -110,7 +112,7 @@ def gibbs_map(x, h, beta: float, *, min_normalizer: float = 1e-300) -> DensitySt
     w = np.exp(-beta * (energies - energies.min()) / 2.0)
     mapped = (w[:, None] * xm * w[None, :]).T
     norm = np.trace(mapped).real
-    if not norm > min_normalizer:
+    if not norm > MIN_NORMALIZER:
         raise DegenerateMapError(
             f"Tr[exp(-beta H) X] vanished (shifted normalizer {norm:.3e})"
         )
@@ -118,14 +120,12 @@ def gibbs_map(x, h, beta: float, *, min_normalizer: float = 1e-300) -> DensitySt
     return DensityState(space, mapped / norm)
 
 
-def gibbs_map_inverse(rho, h, beta: float, *,
-                      max_amplification: float = DEFAULT_MAX_AMPLIFICATION
-                      ) -> MeasurementOperator:
+def gibbs_map_inverse(rho, h, beta: float) -> MeasurementOperator:
     """Recover the measurement operator exp(+beta H/2) T(rho) exp(+beta H/2),
     rescaled so its largest eigenvalue is 1.
 
     Raises GibbsOverflowError when exp(beta * spectral range) exceeds
-    ``max_amplification``: beyond that, weights of rho stored near the double
+    ``MAX_AMPLIFICATION``: beyond that, weights of rho stored near the double
     underflow floor dominate the recovered operator with truncation noise.
     """
     beta = _check_beta(beta)
@@ -134,10 +134,10 @@ def gibbs_map_inverse(rho, h, beta: float, *,
     if rm.shape[0] != energies.size:
         raise DimensionError(f"dim mismatch {rm.shape[0]} vs {energies.size}")
     span = beta * (energies.max() - energies.min())
-    if span > np.log(max_amplification):
+    if span > np.log(MAX_AMPLIFICATION):
         raise GibbsOverflowError(
             f"exp(beta * energy span) = exp({span:.1f}) exceeds the "
-            f"amplification bound {max_amplification:.1e}"
+            f"amplification bound {MAX_AMPLIFICATION:.1e}"
         )
     w = np.exp(beta * (energies - energies.max()) / 2.0)
     rec = w[:, None] * rm.T * w[None, :]

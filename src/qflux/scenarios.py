@@ -49,6 +49,8 @@ def _max_dim_cap() -> int:
 
 
 def _parse_rational(value) -> Fraction:
+    if isinstance(value, bool):
+        raise ConfigError(f"not a rational: {value!r}")
     try:
         frac = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
@@ -442,6 +444,7 @@ def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
                         {"omega_ratio": str(ratio), "chi": chi, "W": work,
                          "P_F": p_fwd, "P_R": p_rev, "which": which},
                         p_fwd / p_rev, predicted)
+            del u   # else it stays alive while the next U is built beside it
 
 
 def _binomial_battery_projector(battery: dyn.SwitchedBattery, n: int, p: float,
@@ -455,7 +458,8 @@ def _binomial_battery_projector(battery: dyn.SwitchedBattery, n: int, p: float,
 def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
                          regime: str) -> None:
     """Battery-coherence Crooks check: thermal system, binomial battery
-    projectors, measured ratio against exp(beta (q(chi) W_q - dF))."""
+    projectors, measured ratio against exp(beta (q(chi) W_q - dF)). Pairs
+    with a probability at or below 1e-12 are counted in ``provenance["dropped"]``."""
     omega = Fraction(1)
     battery = dyn.SwitchedBattery(config.ladder_dim,
                                   dyn.battery_spacing_for(omega, omega))
@@ -466,6 +470,7 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
     chis = config.chi_grid or (0.1, 0.5, 1.0)
     p_grid = config.p_grid or (0.2, 0.5, 0.8)
     n_grid = config.n_grid or (2, 4, 6)
+    dropped = report.provenance["dropped"] = {"below_floor": 0}
     for chi_b in chis:
         beta = 2.0 * chi_b / spacing
         gamma = fock.thermal_state(beta, model.system_mode(dyn.SECTOR_INITIAL),
@@ -488,6 +493,7 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
             p_fwd = dyn.q_quantity((eye_s, x_b_f), (gamma, rho_b_i), u, model)
             p_rev = dyn.q_quantity((eye_s, x_b_i), (gamma, rho_b_f), u, model)
             if p_fwd <= 1e-12 or p_rev <= 1e-12:
+                dropped["below_floor"] += 1
                 continue
             if regime == "align":
                 q_factor = cf.q_align(p_i, p_f, chi_b)

@@ -21,7 +21,8 @@ from qflux import closedform as cf
 from qflux import dynamics as dyn
 from qflux import fock, gibbs
 from qflux.errors import DimensionError, IncommensurateError
-from qflux.scenarios import _FT_FREQUENCIES, _binomial_battery_projector
+from qflux.scenarios import (_FT_FREQUENCIES, _binomial_battery_projector, default_config,
+                             run_scenario)
 
 
 def make_model(omega_i, omega_f, cutoff, ladder, spacing=None, **kwargs):
@@ -112,6 +113,16 @@ class TestExport:
         rows = rng.permutation(model.dim)[:17]
         cols = rng.permutation(model.dim)[:11]
         assert np.array_equal(u.entries(rows, cols), dense(u)[np.ix_(rows, cols)])
+
+    def test_blocks_are_read_only_views_of_the_pairs(self):
+        model = MODELS["ratio-3/2"]()
+        rng = np.random.default_rng(5)
+        pairs = [(idx, dyn._block_unitary(rng, idx.size)) for idx in dyn.spectral_blocks(model)]
+        u = dyn.ConservingUnitary(tuple(pairs), seed=0)
+        assert len(u.blocks) == len(pairs) and u.dim == model.dim
+        for (idx, mat), (got_idx, got_mat) in zip(pairs, u.blocks):
+            assert np.array_equal(got_idx, idx) and np.array_equal(got_mat, mat)
+            assert np.shares_memory(got_mat, u.matrices) and not got_mat.flags.writeable
 
     def test_singleton_model_has_only_singletons(self):
         model = MODELS["singletons"]()
@@ -376,6 +387,20 @@ class TestValidation:
         with pytest.raises(DimensionError):
             dyn.ConservingUnitary(tuple(pairs[1:]), seed=0).assert_valid(model)
 
+    @pytest.mark.parametrize("malformed", ["missing", "repeated", "out-of-range",
+                                           "matrix-shape"])
+    def test_constructor_rejects_blocks_it_cannot_lay_out(self, malformed):
+        model = make_model(**self.MODEL)
+        pairs = identity_pairs(model)
+        at = next(i for i, (idx, _) in enumerate(pairs) if len(idx) == 2)
+        idx, mat = pairs[at]
+        pairs[at] = {"missing": (idx[:1], mat[:1, :1]),
+                     "repeated": (idx[[0, 0]], mat),
+                     "out-of-range": (np.array([idx[0], model.dim]), mat),
+                     "matrix-shape": (idx, np.eye(3, dtype=complex))}[malformed]
+        with pytest.raises(DimensionError):
+            dyn.ConservingUnitary(tuple(pairs), seed=0)
+
 
 class TestMemory:
     """At the crooks suites' 16 x 96 (d = 3072) a dense unitary takes 144 MiB."""
@@ -401,6 +426,35 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    def test_unitary_keeps_only_its_padded_layout(self):
+        # the sampled block pairs are copied into the padded arrays and
+        # dropped: 1.1 MiB of pairs beside 2.9 MiB of padding at this size
+        model = make_model(1, Fraction(3, 2), 16, 96)
+        blocks = dyn.spectral_blocks(model)
+        gamma = fock.photon_added_state(1.0, model.system_mode(0), tail_tol=1.0)
+        b_i = model.battery.basis_index(48, 0)
+        tracemalloc.start()
+        try:
+            u = dyn.sample_conserving_unitary(blocks, 7)
+            dyn.transition_probability(model.battery.basis_index(47, 1), gamma, b_i, u, model)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current <= 3.5 * 2 ** 20
+
+    def test_crooks_scan_holds_one_unitary_at_a_time(self):
+        # each U is freed before the next is sampled: at 16 x 96 the scan
+        # peaks at 4.3 MiB, and at 7.0 MiB when two padded layouts overlap
+        config = default_config("crooks-added", seed=7, system_cutoff=16, ladder_dim=96,
+                                chi_grid=(0.5,))
+        tracemalloc.start()
+        try:
+            run_scenario(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2 ** 20
 
     def test_binomial_align_at_d_8192(self):
         # dense X and rho would take 1 GiB each here; the Q calls, the block

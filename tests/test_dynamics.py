@@ -415,6 +415,15 @@ class TestTransitionReadGuards:
         with pytest.raises(DimensionError):
             _transition_reads(e_f, gamma, e_i, u, model)[read]()
 
+    # -1 used to alias U[d - 1, d - 1] and d escaped as a numpy IndexError
+    @pytest.mark.parametrize("rows, cols", [([-1], [95]), ([96], [0]), ([0], [96]),
+                                            ([3, 5], [0, -96])])
+    def test_entries_outside_unitary(self, rows, cols):
+        model, u, _ = self.model_and_unitary()
+        assert model.dim == 96
+        with pytest.raises(DimensionError):
+            u.entries(rows, cols)
+
     @pytest.mark.parametrize("read", ["transition", "photon-number", "photon-number-N+1",
                                       "work"])
     @pytest.mark.parametrize("shape", [(3, 3), (5, 5), (4, 3), (4,)], ids=str)

@@ -40,6 +40,15 @@ class TestScenarioConfig:
         config = sc.ScenarioConfig(kind="sweep", omega_f="5/2")
         assert float(config.omega_f) == 2.5
 
+    @pytest.mark.parametrize("field", ["omega_i", "omega_f"])
+    def test_boolean_frequency_rejected(self, tmp_path, field):
+        # True would otherwise run as the frequency 1
+        with pytest.raises(ConfigError):
+            sc.default_config("figure2", **{field: True})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: True}))
+        assert cli.main(["figure2", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
             sc.ScenarioConfig(kind="sweep", chi_grid=(0.5, -1.0))
@@ -224,6 +233,30 @@ class TestCrooksDropCounts:
         assert sum(got) == 3 * n_chi * cfg.ladder_dim
         if counts is not None:
             assert got == counts
+
+
+class TestBinomialDropCounts:
+    """Every candidate (chi, pair) of a crooks-binomial suite is either a
+    case or counted as below the probability floor."""
+
+    @pytest.mark.parametrize("kind, seed, overrides, candidates, counts", [
+        ("crooks-binomial-align", 2024, {}, 54, (54, 0)),
+        ("crooks-binomial-align", 7, {}, 54, (54, 0)),
+        ("crooks-binomial-size", 2024, {}, 54, (54, 0)),
+        ("crooks-binomial-size", 7, {}, 54, (54, 0)),
+        # at chi = 10 the system sits in its ground state; at p = 1 the
+        # projectors are single ladder levels n_i != n_f, so one direction of
+        # each such pair must lift the battery and falls below the floor
+        ("crooks-binomial-size", 2024, {"chi_grid": (10.0,), "p_grid": (0.5, 1.0)},
+         12, (6, 6)),
+    ])
+    def test_cases_plus_drops_cover_every_pair(self, kind, seed, overrides, candidates,
+                                               counts):
+        report = sc.run_scenario(sc.default_config(kind, seed=seed, **overrides))
+        dropped = report.provenance["dropped"]
+        assert set(dropped) == {"below_floor"}
+        assert len(report.cases) + dropped["below_floor"] == candidates
+        assert (len(report.cases), dropped["below_floor"]) == counts
 
 
 class TestBlasThreads:
