@@ -26,6 +26,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
+# np.unique reads np.ma and default_rng needs np.random: load both now, not in the first call
+import numpy.ma
+import numpy.random
 
 from .errors import (DimensionError, DomainError, IncommensurateError,
                      UndefinedRatioError, WindowError)
@@ -262,9 +265,12 @@ class ConservingUnitary:
     def entries(self, rows, cols) -> np.ndarray:
         """U restricted to ``rows`` and ``cols`` as a dense array: one gather
         ``matrices[block[r], slot[r], slot[c]]`` from the padded blocks where
-        row and column share a block, zero elsewhere. Raises DimensionError
-        for an index outside 0 ... d - 1."""
-        rows, cols = np.asarray(rows), np.asarray(cols)
+        row and column share a block, zero elsewhere; an empty ``rows`` or
+        ``cols`` gives an empty array. Raises DimensionError for an index
+        outside 0 ... d - 1."""
+        # an empty list would be float64, which numpy refuses as an index
+        rows, cols = (np.asarray(a) if np.size(a) else np.empty(0, dtype=np.intp)
+                      for a in (rows, cols))
         d = self.block.size   # a negative index wraps past d as an unsigned one
         if np.concatenate((rows, cols)).astype(np.uintp).max(initial=0) >= d:
             raise DimensionError(f"unitary entries outside 0 ... {d - 1}")

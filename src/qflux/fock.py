@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionError, TruncationError
 
@@ -306,7 +305,8 @@ def binomial_state(n: int, p: float, space: HilbertSpace,
         amp[n] = 1.0
     else:
         k = np.arange(n + 1)
-        logw = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)   # ln k!
+        logw = (log_fact[n] - log_fact - log_fact[::-1]
                 + k * math.log(p) + (n - k) * math.log1p(-p))
         amp[: n + 1] = np.exp(0.5 * logw)
     if phases is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateMapError, DimensionError, DomainError, GibbsOverflowError
 from .fock import DensityState, HilbertSpace, OperatorMatrix
@@ -153,7 +152,7 @@ def effective_potential(beta: float, h, x) -> EffectivePotentialValue:
     """Effective potential -(1/beta) ln Tr[exp(-beta H) X].
 
     Only the diagonal of X contributes against a diagonal H; the log-trace is
-    taken with logsumexp over ln-weights so chi up to ~50 stays finite.
+    taken as a max-shifted sum of exponentials so chi up to ~50 stays finite.
     """
     beta = _check_beta(beta)
     energies = _diagonal_energies(h)
@@ -164,7 +163,12 @@ def effective_potential(beta: float, h, x) -> EffectivePotentialValue:
     total = weights.sum()
     if not total > 0:
         raise DegenerateMapError("X carries no weight on any energy level")
-    log_trace = float(logsumexp(-beta * energies, b=weights))
+    # sum over the support only, shifted by its largest exponent: an
+    # unweighted low level would push every weighted term below the double floor
+    held = weights > 0
+    exponents = -beta * energies[held]
+    shift = exponents.max()
+    log_trace = float(shift + np.log((weights[held] * np.exp(exponents - shift)).sum()))
     if not np.isfinite(log_trace):
         raise DegenerateMapError("Tr[exp(-beta H) X] underflowed to zero")
     support = weights > SUPPORT_RTOL * weights.max()

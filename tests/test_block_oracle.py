@@ -1,9 +1,11 @@
 """Block-stored unitaries and the integer energy lattice against oracles.
 
 qflux stores a conserving unitary as its energy blocks and never forms the
-d x d matrix. The oracle here does: it expands ``u.matrix`` (a sparse export
-of the blocks) to a dense array and evaluates Q, transition probabilities,
-conditional photon numbers and work distributions with dense products.
+d x d matrix. The oracle here does: it scatters the padded blocks
+(``u.indices``, ``u.matrices``, ``u.size``) into a dense array and evaluates
+Q, transition probabilities, conditional photon numbers and work
+distributions with dense products; the sparse ``u.matrix`` export is checked
+against that array.
 
 qflux decides degeneracy on integer levels. The partition oracle computes
 every joint energy as a ``Fraction`` and groups equal ones in a dict.
@@ -32,7 +34,11 @@ def make_model(omega_i, omega_f, cutoff, ladder, spacing=None, **kwargs):
 
 
 def dense(u):
-    return u.matrix.toarray()
+    """U as a d x d array, scattered from the padded block layout."""
+    um = np.zeros((u.dim, u.dim), dtype=complex)
+    for idx, mat, s in zip(u.indices, u.matrices, u.size):
+        um[np.ix_(idx[:s], idx[:s])] = mat[:s, :s]
+    return um
 
 
 def dense_q(x, rho, um):
@@ -101,9 +107,8 @@ class TestExport:
         model, u = model_and_unitary
         m = u.matrix
         assert type(m).__name__ == "csr_array" and m.shape == (model.dim, model.dim)
-        um = m.toarray()
-        for idx, mat in u.blocks:
-            assert np.array_equal(um[np.ix_(idx, idx)], mat)
+        um = dense(u)
+        assert np.array_equal(m.toarray(), um)
         assert m.nnz == sum(len(idx) ** 2 for idx, _ in u.blocks)
         assert np.abs(um.conj().T @ um - np.eye(model.dim)).max() < 1e-12
 

@@ -17,6 +17,14 @@ def small_model(omega_i=1, omega_f=2, cutoff=4, ladder=10):
     return dyn.build_joint_model(omega_i, omega_f, cutoff, battery)
 
 
+def dense_unitary(u):
+    """U as a d x d array, scattered from the padded block layout."""
+    um = np.zeros((u.dim, u.dim), dtype=complex)
+    for idx, mat, s in zip(u.indices, u.matrices, u.size):
+        um[np.ix_(idx[:s], idx[:s])] = mat[:s, :s]
+    return um
+
+
 def identity_unitary(model):
     """The identity as a conserving unitary: an identity matrix on every block."""
     return dyn.ConservingUnitary(
@@ -139,9 +147,9 @@ class TestConservingUnitary:
     def test_symmetry_sweep(self):
         model = small_model()
         blocks = dyn.spectral_blocks(model)
-        worst = max(np.abs(dyn.sample_conserving_unitary(blocks, s).matrix
-                           - dyn.sample_conserving_unitary(blocks, s).matrix.T).max()
-                    for s in range(100))
+        worst = max(np.abs(um - um.T).max()
+                    for um in (dense_unitary(dyn.sample_conserving_unitary(blocks, s))
+                               for s in range(100)))
         assert worst < 1e-12
 
     def test_singleton_blocks_give_diagonal_unitary(self):
@@ -417,12 +425,20 @@ class TestTransitionReadGuards:
 
     # -1 used to alias U[d - 1, d - 1] and d escaped as a numpy IndexError
     @pytest.mark.parametrize("rows, cols", [([-1], [95]), ([96], [0]), ([0], [96]),
-                                            ([3, 5], [0, -96])])
+                                            ([3, 5], [0, -96]), ([], [96]), ([-1], [])])
     def test_entries_outside_unitary(self, rows, cols):
         model, u, _ = self.model_and_unitary()
         assert model.dim == 96
         with pytest.raises(DimensionError):
             u.entries(rows, cols)
+
+    # an empty list is float64 to numpy and used to escape as an IndexError
+    @pytest.mark.parametrize("rows, cols, shape", [([], [0], (0, 1)), ([95], [], (1, 0)),
+                                                   ([], [], (0, 0))])
+    def test_entries_of_empty_index_list(self, rows, cols, shape):
+        _, u, _ = self.model_and_unitary()
+        out = u.entries(rows, cols)
+        assert out.shape == shape and out.dtype == complex
 
     @pytest.mark.parametrize("read", ["transition", "photon-number", "photon-number-N+1",
                                       "work"])

@@ -202,6 +202,20 @@ class TestBinomialState:
         weights = np.abs(state.amplitudes[:3]) ** 2
         assert np.allclose(weights, [0.25, 0.5, 0.25])
 
+    def test_amplitudes_against_exact_binomial_coefficients(self):
+        n, p = 200, 0.3
+        state = fock.binomial_state(n, p, fock.HilbertSpace(n + 1, "s"))
+        ref = np.array([math.sqrt(math.comb(n, k) * p ** k * (1 - p) ** (n - k))
+                        for k in range(n + 1)])
+        assert np.abs(state.amplitudes - ref).max() <= 1e-13
+        assert (np.abs(state.amplitudes - ref) / ref).max() <= 1e-12
+
+    def test_large_n_stays_normalized(self):
+        n = 10 ** 4
+        state = fock.binomial_state(n, 0.3, fock.HilbertSpace(n + 1, "s"))
+        assert np.isfinite(state.amplitudes).all()
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
     def test_dimension_guard(self):
         with pytest.raises(DimensionError):
             fock.binomial_state(5, 0.5, fock.HilbertSpace(5, "s"))

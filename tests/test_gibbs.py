@@ -151,6 +151,15 @@ class TestEffectivePotential:
         value = gibbs.effective_potential(100.0, h, fock.identity(mode.space)).value
         assert value == pytest.approx(0.5, abs=1e-6)
 
+    def test_extreme_chi_weight_on_high_level(self):
+        # chi = 50 with all weight on |40>: the log-trace must be shifted by
+        # the largest exponent over the support, not over every level, or
+        # exp(-beta E_40) underflows against the unweighted ground level
+        mode = fock.OscillatorMode(1.0, 64)
+        proj = np.zeros((64, 64), dtype=complex)
+        proj[40, 40] = 1.0
+        assert gibbs.effective_potential(100.0, fock.hamiltonian(mode), proj).value == 40.5
+
     def test_bounds_for_unit_weight_operators(self, mode, h):
         rng = np.random.default_rng(8)
         for _ in range(25):
