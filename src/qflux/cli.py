@@ -61,7 +61,7 @@ def main(argv=None) -> int:
                 flag = "PASS" if summary["all_passed"] else "FAIL"
                 print(f"{flag} {kind}: {summary['passed']}/{summary['cases']} "
                       f"cases, max_rel_dev={summary['max_rel_dev']:.3e}")
-                if not summary["all_passed"]:
+                if summary["failed"]:
                     worst = max((c for c in suite["cases"] if not c["passed"]),
                                 key=lambda c: c["rel_dev"])
                     print(f"     worst case {worst['key']}: "

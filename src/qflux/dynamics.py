@@ -220,9 +220,9 @@ class ConservingUnitary:
     level differences.
     """
 
-    def __init__(self, blocks: Sequence[tuple[np.ndarray, np.ndarray]], seed: int,
+    def __init__(self, blocks: Sequence[tuple[np.ndarray, np.ndarray]],
                  window: Optional[tuple[int, int]] = None):
-        self.seed, self.window = seed, window
+        self.window = window
         self.size = size = np.array([len(idx) for idx, _ in blocks])
         order = np.concatenate([idx for idx, _ in blocks])
         if not np.array_equal(np.sort(order), np.arange(order.size)):
@@ -311,8 +311,7 @@ def sample_conserving_unitary(blocks: Sequence[np.ndarray],
     """Draw an independent random symmetric unitary on every degenerate block
     (an index array from ``spectral_blocks``). Deterministic in (blocks, seed)."""
     rng = np.random.default_rng(seed)
-    return ConservingUnitary(tuple((idx, _block_unitary(rng, idx.size)) for idx in blocks),
-                             seed)
+    return ConservingUnitary(tuple((idx, _block_unitary(rng, idx.size)) for idx in blocks))
 
 
 def _block_signature(model: JointModel, block: np.ndarray) -> bytes:
@@ -360,7 +359,7 @@ def sample_translation_invariant_unitary(model: JointModel,
         if sig not in generators:
             generators[sig] = _block_unitary(rng, idx.size)
         pairs.append((idx, generators[sig]))
-    return ConservingUnitary(tuple(pairs), seed, window=(lo, hi))
+    return ConservingUnitary(tuple(pairs), window=(lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -191,15 +191,13 @@ class VerificationReport:
 
     def finalize(self) -> "VerificationReport":
         self.cases.sort(key=lambda c: c.key)
-        devs = [c.abs_dev for c in self.cases]
-        rels = [c.rel_dev for c in self.cases]
         self.summary = {
             "cases": len(self.cases),
             "passed": sum(c.passed for c in self.cases),
             "failed": sum(not c.passed for c in self.cases),
-            "max_abs_dev": max(devs) if devs else 0.0,
-            "max_rel_dev": max(rels) if rels else 0.0,
-            "all_passed": all(c.passed for c in self.cases),
+            "max_abs_dev": max((c.abs_dev for c in self.cases), default=0.0),
+            "max_rel_dev": max((c.rel_dev for c in self.cases), default=0.0),
+            "all_passed": bool(self.cases) and all(c.passed for c in self.cases),
         }
         return self
 
@@ -291,6 +289,8 @@ def _write_gnuplot(path, csv_name: str, title: str, columns: Sequence[str]) -> P
 
 _FT_FREQUENCIES = (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2),
                    Fraction(5, 2), Fraction(3))
+#: the (omega_i, omega_f) pairs the photon crooks suites scan
+_CROOKS_FREQUENCIES = tuple((Fraction(1), Fraction(r)) for r in ("3/2", "2", "5"))
 
 
 def _random_system_operator(rng: np.random.Generator, dim: int, family: int) -> np.ndarray:
@@ -393,6 +393,45 @@ def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
     report.provenance["attempts"] = attempt
 
 
+def _dynamics_scan(config: ScenarioConfig, report: VerificationReport,
+                   reasons: Sequence[str], frequencies: Sequence[tuple],
+                   chis: Sequence[float], *, by_spacing: bool = False,
+                   translation_invariant: bool = False):
+    """Yield ``(model, chi, beta, U)`` per (omega_i, omega_f) in ``frequencies``
+    and chi in ``chis``: one model per pair, beta = 2 chi / omega_i (or / the
+    ladder spacing, ``by_spacing``), U translation invariant on the middle
+    ladder level if asked (ConfigError without an interior). U's seed is keyed
+    by (config seed, kind, flat grid index). No yielded U is kept here: drop
+    yours before the next point and one U is alive at a time. Starts
+    ``provenance["dropped"]`` at zero per reason."""
+    report.provenance["dropped"] = dict.fromkeys(reasons, 0)
+    suite = int.from_bytes(config.kind.encode(), "little")
+    for pair, (omega_i, omega_f) in enumerate(frequencies):
+        battery = dyn.SwitchedBattery(config.ladder_dim,
+                                      dyn.battery_spacing_for(omega_i, omega_f))
+        model = dyn.build_joint_model(omega_i, omega_f, config.system_cutoff, battery)
+        blocks = dyn.spectral_blocks(model)
+        scale = float(battery.spacing if by_spacing else omega_i)
+        middle = (battery.ladder_dim - 1) // 2
+        if translation_invariant and (reach := dyn.translation_reach(model)) > middle:
+            raise ConfigError(f"ladder_dim {battery.ladder_dim} leaves no interior "
+                              f"window (translation reach {reach})")
+        for point, chi in enumerate(chis):
+            key = (suite, pair * len(chis) + point)   # the flat grid index
+            seed = int(np.random.SeedSequence(config.seed, spawn_key=key)
+                       .generate_state(1, np.uint64)[0])
+            yield model, chi, 2.0 * chi / scale, (
+                dyn.sample_translation_invariant_unitary(model, blocks, (middle,) * 2, seed)
+                if translation_invariant else dyn.sample_conserving_unitary(blocks, seed))
+
+
+def _photon_states(model: dyn.JointModel, beta: float, sign: int) -> tuple:
+    """Photon-added (+1) or -subtracted (-1) states of both modes, tails unchecked."""
+    maker = fock.photon_added_state if sign == +1 else fock.photon_subtracted_state
+    return (maker(beta, model.system_mode(dyn.SECTOR_INITIAL), tail_tol=1.0),
+            maker(beta, model.system_mode(dyn.SECTOR_FINAL), tail_tol=1.0))
+
+
 def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
                       sign: int) -> None:
     """Measured forward/reverse battery transition ratios for photon
@@ -400,59 +439,38 @@ def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
     closed-form prediction prefactor_R * exp(beta (W -+ dE_vac - 2 dF)).
     Transitions below the probability floor, or where the closed form is
     undefined, are counted per reason in ``provenance["dropped"]``."""
-    which = "N" if sign == +1 else "N+1"
-    ratios = (Fraction(3, 2), Fraction(2), Fraction(5))
-    chis = config.chi_grid or (0.1, 0.5, 1.0, 2.0)
-    prob_floor = 1e-10
-    dropped = report.provenance["dropped"] = {"below_floor": 0, "undefined_ratio": 0}
-    for ratio in ratios:
-        omega_i = Fraction(1)
-        omega_f = ratio
-        battery = dyn.SwitchedBattery(config.ladder_dim,
-                                      dyn.battery_spacing_for(omega_i, omega_f))
-        model = dyn.build_joint_model(omega_i, omega_f, config.system_cutoff, battery)
-        blocks = dyn.spectral_blocks(model)
-        for chi in chis:
-            beta = 2.0 * chi / float(omega_i)
-            params = cf.ScenarioParams(beta, float(omega_i), float(omega_f))
-            u = dyn.sample_conserving_unitary(
-                blocks, int(np.random.default_rng([config.seed, sign + 2,
-                                                   ratio.numerator,
-                                                   int(chi * 1000)]).integers(2 ** 32)))
-            mode_i = model.system_mode(dyn.SECTOR_INITIAL)
-            mode_f = model.system_mode(dyn.SECTOR_FINAL)
-            maker = (fock.photon_added_state if sign == +1
-                     else fock.photon_subtracted_state)
-            gamma_i = maker(beta, mode_i, tail_tol=1.0)
-            gamma_f = maker(beta, mode_f, tail_tol=1.0)
-            w0 = config.ladder_dim // 2
-            b_i = battery.basis_index(w0, dyn.SECTOR_INITIAL)
-            for w_meas in range(config.ladder_dim):
-                b_f = battery.basis_index(w_meas, dyn.SECTOR_FINAL)
-                p_fwd = dyn.transition_probability(b_f, gamma_i, b_i, u, model)
-                p_rev = dyn.transition_probability(b_i, gamma_f, b_f, u, model)
-                if p_fwd <= prob_floor or p_rev <= prob_floor:
-                    dropped["below_floor"] += 1
-                    continue
-                work = float(battery.spacing * (w0 - w_meas))
-                try:
-                    predicted = cf.crooks_rhs_pm(work, params, sign)
-                except UndefinedRatioError:
-                    dropped["undefined_ratio"] += 1
-                    continue
-                _record(report, f"r{ratio}-chi{chi}-W{work:+.3f}",
-                        {"omega_ratio": str(ratio), "chi": chi, "W": work,
-                         "P_F": p_fwd, "P_R": p_rev, "which": which},
-                        p_fwd / p_rev, predicted)
-            del u   # else it stays alive while the next U is built beside it
+    w0 = config.ladder_dim // 2
+    for model, chi, beta, u in _dynamics_scan(
+            config, report, ("below_floor", "undefined_ratio"), _CROOKS_FREQUENCIES,
+            config.chi_grid or (0.1, 0.5, 1.0, 2.0)):
+        battery, ratio = model.battery, model.omega_f
+        params = cf.ScenarioParams(beta, float(model.omega_i), float(ratio))
+        gamma_i, gamma_f = _photon_states(model, beta, sign)
+        b_i = battery.basis_index(w0, dyn.SECTOR_INITIAL)
+        for w_meas in range(config.ladder_dim):
+            b_f = battery.basis_index(w_meas, dyn.SECTOR_FINAL)
+            p_fwd = dyn.transition_probability(b_f, gamma_i, b_i, u, model)
+            p_rev = dyn.transition_probability(b_i, gamma_f, b_f, u, model)
+            if p_fwd <= 1e-10 or p_rev <= 1e-10:   # the probability floor
+                report.provenance["dropped"]["below_floor"] += 1
+                continue
+            work = float(battery.spacing * (w0 - w_meas))
+            try:
+                predicted = cf.crooks_rhs_pm(work, params, sign)
+            except UndefinedRatioError:
+                report.provenance["dropped"]["undefined_ratio"] += 1
+                continue
+            _record(report, f"r{ratio}-chi{chi}-W{work:+.3f}",
+                    {"omega_ratio": str(ratio), "chi": chi, "W": work,
+                     "P_F": p_fwd, "P_R": p_rev, "which": "N" if sign == +1 else "N+1"},
+                    p_fwd / p_rev, predicted)
+        del u   # else it stays alive while the next U is built beside it
 
 
 def _binomial_battery_projector(battery: dyn.SwitchedBattery, n: int, p: float,
                                 sector: int) -> np.ndarray:
-    state = fock.binomial_state(n, p, battery.ladder_space)
-    sw = np.zeros((2, 2), dtype=complex)
-    sw[sector, sector] = 1.0
-    return np.kron(state.projector().matrix, sw)
+    return np.kron(fock.binomial_state(n, p, battery.ladder_space).projector().matrix,
+                   np.diag(np.eye(2, dtype=complex)[sector]))
 
 
 def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
@@ -460,40 +478,31 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
     """Battery-coherence Crooks check: thermal system, binomial battery
     projectors, measured ratio against exp(beta (q(chi) W_q - dF)). Pairs
     with a probability at or below 1e-12 are counted in ``provenance["dropped"]``."""
-    omega = Fraction(1)
-    battery = dyn.SwitchedBattery(config.ladder_dim,
-                                  dyn.battery_spacing_for(omega, omega))
-    model = dyn.build_joint_model(omega, omega, config.system_cutoff, battery)
-    blocks = dyn.spectral_blocks(model)
-    spacing = float(battery.spacing)
-    h_b = battery.hamiltonian().matrix
-    chis = config.chi_grid or (0.1, 0.5, 1.0)
     p_grid = config.p_grid or (0.2, 0.5, 0.8)
     n_grid = config.n_grid or (2, 4, 6)
-    dropped = report.provenance["dropped"] = {"below_floor": 0}
-    for chi_b in chis:
-        beta = 2.0 * chi_b / spacing
+    if regime == "align":
+        pairs = [(n, p_i, n, p_f) for n in n_grid
+                 for p_i in p_grid for p_f in p_grid if p_i != p_f]
+    else:
+        pairs = [(n_i, p, n_f, p) for n_i in n_grid for n_f in n_grid
+                 if n_i != n_f for p in p_grid]
+    eye_s = np.eye(config.system_cutoff, dtype=complex)
+    for model, chi_b, beta, u in _dynamics_scan(
+            config, report, ("below_floor",), [(Fraction(1), Fraction(1))],
+            config.chi_grid or (0.1, 0.5, 1.0), by_spacing=True):
+        battery, spacing = model.battery, float(model.battery.spacing)
+        h_b = battery.hamiltonian().matrix
         gamma = fock.thermal_state(beta, model.system_mode(dyn.SECTOR_INITIAL),
                                    tail_tol=1.0)
-        u = dyn.sample_conserving_unitary(
-            blocks, int(np.random.default_rng([config.seed,
-                                               int(chi_b * 1000)]).integers(2 ** 32)))
-        if regime == "align":
-            pairs = [(n, p_i, n, p_f) for n in n_grid
-                     for p_i in p_grid for p_f in p_grid if p_i != p_f]
-        else:
-            pairs = [(n_i, p, n_f, p) for n_i in n_grid for n_f in n_grid
-                     if n_i != n_f for p in p_grid]
         for n_i, p_i, n_f, p_f in pairs:
             x_b_i = _binomial_battery_projector(battery, n_i, p_i, dyn.SECTOR_INITIAL)
             x_b_f = _binomial_battery_projector(battery, n_f, p_f, dyn.SECTOR_FINAL)
             rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta).matrix
             rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta).matrix
-            eye_s = np.eye(config.system_cutoff, dtype=complex)
             p_fwd = dyn.q_quantity((eye_s, x_b_f), (gamma, rho_b_i), u, model)
             p_rev = dyn.q_quantity((eye_s, x_b_i), (gamma, rho_b_f), u, model)
             if p_fwd <= 1e-12 or p_rev <= 1e-12:
-                dropped["below_floor"] += 1
+                report.provenance["dropped"]["below_floor"] += 1
                 continue
             if regime == "align":
                 q_factor = cf.q_align(p_i, p_f, chi_b)
@@ -506,58 +515,47 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
                     {"chi_battery": chi_b, "n_i": n_i, "n_f": n_f,
                      "p_i": p_i, "p_f": p_f, "P_F": p_fwd, "P_R": p_rev},
                     p_fwd / p_rev, predicted)
+        del u
 
 
 def run_jarzynski(config: ScenarioConfig, report: VerificationReport) -> None:
     """Work-distribution route: translation-invariant dynamics, battery point
-    mass at an interior level, averaged inverse-prefactor exponential against
-    exp(-beta (2 dF +- dE_vac)); plus exact normalization of the reverse
-    distribution."""
-    omega_i, omega_f = config.omega_i, config.omega_f
-    battery = dyn.SwitchedBattery(config.ladder_dim,
-                                  dyn.battery_spacing_for(omega_i, omega_f))
-    model = dyn.build_joint_model(omega_i, omega_f, config.system_cutoff, battery)
-    blocks = dyn.spectral_blocks(model)
-    reach = dyn.translation_reach(model)
-    top = battery.ladder_dim - 1
-    if reach > top - reach:
-        raise ConfigError(
-            f"ladder_dim {battery.ladder_dim} leaves no interior window "
-            f"(translation reach {reach})"
-        )
-    level = (reach + top - reach) // 2
-    window = (level, level)
-    chis = config.chi_grid or (0.25, 0.5)
-    for chi in chis:
-        beta = 2.0 * chi / float(omega_i)
-        params = cf.ScenarioParams(beta, float(omega_i), float(omega_f))
-        u = dyn.sample_translation_invariant_unitary(
-            model, blocks, window,
-            int(np.random.default_rng([config.seed, int(chi * 1000)]).integers(2 ** 32)))
+    mass at the middle ladder level, averaged inverse-prefactor exponential
+    against exp(-beta (2 dF +- dE_vac)); plus exact normalization of the
+    reverse distribution. Forward work values of zero probability or with an
+    undefined prefactor are counted per reason in ``provenance["dropped"]``."""
+    for model, chi, beta, u in _dynamics_scan(
+            config, report, ("below_floor", "undefined_ratio"),
+            [(config.omega_i, config.omega_f)], config.chi_grid or (0.25, 0.5),
+            translation_invariant=True):
+        level = u.window[0]
+        params = cf.ScenarioParams(beta, float(model.omega_i), float(model.omega_f))
         for sign, label in ((+1, "added"), (-1, "subtracted")):
-            maker = (fock.photon_added_state if sign == +1
-                     else fock.photon_subtracted_state)
-            gamma_i = maker(beta, model.system_mode(dyn.SECTOR_INITIAL), tail_tol=1.0)
-            gamma_f = maker(beta, model.system_mode(dyn.SECTOR_FINAL), tail_tol=1.0)
+            gamma_i, gamma_f = _photon_states(model, beta, sign)
             fwd = dyn.work_distribution("F", gamma_i, level, u, model)
-            rev = dyn.work_distribution("R", gamma_f, level, u, model)
-            total = 0.0
-            covered = 0.0
+            total = covered = 0.0
+            averaged = 0
             for work, prob in fwd.items():
                 if prob <= 0.0:
+                    report.provenance["dropped"]["below_floor"] += 1
                     continue
                 try:
                     r = cf.prefactor_R(float(work), params, sign)
                 except UndefinedRatioError:
+                    report.provenance["dropped"]["undefined_ratio"] += 1
                     continue
                 total += prob / r * math.exp(-beta * float(work))
                 covered += prob
+                averaged += 1
             _record(report, f"chi{chi}-{label}-average",
-                    {"chi": chi, "sign": sign, "covered_probability": covered},
+                    {"chi": chi, "sign": sign, "covered_probability": covered,
+                     "averaged": averaged},
                     total, cf.jarzynski_rhs(params, sign))
             _record(report, f"chi{chi}-{label}-reverse-normalization",
                     {"chi": chi, "sign": sign},
-                    sum(rev.values()), 1.0, tolerance=1e-10, relative=False)
+                    sum(dyn.work_distribution("R", gamma_f, level, u, model).values()),
+                    1.0, tolerance=1e-10, relative=False)
+        del u
 
 
 # ---------------------------------------------------------------------------

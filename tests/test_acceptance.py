@@ -56,14 +56,6 @@ def test_criterion_01_global_fluctuation_theorem():
     assert elapsed < 60.0
 
 
-def _photon_states(model, beta, sign):
-    """Photon-added (+1) or -subtracted (-1) thermal states of both system
-    frequencies, built as the runners build them (truncation check off)."""
-    maker = fock.photon_added_state if sign == +1 else fock.photon_subtracted_state
-    return (maker(beta, model.system_mode(dyn.SECTOR_INITIAL), tail_tol=1.0),
-            maker(beta, model.system_mode(dyn.SECTOR_FINAL), tail_tol=1.0))
-
-
 def _photon_d_f_tilde(beta, mode_i, mode_f, sign):
     """dF~ of the photon protocol on the modes' truncated spaces: X = N for
     added states, N + 1 for subtracted ones."""
@@ -73,47 +65,52 @@ def _photon_d_f_tilde(beta, mode_i, mode_f, sign):
                                       fock.hamiltonian(mode_f), x(mode_f))
 
 
-def _crooks_transitions(config, sign, ratio, chi):
-    """Yield (W, P_F, n_F, P_R, n_R, dF~) for every battery level whose forward
-    and reverse probabilities clear the crooks suite's 1e-10 floor at one
-    (ratio, chi) grid point, on the model and unitary its runner draws there."""
-    battery = dyn.SwitchedBattery(config.ladder_dim, dyn.battery_spacing_for(1, ratio))
-    model = dyn.build_joint_model(1, ratio, config.system_cutoff, battery)
-    seed = np.random.default_rng([config.seed, sign + 2, ratio.numerator,
-                                  int(chi * 1000)]).integers(2 ** 32)
-    u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), int(seed))
-    beta = 2.0 * chi
-    gamma_i, gamma_f = _photon_states(model, beta, sign)
-    d_f_tilde = _photon_d_f_tilde(beta, model.system_mode(dyn.SECTOR_INITIAL),
-                                  model.system_mode(dyn.SECTOR_FINAL), sign)
+RATIOS = tuple(omega_f for _, omega_f in sc._CROOKS_FREQUENCIES)
+
+
+def _scan(config, frequencies, **options):
+    """The (model, chi, beta, U) points the suite of ``config`` draws: the
+    runners' own scan, filling a scratch report."""
+    report = sc.VerificationReport(config.kind, 0.0, [], {})
+    return sc._dynamics_scan(config, report, (), frequencies, config.chi_grid, **options)
+
+
+def _crooks_transitions(config, sign):
+    """Yield (omega_f, beta, W, P_F, n_F, P_R, n_R, dF~) for every battery level
+    whose forward and reverse probabilities clear the crooks suite's 1e-10
+    floor, at every (ratio, chi) point of the suite's scan, on the model and
+    unitary its runner draws there."""
     which = "N" if sign == +1 else "N+1"
     w0 = config.ladder_dim // 2
-    b_i = battery.basis_index(w0, dyn.SECTOR_INITIAL)
-    for w in range(config.ladder_dim):
-        b_f = battery.basis_index(w, dyn.SECTOR_FINAL)
-        try:
-            n_f, p_f = dyn.conditional_photon_number(b_f, gamma_i, b_i, u, model,
-                                                     which, prob_floor=1e-10)
-            n_r, p_r = dyn.conditional_photon_number(b_i, gamma_f, b_f, u, model,
-                                                     which, prob_floor=1e-10)
-        except UndefinedRatioError:
-            continue
-        yield float(battery.spacing * (w0 - w)), p_f, n_f, p_r, n_r, d_f_tilde
+    for model, _, beta, u in _scan(config, sc._CROOKS_FREQUENCIES):
+        battery = model.battery
+        gamma_i, gamma_f = sc._photon_states(model, beta, sign)
+        d_f_tilde = _photon_d_f_tilde(beta, model.system_mode(dyn.SECTOR_INITIAL),
+                                      model.system_mode(dyn.SECTOR_FINAL), sign)
+        b_i = battery.basis_index(w0, dyn.SECTOR_INITIAL)
+        for w in range(config.ladder_dim):
+            b_f = battery.basis_index(w, dyn.SECTOR_FINAL)
+            try:
+                n_f, p_f = dyn.conditional_photon_number(b_f, gamma_i, b_i, u, model,
+                                                         which, prob_floor=1e-10)
+                n_r, p_r = dyn.conditional_photon_number(b_i, gamma_f, b_f, u, model,
+                                                         which, prob_floor=1e-10)
+            except UndefinedRatioError:
+                continue
+            yield (model.omega_f, beta, float(battery.spacing * (w0 - w)),
+                   p_f, n_f, p_r, n_r, d_f_tilde)
 
 
 def test_criterion_02_photon_crooks_closed_form():
-    ratios = (Fraction(3, 2), Fraction(2), Fraction(5))
     pairs = 0
     max_rel = 0.0
     for kind, sign in (("crooks-added", +1), ("crooks-subtracted", -1)):
         config = sc.default_config(kind, seed=7, chi_grid=(0.1, 0.5, 1.0, 2.0))
-        for ratio in ratios:
-            for chi in config.chi_grid:
-                for work, p_f, n_f, p_r, n_r, d_f_tilde in _crooks_transitions(
-                        config, sign, ratio, chi):
-                    exact = (n_r / n_f) * math.exp(2.0 * chi * (work - d_f_tilde))
-                    max_rel = max(max_rel, abs(p_f / p_r / exact - 1.0))
-                    pairs += 1
+        for _, beta, work, p_f, n_f, p_r, n_r, d_f_tilde in _crooks_transitions(
+                config, sign):
+            exact = (n_r / n_f) * math.exp(beta * (work - d_f_tilde))
+            max_rel = max(max_rel, abs(p_f / p_r / exact - 1.0))
+            pairs += 1
     # at chi = 9 the system starts in one shell (n = 1 added, n = 0
     # subtracted) and the closed form is exact up to e^(-2 chi) on the
     # transitions between the dominant shells, W = (omega_f - omega_i)(n + 1/2)
@@ -122,18 +119,16 @@ def test_criterion_02_photon_crooks_closed_form():
     for kind, sign in (("crooks-added", +1), ("crooks-subtracted", -1)):
         config = sc.default_config(kind, seed=7, chi_grid=(9.0,))
         shell = 1 if sign == +1 else 0
-        for ratio in ratios:
-            params = cf.ScenarioParams(18.0, 1.0, float(ratio))
-            w_dom = float((ratio - 1) * Fraction(2 * shell + 1, 2))
-            for work, p_f, _, p_r, _, _ in _crooks_transitions(config, sign, ratio, 9.0):
-                if work == w_dom:
-                    max_rel_cf = max(max_rel_cf, abs(
-                        p_f / p_r / cf.crooks_rhs_pm(work, params, sign) - 1.0))
-                    dominant += 1
+        for ratio, beta, work, p_f, _, p_r, _, _ in _crooks_transitions(config, sign):
+            params = cf.ScenarioParams(beta, 1.0, float(ratio))
+            if work == float((ratio - 1) * Fraction(2 * shell + 1, 2)):
+                max_rel_cf = max(max_rel_cf, abs(
+                    p_f / p_r / cf.crooks_rhs_pm(work, params, sign) - 1.0))
+                dominant += 1
     # the closed-form dF~ is the untruncated one: it holds once the cutoff
     # leaves a tail below 1e-12
     max_df_gap = 0.0
-    for ratio in ratios:
+    for ratio in RATIOS:
         for chi in (0.1, 0.5, 1.0, 2.0):
             beta = 2.0 * chi
             params = cf.ScenarioParams(beta, 1.0, float(ratio))
@@ -320,26 +315,18 @@ def test_criterion_09a_jarzynski_closed_form_average():
     # the Crooks-like equality P_F n_F e^(-beta W) = e^(-beta dF~) P_R n_R,
     # divided by n_R and summed over the switch-flipping outcomes with
     # n_R > 0, on the jarzynski suite's model and unitaries
-    config = sc.default_config("jarzynski", seed=5150)
-    battery = dyn.SwitchedBattery(config.ladder_dim, dyn.battery_spacing_for(
-        config.omega_i, config.omega_f))
-    model = dyn.build_joint_model(config.omega_i, config.omega_f,
-                                  config.system_cutoff, battery)
-    blocks = dyn.spectral_blocks(model)
-    reach = dyn.translation_reach(model)
-    level = (reach + battery.ladder_dim - 1 - reach) // 2
-    b_ref_i = battery.basis_index(level, dyn.SECTOR_INITIAL)
-    b_ref_f = battery.basis_index(level, dyn.SECTOR_FINAL)
+    config = sc.default_config("jarzynski", seed=5150, chi_grid=(0.25, 0.5))
     max_rel = 0.0
     max_shift = 0.0
     averages = 0
-    for chi in config.chi_grid or (0.25, 0.5):
-        beta = 2.0 * chi / float(config.omega_i)
-        seed = np.random.default_rng([config.seed, int(chi * 1000)]).integers(2 ** 32)
-        u = dyn.sample_translation_invariant_unitary(model, blocks, (level, level),
-                                                     int(seed))
+    for model, _, beta, u in _scan(config, [(config.omega_i, config.omega_f)],
+                                     translation_invariant=True):
+        battery = model.battery
+        level = u.window[0]
+        b_ref_i = battery.basis_index(level, dyn.SECTOR_INITIAL)
+        b_ref_f = battery.basis_index(level, dyn.SECTOR_FINAL)
         for sign in (+1, -1):
-            gamma_i, gamma_f = _photon_states(model, beta, sign)
+            gamma_i, gamma_f = sc._photon_states(model, beta, sign)
             d_f_tilde = _photon_d_f_tilde(
                 beta, model.system_mode(dyn.SECTOR_INITIAL),
                 model.system_mode(dyn.SECTOR_FINAL), sign)

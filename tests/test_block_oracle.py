@@ -123,7 +123,7 @@ class TestExport:
         model = MODELS["ratio-3/2"]()
         rng = np.random.default_rng(5)
         pairs = [(idx, dyn._block_unitary(rng, idx.size)) for idx in dyn.spectral_blocks(model)]
-        u = dyn.ConservingUnitary(tuple(pairs), seed=0)
+        u = dyn.ConservingUnitary(tuple(pairs))
         assert len(u.blocks) == len(pairs) and u.dim == model.dim
         for (idx, mat), (got_idx, got_mat) in zip(pairs, u.blocks):
             assert np.array_equal(got_idx, idx) and np.array_equal(got_mat, mat)
@@ -355,7 +355,7 @@ class TestValidation:
         pairs = identity_pairs(model)
         at = next(i for i, (idx, _) in enumerate(pairs) if len(idx) == 2)
         pairs[at] = (pairs[at][0], replace)
-        return dyn.ConservingUnitary(tuple(pairs), seed=0)
+        return dyn.ConservingUnitary(tuple(pairs))
 
     def test_identity_blocks_are_valid(self):
         model = make_model(**self.MODEL)
@@ -384,13 +384,13 @@ class TestValidation:
         merged = [(np.concatenate([i0, i1]), np.eye(2, dtype=complex))] + \
             [pair for i, pair in enumerate(pairs) if i not in singletons]
         with pytest.raises(ValueError, match="energies"):
-            dyn.ConservingUnitary(tuple(merged), seed=0).assert_valid(model)
+            dyn.ConservingUnitary(tuple(merged)).assert_valid(model)
 
     def test_rejects_blocks_not_partitioning_basis(self):
         model = make_model(**self.MODEL)
         pairs = identity_pairs(model)
         with pytest.raises(DimensionError):
-            dyn.ConservingUnitary(tuple(pairs[1:]), seed=0).assert_valid(model)
+            dyn.ConservingUnitary(tuple(pairs[1:])).assert_valid(model)
 
     @pytest.mark.parametrize("malformed", ["missing", "repeated", "out-of-range",
                                            "matrix-shape"])
@@ -404,7 +404,7 @@ class TestValidation:
                      "out-of-range": (np.array([idx[0], model.dim]), mat),
                      "matrix-shape": (idx, np.eye(3, dtype=complex))}[malformed]
         with pytest.raises(DimensionError):
-            dyn.ConservingUnitary(tuple(pairs), seed=0)
+            dyn.ConservingUnitary(tuple(pairs))
 
 
 class TestMemory:

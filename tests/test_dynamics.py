@@ -29,7 +29,7 @@ def identity_unitary(model):
     """The identity as a conserving unitary: an identity matrix on every block."""
     return dyn.ConservingUnitary(
         tuple((b, np.eye(b.size, dtype=complex))
-              for b in dyn.spectral_blocks(model)), seed=0)
+              for b in dyn.spectral_blocks(model)))
 
 
 class TestBatterySpacing:
@@ -170,7 +170,7 @@ class TestConservingUnitary:
         model = small_model(1, 1, 2, 3)
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 0)
         broken = dyn.ConservingUnitary(
-            tuple((idx, mat * 1.001) for idx, mat in u.blocks), seed=0)
+            tuple((idx, mat * 1.001) for idx, mat in u.blocks))
         with pytest.raises(ValueError):
             broken.assert_valid(model)
 

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -213,6 +215,16 @@ class TestReports:
         assert report.summary["cases"] == report.summary["passed"] + \
             report.summary["failed"]
 
+    def test_report_without_cases_does_not_pass(self):
+        # at chi = 50 and p = 1 every pair falls below the probability floor
+        cfg = sc.default_config("crooks-binomial-size", seed=1, chi_grid=(50.0,),
+                                p_grid=(1.0,))
+        report = sc.run_scenario(cfg)
+        assert report.summary["cases"] == 0
+        assert report.provenance["dropped"] == {"below_floor": 6}
+        assert not report.summary["all_passed"]
+        assert not report.all_passed
+
 
 class TestCrooksDropCounts:
     """Every candidate (ratio, chi, level) transition of a crooks scan is
@@ -259,14 +271,85 @@ class TestBinomialDropCounts:
         assert (len(report.cases), dropped["below_floor"]) == counts
 
 
+class TestJarzynskiDropCounts:
+    """Every forward work value of a jarzynski scan is either averaged or
+    counted under one drop reason."""
+
+    @pytest.mark.parametrize("seed, overrides", [
+        (2024, {}),
+        (7, {"chi_grid": (0.1, 1.0, 3.0), "ladder_dim": 36}),
+    ])
+    def test_averaged_plus_drops_cover_every_work_value(self, seed, overrides):
+        cfg = sc.default_config("jarzynski", seed=seed, **overrides)
+        report = sc.run_scenario(cfg)
+        dropped = report.provenance["dropped"]
+        assert set(dropped) == {"below_floor", "undefined_ratio"}
+        averaged = [c.inputs["averaged"] for c in report.cases
+                    if c.key.endswith("-average")]
+        assert len(averaged) == 2 * len(cfg.chi_grid or (0.25, 0.5))
+        assert sum(averaged) + sum(dropped.values()) == len(averaged) * cfg.ladder_dim
+
+
+SCAN_KINDS = ("crooks-added", "crooks-subtracted", "crooks-binomial-align",
+              "crooks-binomial-size", "jarzynski")
+
+
+def record_samples(monkeypatch):
+    """Wrap both unitary samplers; return the list of (seed, U.matrices) they
+    draw. Each sample first checks that the U drawn before it was freed."""
+    drawn = []
+    last = [lambda: None]
+
+    def recording(sample):
+        def wrapper(*args):
+            assert last[0]() is None, "the previous U is still alive"
+            u = sample(*args)
+            drawn.append((args[-1], u.matrices))
+            last[0] = weakref.ref(u)
+            return u
+        return wrapper
+
+    for name in ("sample_conserving_unitary", "sample_translation_invariant_unitary"):
+        monkeypatch.setattr(sc.dyn, name, recording(getattr(sc.dyn, name)))
+    return drawn
+
+
+class TestScanSeeds:
+    """Each grid point of a dynamics scan draws its own unitary, and frees it
+    before the next is drawn."""
+
+    @pytest.mark.parametrize("chi_grid", [(0.0011, 0.0019), (1e-6, 5e-4)])
+    def test_close_chi_values_draw_different_unitaries(self, monkeypatch, chi_grid):
+        drawn = record_samples(monkeypatch)
+        sc.run_scenario(sc.default_config("crooks-added", seed=2024, chi_grid=chi_grid))
+        assert len(drawn) == 3 * len(chi_grid)
+        for (_, first), (_, second) in zip(drawn[::2], drawn[1::2]):
+            assert not np.array_equal(first, second)
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_no_two_grid_points_share_a_seed(self, monkeypatch, seed):
+        drawn = record_samples(monkeypatch)
+        seeds = {}
+        for kind in SCAN_KINDS:
+            del drawn[:]
+            sc.run_scenario(sc.default_config(kind, seed=seed))
+            seeds[kind] = [s for s, _ in drawn]
+            assert len(set(seeds[kind])) == len(seeds[kind]) > 1, kind
+        assert not set(seeds["crooks-binomial-align"]) & set(seeds["crooks-binomial-size"])
+        every = [s for kind in SCAN_KINDS for s in seeds[kind]]
+        assert len(set(every)) == len(every)
+
+
 class TestBlasThreads:
-    """The reports of the suites that multiply blocks of U are the same
-    bytes at one and at two BLAS threads."""
+    """The reports of the suites that multiply blocks of U, and of the
+    crooks and jarzynski scans, are the same bytes at one and at two BLAS
+    threads."""
 
     SCRIPT = "\n".join([
         "import sys",
         "from qflux import scenarios as sc",
-        "for kind, cases in (('global-ft', 12), ('crooks-binomial-align', None)):",
+        "for kind, cases in (('global-ft', 12), ('crooks-binomial-align', None),",
+        "                    ('crooks-added', None), ('jarzynski', None)):",
         "    sc.run_scenario(sc.default_config(kind, seed=5, cases=cases, out_dir=sys.argv[1]))",
     ])
 
@@ -279,7 +362,8 @@ class TestBlasThreads:
                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
             subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path / threads)],
                            env=env, check=True, timeout=300)
-        for name in ("global-ft.json", "crooks-binomial-align.json"):
+        for name in ("global-ft.json", "crooks-binomial-align.json", "crooks-added.json",
+                     "jarzynski.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
