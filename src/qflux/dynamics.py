@@ -202,39 +202,41 @@ def spectral_blocks(model: JointModel) -> list[np.ndarray]:
 class ConservingUnitary:
     """Block-diagonal symmetric unitary commuting with the joint Hamiltonian.
 
-    Built from its energy blocks, one ``(indices, matrix)`` pair per
-    degenerate eigenspace, where ``matrix[i, j]`` is the entry of U at joint
-    indices ``(indices[i], indices[j])``; every entry outside the blocks is
-    zero. The pairs are copied once into a layout zero-padded to the largest
-    block size s_max, and no reference to them is kept: block b has
-    ``size[b]`` joint indices ``indices[b, :size[b]]`` and the matrix
-    ``matrices[b, :size[b], :size[b]]``; past ``size[b]`` the index is 0 and
-    the rows and columns are exact zeros. Joint index k sits at ``slot[k]``
-    in block ``block[k]``. The arrays are read-only.
+    Built from ``blocks``, one array of joint indices per degenerate
+    eigenspace, and ``matrices``, U on each block zero-padded to the largest
+    block size s_max: block b has ``size[b]`` joint indices
+    ``indices[b, :size[b]]`` and the matrix ``matrices[b, :size[b], :size[b]]``;
+    past ``size[b]`` the index is 0 and the rows and columns are exact zeros,
+    and every entry outside the blocks is zero. Joint index k sits at ``slot[k]``
+    in block ``block[k]``. ``matrices`` is kept, not copied; every array is
+    made read-only.
 
-    Raises DimensionError unless the blocks partition 0 ... d - 1 and every
-    matrix is s x s for its s indices.
+    Raises DimensionError unless the blocks partition 0 ... d - 1,
+    ``matrices`` is ``(len(blocks), s_max, s_max)`` and every entry past a
+    block's size is exactly zero, as Q needs.
 
     ``window`` is set by the translation-invariant sampler: the inclusive
     battery-level range over which transition probabilities depend only on
     level differences.
     """
 
-    def __init__(self, blocks: Sequence[tuple[np.ndarray, np.ndarray]],
+    def __init__(self, blocks: Sequence[np.ndarray], matrices: np.ndarray,
                  window: Optional[tuple[int, int]] = None):
         self.window = window
-        self.size = size = np.array([len(idx) for idx, _ in blocks])
-        order = np.concatenate([idx for idx, _ in blocks])
+        self.size = size = np.array([len(idx) for idx in blocks])
+        order = np.concatenate(blocks)
         if not np.array_equal(np.sort(order), np.arange(order.size)):
             raise DimensionError("unitary blocks do not partition 0 ... d - 1")
         held = np.arange(size.max()) < size[:, None]
+        if np.shape(matrices) != held.shape + held.shape[1:]:
+            raise DimensionError(f"{np.shape(matrices)} matrices do not pad {size.size} "
+                                 f"blocks of up to {held.shape[1]} indices")
+        nonzero = matrices != 0      # reduced per row and per column, never gathered
+        if (nonzero.any(axis=2) & ~held).any() or (nonzero.any(axis=1) & ~held).any():
+            raise DimensionError("unitary matrices are not zero past their block's size")
+        self.matrices = matrices
         self.indices = np.zeros(held.shape, dtype=np.intp)
         self.indices[held] = order
-        self.matrices = np.zeros(held.shape + held.shape[1:], dtype=complex)
-        for b, ((_, mat), s) in enumerate(zip(blocks, size.tolist())):
-            if np.shape(mat) != (s, s):
-                raise DimensionError(f"block of {s} indices holds a {np.shape(mat)} matrix")
-            self.matrices[b, :s, :s] = mat
         self.block, self.slot = np.empty((2, order.size), dtype=np.intp)
         self.block[order], self.slot[order] = np.nonzero(held)
         for array in (self.indices, self.matrices, size, self.block, self.slot):
@@ -306,12 +308,26 @@ def _block_unitary(rng: np.random.Generator, size: int) -> np.ndarray:
     return (vec * np.exp(1j * lam)) @ vec.T
 
 
+def _sample(blocks: Sequence[np.ndarray], keys, seed: int,
+            window: Optional[tuple[int, int]] = None) -> ConservingUnitary:
+    """Draw a block unitary per block, in order from one stream, straight into
+    the padded matrices; a block whose key (one per block, from ``keys``)
+    came before copies the matrix of the first block with that key."""
+    rng = np.random.default_rng(seed)
+    s_max = max(idx.size for idx in blocks)
+    matrices = np.zeros((len(blocks), s_max, s_max), dtype=complex)
+    first: dict = {}
+    for b, (idx, key) in enumerate(zip(blocks, keys)):
+        s, at = idx.size, first.setdefault(key, b)
+        matrices[b, :s, :s] = _block_unitary(rng, s) if at == b else matrices[at, :s, :s]
+    return ConservingUnitary(blocks, matrices, window)
+
+
 def sample_conserving_unitary(blocks: Sequence[np.ndarray],
                               seed: int) -> ConservingUnitary:
     """Draw an independent random symmetric unitary on every degenerate block
     (an index array from ``spectral_blocks``). Deterministic in (blocks, seed)."""
-    rng = np.random.default_rng(seed)
-    return ConservingUnitary(tuple((idx, _block_unitary(rng, idx.size)) for idx in blocks))
+    return _sample(blocks, range(len(blocks)), seed)
 
 
 def _block_signature(model: JointModel, block: np.ndarray) -> bytes:
@@ -334,7 +350,7 @@ def sample_translation_invariant_unitary(model: JointModel,
                                          window: tuple[int, int],
                                          seed: int) -> ConservingUnitary:
     """Like sample_conserving_unitary, but blocks that are battery translates
-    of one another share a generator, so interior dynamics depend only on
+    of one another share one draw, so interior dynamics depend only on
     battery level differences.
 
     ``window`` is the inclusive battery-level range the caller needs the
@@ -351,15 +367,8 @@ def sample_translation_invariant_unitary(model: JointModel,
             f"window {window} must lie within the interior "
             f"[{reach}, {top - reach}] (reach {reach} on a {top + 1}-level ladder)"
         )
-    rng = np.random.default_rng(seed)
-    generators: dict[bytes, np.ndarray] = {}
-    pairs = []
-    for idx in blocks:
-        sig = _block_signature(model, idx)
-        if sig not in generators:
-            generators[sig] = _block_unitary(rng, idx.size)
-        pairs.append((idx, generators[sig]))
-    return ConservingUnitary(tuple(pairs), window=(lo, hi))
+    return _sample(blocks, (_block_signature(model, idx) for idx in blocks), seed,
+                   window=(lo, hi))
 
 
 # ---------------------------------------------------------------------------

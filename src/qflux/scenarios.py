@@ -15,7 +15,7 @@ import os
 import time
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from sys import float_info
 from typing import Callable, Optional, Sequence
@@ -75,12 +75,17 @@ def _is_finite(value) -> bool:
             and abs(value) <= float_info.max)
 
 
-def _grid(name: str, values, is_entry, convert) -> tuple:
-    """An array (list or tuple) of distinct entries that pass ``is_entry``, as
-    a tuple. A repeated entry would record its cases twice under one key."""
+def _grid(name: str, values, is_entry, convert) -> Optional[tuple]:
+    """None (the suite's default), or a nonempty array (list or tuple) of
+    distinct entries that pass ``is_entry``, as a tuple: an empty one runs no
+    case, and a repeated entry would record its cases twice under one key."""
+    if values is None:
+        return None
     if not isinstance(values, (list, tuple)) or not all(map(is_entry, values)):
         raise ConfigError(f"{name} must be an array of "
                           f"{'integers' if convert is int else 'finite numbers'}")
+    if not values:
+        raise ConfigError(f"{name} must not be empty; omit it for the suite's default")
     grid = tuple(convert(v) for v in values)
     if len(set(grid)) != len(grid):
         raise ConfigError(f"{name} must not repeat an entry")
@@ -95,10 +100,10 @@ class ScenarioConfig:
     seed: int = 2024
     omega_i: Fraction = Fraction(1)
     omega_f: Fraction = Fraction(3, 2)
-    chi_grid: tuple[float, ...] = ()
-    p_grid: tuple[float, ...] = ()
-    n_grid: tuple[int, ...] = ()
-    w_values: tuple[float, ...] = ()
+    chi_grid: Optional[tuple[float, ...]] = None   # None: the suite's default
+    p_grid: Optional[tuple[float, ...]] = None
+    n_grid: Optional[tuple[int, ...]] = None
+    w_values: Optional[tuple[float, ...]] = None
     cases: int = 200
     system_cutoff: int = 8
     ladder_dim: int = 24
@@ -134,9 +139,9 @@ class ScenarioConfig:
             )
         if self.system_cutoff < 2 or self.ladder_dim < 2:
             raise ConfigError("cutoffs must be >= 2")
-        if any(not CHI_RANGE[0] <= c <= CHI_RANGE[1] for c in self.chi_grid):
+        if any(not CHI_RANGE[0] <= c <= CHI_RANGE[1] for c in self.chi_grid or ()):
             raise ConfigError(f"chi grid entries must lie in {list(CHI_RANGE)}")
-        if any(not 0 <= p <= 1 for p in self.p_grid):
+        if any(not 0 <= p <= 1 for p in self.p_grid or ()):
             raise ConfigError("p grid entries must lie in [0, 1]")
 
     @classmethod
@@ -487,6 +492,7 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
         pairs = [(n_i, p, n_f, p) for n_i in n_grid for n_f in n_grid
                  if n_i != n_f for p in p_grid]
     eye_s = np.eye(config.system_cutoff, dtype=complex)
+    projector = cache(_binomial_battery_projector)   # each one built once per scan
     for model, chi_b, beta, u in _dynamics_scan(
             config, report, ("below_floor",), [(Fraction(1), Fraction(1))],
             config.chi_grid or (0.1, 0.5, 1.0), by_spacing=True):
@@ -495,8 +501,8 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
         gamma = fock.thermal_state(beta, model.system_mode(dyn.SECTOR_INITIAL),
                                    tail_tol=1.0)
         for n_i, p_i, n_f, p_f in pairs:
-            x_b_i = _binomial_battery_projector(battery, n_i, p_i, dyn.SECTOR_INITIAL)
-            x_b_f = _binomial_battery_projector(battery, n_f, p_f, dyn.SECTOR_FINAL)
+            x_b_i = projector(battery, n_i, p_i, dyn.SECTOR_INITIAL)
+            x_b_f = projector(battery, n_f, p_f, dyn.SECTOR_FINAL)
             rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta).matrix
             rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta).matrix
             p_fwd = dyn.q_quantity((eye_s, x_b_f), (gamma, rho_b_i), u, model)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import padded_unitary
 
 from qflux import closedform as cf
 from qflux import dynamics as dyn
@@ -27,9 +28,8 @@ def dense_unitary(u):
 
 def identity_unitary(model):
     """The identity as a conserving unitary: an identity matrix on every block."""
-    return dyn.ConservingUnitary(
-        tuple((b, np.eye(b.size, dtype=complex))
-              for b in dyn.spectral_blocks(model)))
+    return padded_unitary([(b, np.eye(b.size, dtype=complex))
+                           for b in dyn.spectral_blocks(model)])
 
 
 class TestBatterySpacing:
@@ -169,8 +169,7 @@ class TestConservingUnitary:
     def test_validation_rejects_nonunitary(self):
         model = small_model(1, 1, 2, 3)
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 0)
-        broken = dyn.ConservingUnitary(
-            tuple((idx, mat * 1.001) for idx, mat in u.blocks))
+        broken = padded_unitary([(idx, mat * 1.001) for idx, mat in u.blocks])
         with pytest.raises(ValueError):
             broken.assert_valid(model)
 

@@ -137,6 +137,13 @@ class TestSchema:
         with pytest.raises(ConfigError, match="repeat"):
             sc.default_config("figure3", **fields)
 
+    @pytest.mark.parametrize("name", ["chi_grid", "p_grid", "n_grid", "w_values"])
+    def test_grids_reject_an_empty_array(self, name):
+        with pytest.raises(ConfigError, match="empty"):
+            sc.default_config("figure3", **{name: []})
+        with pytest.raises(ConfigError, match="empty"):
+            sc.ScenarioConfig(kind="figure3", **{name: ()})
+
     @pytest.mark.parametrize("cutoffs", [(3, 24), (12, 7), (2, 2)])
     def test_global_ft_rejects_cutoffs_below_its_draw_ranges(self, cutoffs):
         cfg = sc.default_config("global-ft", cases=1, system_cutoff=cutoffs[0],
@@ -269,6 +276,20 @@ class TestBinomialDropCounts:
         assert set(dropped) == {"below_floor"}
         assert len(report.cases) + dropped["below_floor"] == candidates
         assert (len(report.cases), dropped["below_floor"]) == counts
+
+
+class TestBinomialProjectors:
+    @pytest.mark.parametrize("kind", ["crooks-binomial-align", "crooks-binomial-size"])
+    def test_each_projector_is_built_once_per_scan(self, monkeypatch, kind):
+        # at the defaults 18 pairs per chi, at 3 chi, read 18 distinct
+        # (n, p, sector) projectors: 18 binomial states, not 108
+        built = []
+        real = sc.fock.binomial_state
+        monkeypatch.setattr(sc.fock, "binomial_state",
+                            lambda *args, **kw: built.append(args) or real(*args, **kw))
+        report = sc.run_scenario(sc.default_config(kind))
+        assert len(report.cases) == 54
+        assert len(built) == 18
 
 
 class TestJarzynskiDropCounts:
@@ -536,6 +557,8 @@ class TestCli:
         {"chi_grid": "25"}, {"tolerance": []}, {"cases": 2.5}, {"seed": 1.5},
         {"n_grid": [2.7, True]}, {"chi_grid": [float("nan")]}, {"chi_grid": [1000]},
         {"w_values": [float("inf")]},
+        # an empty grid used to run the default grid in its place
+        {"chi_grid": []}, {"p_grid": []}, {"n_grid": []}, {"w_values": []},
     ])
     def test_schema_violation_exit_two(self, tmp_path, capsys, fields):
         cfg = tmp_path / "cfg.json"
