@@ -472,10 +472,14 @@ def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
         del u   # else it stays alive while the next U is built beside it
 
 
-def _binomial_battery_projector(battery: dyn.SwitchedBattery, n: int, p: float,
-                                sector: int) -> np.ndarray:
-    return np.kron(fock.binomial_state(n, p, battery.ladder_space).projector().matrix,
-                   np.diag(np.eye(2, dtype=complex)[sector]))
+def _binomial_ladder_projector(battery: dyn.SwitchedBattery, n: int, p: float) -> np.ndarray:
+    return fock.binomial_state(n, p, battery.ladder_space).projector().matrix
+
+
+def _binomial_battery_projector(battery: dyn.SwitchedBattery, n: int, p: float, sector: int,
+                                ladder=_binomial_ladder_projector) -> np.ndarray:
+    """The ``ladder`` projector, built afresh by default, on one switch sector."""
+    return np.kron(ladder(battery, n, p), np.diag(np.eye(2, dtype=complex)[sector]))
 
 
 def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
@@ -492,7 +496,7 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
         pairs = [(n_i, p, n_f, p) for n_i in n_grid for n_f in n_grid
                  if n_i != n_f for p in p_grid]
     eye_s = np.eye(config.system_cutoff, dtype=complex)
-    projector = cache(_binomial_battery_projector)   # each one built once per scan
+    ladder = cache(_binomial_ladder_projector)   # each binomial state built once per scan
     for model, chi_b, beta, u in _dynamics_scan(
             config, report, ("below_floor",), [(Fraction(1), Fraction(1))],
             config.chi_grid or (0.1, 0.5, 1.0), by_spacing=True):
@@ -500,11 +504,15 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
         h_b = battery.hamiltonian().matrix
         gamma = fock.thermal_state(beta, model.system_mode(dyn.SECTOR_INITIAL),
                                    tail_tol=1.0)
+        # each Gibbs map made once per chi; the projectors are rebuilt on use, so
+        # the maps take the place of the full projectors in memory
+        prepared = cache(lambda *key: gibbs.gibbs_map(
+            _binomial_battery_projector(battery, *key, ladder), h_b, beta).matrix)
         for n_i, p_i, n_f, p_f in pairs:
-            x_b_i = projector(battery, n_i, p_i, dyn.SECTOR_INITIAL)
-            x_b_f = projector(battery, n_f, p_f, dyn.SECTOR_FINAL)
-            rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta).matrix
-            rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta).matrix
+            x_b_i = _binomial_battery_projector(battery, n_i, p_i, dyn.SECTOR_INITIAL, ladder)
+            x_b_f = _binomial_battery_projector(battery, n_f, p_f, dyn.SECTOR_FINAL, ladder)
+            rho_b_i = prepared(n_i, p_i, dyn.SECTOR_INITIAL)
+            rho_b_f = prepared(n_f, p_f, dyn.SECTOR_FINAL)
             p_fwd = dyn.q_quantity((eye_s, x_b_f), (gamma, rho_b_i), u, model)
             p_rev = dyn.q_quantity((eye_s, x_b_i), (gamma, rho_b_f), u, model)
             if p_fwd <= 1e-12 or p_rev <= 1e-12:
@@ -521,7 +529,7 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
                     {"chi_battery": chi_b, "n_i": n_i, "n_f": n_f,
                      "p_i": p_i, "p_f": p_f, "P_F": p_fwd, "P_R": p_rev},
                     p_fwd / p_rev, predicted)
-        del u
+        del u, prepared   # the maps go with this chi's U
 
 
 def run_jarzynski(config: ScenarioConfig, report: VerificationReport) -> None:

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import padded_unitary
+from conftest import padded_unitary, reference_block_unitary, reference_unitary
 
 from qflux import closedform as cf
 from qflux import dynamics as dyn
@@ -123,7 +123,8 @@ class TestExport:
     def test_blocks_are_read_only_views_of_the_pairs(self):
         model = MODELS["ratio-3/2"]()
         rng = np.random.default_rng(5)
-        pairs = [(idx, dyn._block_unitary(rng, idx.size)) for idx in dyn.spectral_blocks(model)]
+        pairs = [(idx, reference_block_unitary(rng, idx.size))
+                 for idx in dyn.spectral_blocks(model)]
         u = padded_unitary(pairs)
         assert len(u.blocks) == len(pairs) and u.dim == model.dim
         for (idx, mat), (got_idx, got_mat) in zip(pairs, u.blocks):
@@ -141,6 +142,36 @@ class TestExport:
     def test_singleton_model_has_only_singletons(self):
         model = MODELS["singletons"]()
         assert all(b.size == 1 for b in dyn.spectral_blocks(model))
+
+
+class TestSamplerAgainstReference:
+    """The samplers draw the reference's stream, then diagonalize each block
+    size in stacked chunks: the same matrices, bit for bit. The singleton
+    model's translation reach exceeds its ladder, so it has the plain
+    sampler only."""
+
+    @pytest.mark.parametrize("chunk", [dyn._SAMPLE_CHUNK, 1, 40])
+    @pytest.mark.parametrize("seed", [7, 2024])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_conserving(self, monkeypatch, name, seed, chunk):
+        monkeypatch.setattr(dyn, "_SAMPLE_CHUNK", chunk)
+        blocks = dyn.spectral_blocks(MODELS[name]())
+        got = dyn.sample_conserving_unitary(blocks, seed)
+        ref = reference_unitary(blocks, range(len(blocks)), seed)
+        assert got.matrices.tobytes() == ref.matrices.tobytes()
+
+    @pytest.mark.parametrize("chunk", [dyn._SAMPLE_CHUNK, 1, 40])
+    @pytest.mark.parametrize("seed", [7, 2024])
+    @pytest.mark.parametrize("name", [m for m in MODELS if m != "singletons"])
+    def test_translation_invariant(self, monkeypatch, name, seed, chunk):
+        monkeypatch.setattr(dyn, "_SAMPLE_CHUNK", chunk)
+        model = MODELS[name]()
+        blocks = dyn.spectral_blocks(model)
+        keys = [dyn._block_signature(model, idx) for idx in blocks]
+        assert len(set(keys)) < len(keys)   # translates copy an earlier draw
+        got = translation_invariant(model, seed)
+        ref = reference_unitary(blocks, keys, seed, got.window)
+        assert got.matrices.tobytes() == ref.matrices.tobytes()
 
 
 def random_factor(rng, d):
@@ -255,6 +286,48 @@ class TestPairSelection:
                     for d in (model.system_cutoff, model.battery.dim))
         assert dyn.q_quantity(x, rho, u, model) == 0.0
         assert abs(product_q(x, rho, u)) <= 1e-12
+
+
+class TestEnergyOffsets:
+    """``_energy_offsets`` against every level difference over the nonzero
+    entries of the dense f_s (x) f_b."""
+
+    @staticmethod
+    def factors(model):
+        rng = np.random.default_rng(12)
+        cutoff, ladder = model.system_cutoff, model.battery.ladder_dim
+        lad = random_factor(rng, ladder)
+        system = {"dense": random_factor(rng, cutoff),
+                  "raising": np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex),
+                  "zero": np.zeros((cutoff, cutoff), dtype=complex)}
+        battery = {"dense": random_factor(rng, 2 * ladder),
+                   "initial-sector": np.kron(lad, np.diag([1.0, 0.0])),
+                   "final-sector": np.kron(lad, np.diag([0.0, 1.0])),
+                   "cross-sector": np.kron(lad, np.array([[0.0, 1.0], [0.0, 0.0]])),
+                   "zero": np.zeros((2 * ladder, 2 * ladder), dtype=complex)}
+        return system, battery
+
+    @pytest.mark.parametrize("name", ["ratio-2", "ratio-3/2", "object"])
+    def test_match_the_dense_differences(self, name):
+        model = make_model(**OBJECT_MODEL) if name == "object" else MODELS[name]()
+        system, battery = self.factors(model)
+        for f_s, f_b in product(system.values(), battery.values()):
+            i, j = np.nonzero(np.kron(f_s, f_b))
+            ref = np.unique(model.levels[i] - model.levels[j])
+            got = dyn._energy_offsets(f_s, f_b, model)
+            assert got.dtype == ref.dtype == model.levels.dtype
+            assert got.tolist() == ref.tolist()
+
+    def test_empty_sector_pairs_are_skipped(self, monkeypatch):
+        # a battery factor in one sector, as global-ft's: its two difference
+        # sets and the merge, not two sets for each of the four sector pairs
+        model = MODELS["ratio-3/2"]()
+        system, battery = self.factors(model)
+        calls, real = [], np.unique
+        monkeypatch.setattr(dyn.np, "unique",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        dyn._energy_offsets(system["dense"], battery["initial-sector"], model)
+        assert len(calls) == 3
 
 
 class TestReadsEqualDense:

@@ -281,15 +281,27 @@ class TestBinomialDropCounts:
 class TestBinomialProjectors:
     @pytest.mark.parametrize("kind", ["crooks-binomial-align", "crooks-binomial-size"])
     def test_each_projector_is_built_once_per_scan(self, monkeypatch, kind):
-        # at the defaults 18 pairs per chi, at 3 chi, read 18 distinct
-        # (n, p, sector) projectors: 18 binomial states, not 108
+        # at the defaults 18 pairs per chi, at 3 chi, read 9 distinct (n, p)
+        # binomial states: 9 built, not 108
         built = []
         real = sc.fock.binomial_state
         monkeypatch.setattr(sc.fock, "binomial_state",
                             lambda *args, **kw: built.append(args) or real(*args, **kw))
         report = sc.run_scenario(sc.default_config(kind))
         assert len(report.cases) == 54
-        assert len(built) == 18
+        assert len(built) == 9
+
+    @pytest.mark.parametrize("kind", ["crooks-binomial-align", "crooks-binomial-size"])
+    def test_each_map_is_made_once_per_chi(self, monkeypatch, kind):
+        # the 18 pairs per chi read 18 distinct (n, p, sector) projectors:
+        # at 3 chi, 54 Gibbs maps, not one per pair and side (108)
+        mapped = []
+        real = sc.gibbs.gibbs_map
+        monkeypatch.setattr(sc.gibbs, "gibbs_map",
+                            lambda *args, **kw: mapped.append(args) or real(*args, **kw))
+        report = sc.run_scenario(sc.default_config(kind))
+        assert len(report.cases) == 54
+        assert len(mapped) == 54
 
 
 class TestJarzynskiDropCounts:
