@@ -474,28 +474,39 @@ def _system_density(system_state, model: JointModel) -> np.ndarray:
     return rho
 
 
-def _transition_read(e_f_index: int, system_state, e_i_index: int,
+def _transition_read(e_f_index, system_state, e_i_index,
                      u: ConservingUnitary, model: JointModel):
-    """rho, U on battery-out ``e_f_index`` rows and battery-in ``e_i_index``
-    columns (system x system), and the unclamped transition probability."""
+    """rho, the (J, system, system) stack of U on battery-out ``e_f_index`` rows and
+    battery-in ``e_i_index`` columns, and the J unclamped transition probabilities.
+    One index may be a 1-D array of J entries; a pair of scalars is the stack of one."""
+    e_f, e_i = np.asarray(e_f_index), np.asarray(e_i_index)
     bdim = model.battery.dim
-    if not 0 <= e_i_index < bdim or not 0 <= e_f_index < bdim:
-        raise DimensionError("battery eigenstate index out of range")
+    both = np.concatenate((e_f, e_i), axis=None)
+    if e_f.ndim + e_i.ndim > 1 or ((both < 0) | (both >= bdim)).any():
+        raise DimensionError(f"battery indices must lie in 0 ... {bdim - 1}, at most one "
+                             "of them a 1-D array")
     rho = _system_density(system_state, model)
-    system = np.arange(model.system_cutoff) * bdim
-    sub = u.entries(system + e_f_index, system + e_i_index)
-    return rho, sub, float(np.einsum('an,nm,am->', sub.conj(), rho, sub).real)
+    system, ds = np.arange(model.system_cutoff) * bdim, model.system_cutoff
+    if e_i.ndim:   # one gather of every e_i's columns, (ds, J, ds) as laid out
+        sub = u.entries(system + e_f, (e_i[:, None] + system).ravel())
+        sub = sub.reshape(ds, e_i.size, ds).transpose(1, 0, 2)
+    else:
+        sub = u.entries((e_f.reshape(-1, 1) + system).ravel(), system + e_i).reshape(-1, ds, ds)
+    return rho, sub, np.einsum('jan,nm,jam->j', sub.conj(), rho, sub).real
 
 
-def transition_probability(e_f_index: int, system_state, e_i_index: int,
-                           u: ConservingUnitary, model: JointModel) -> float:
+def transition_probability(e_f_index, system_state, e_i_index,
+                           u: ConservingUnitary, model: JointModel):
     """Probability to find the battery in eigenstate ``e_f_index`` after
-    preparing (system_state) tensor |e_i_index><e_i_index| and applying U.
+    preparing (system_state) tensor |e_i_index><e_i_index| and applying U,
+    clamped at 0: a float, or an ndarray over whichever index is a 1-D array.
 
     Battery eigenstate indices are the flat (level, sector) indices
     ``2*level + sector``.
     """
-    return max(_transition_read(e_f_index, system_state, e_i_index, u, model)[2], 0.0)
+    prob = _transition_read(e_f_index, system_state, e_i_index, u, model)[2]
+    prob = np.where(prob < 0.0, 0.0, prob)   # as max(p, 0.0): keeps -0.0 and nan
+    return prob if np.ndim(e_f_index) or np.ndim(e_i_index) else float(prob[0])
 
 
 def conditional_photon_number(e_f_index: int, system_state, e_i_index: int,
@@ -512,7 +523,8 @@ def conditional_photon_number(e_f_index: int, system_state, e_i_index: int,
     """
     if which not in ("N", "N+1"):
         raise DomainError(f'which must be "N" or "N+1", got {which!r}')
-    rho, sub, prob = _transition_read(e_f_index, system_state, e_i_index, u, model)
+    rho, (sub,), (prob,) = _transition_read(e_f_index, system_state, e_i_index, u, model)
+    prob = float(prob)
     if prob <= prob_floor:
         raise UndefinedRatioError(
             f"transition probability {prob:.3e} at or below floor {prob_floor:.1e}"

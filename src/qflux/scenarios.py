@@ -452,10 +452,10 @@ def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
         params = cf.ScenarioParams(beta, float(model.omega_i), float(ratio))
         gamma_i, gamma_f = _photon_states(model, beta, sign)
         b_i = battery.basis_index(w0, dyn.SECTOR_INITIAL)
-        for w_meas in range(config.ladder_dim):
-            b_f = battery.basis_index(w_meas, dyn.SECTOR_FINAL)
-            p_fwd = dyn.transition_probability(b_f, gamma_i, b_i, u, model)
-            p_rev = dyn.transition_probability(b_i, gamma_f, b_f, u, model)
+        b_f = 2 * np.arange(config.ladder_dim) + dyn.SECTOR_FINAL   # every w_meas at once
+        p_fwds = dyn.transition_probability(b_f, gamma_i, b_i, u, model).tolist()
+        p_revs = dyn.transition_probability(b_i, gamma_f, b_f, u, model).tolist()
+        for w_meas, p_fwd, p_rev in zip(range(config.ladder_dim), p_fwds, p_revs):
             if p_fwd <= 1e-10 or p_rev <= 1e-10:   # the probability floor
                 report.provenance["dropped"]["below_floor"] += 1
                 continue
@@ -579,13 +579,14 @@ def run_jarzynski(config: ScenarioConfig, report: VerificationReport) -> None:
 def _emit_rows(report: VerificationReport, config: ScenarioConfig,
                header: Sequence[str], rows: list, plot: Optional[tuple] = None) -> list:
     """Write ``rows`` to ``<kind>.csv`` (and a ``<kind>.gp`` of ``plot`` =
-    (title, columns)) in the output directory; return them as read back."""
-    out = Path(config.out_dir or ".")
-    csv_path = write_csv(out / f"{report.kind}.csv", header, rows)
-    if plot is not None:
-        _write_gnuplot(out / f"{report.kind}.gp", csv_path.name, *plot)
-    report.provenance["csv"] = csv_path.name
-    return read_csv(csv_path)[1]
+    (title, columns)) in ``config.out_dir`` when set; return them as floats,
+    the values the CSV's 17 significant digits read back to exactly."""
+    if config.out_dir is not None:
+        csv_path = write_csv(Path(config.out_dir) / f"{report.kind}.csv", header, rows)
+        if plot is not None:
+            _write_gnuplot(csv_path.with_suffix(".gp"), csv_path.name, *plot)
+        report.provenance["csv"] = csv_path.name
+    return [[None if v is None else float(v) for v in row] for row in rows]
 
 
 def _default_chi_grid() -> tuple[float, ...]:

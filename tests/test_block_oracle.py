@@ -372,6 +372,26 @@ class TestReadsEqualDense:
                             for w in range(model.battery.ladder_dim)}
 
 
+class TestStackedReads:
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_stacked_transition_probability(self, model_and_unitary, direction):
+        # one index an array over every battery state: the same bits as one
+        # scalar read per entry, and as the dense oracle
+        model, u = model_and_unitary
+        um = dense(u)
+        gamma = fock.photon_added_state(0.9, model.system_mode(0), tail_tol=1.0)
+        b_0 = model.battery.basis_index(model.battery.ladder_dim // 2, 0)
+        stack = np.arange(model.battery.dim)
+        pairs = [(b, b_0) if direction == "forward" else (b_0, b) for b in stack.tolist()]
+        read = dyn.transition_probability(*((stack, gamma, b_0) if direction == "forward"
+                                            else (b_0, gamma, stack)), u, model)
+        assert isinstance(read, np.ndarray) and read.shape == stack.shape
+        scalars = [dyn.transition_probability(b_f, gamma, b_i, u, model) for b_f, b_i in pairs]
+        assert read.tobytes() == np.array(scalars).tobytes()
+        assert read.tolist() == [dense_transition(um, model, b_f, gamma.matrix, b_i)
+                                 for b_f, b_i in pairs]
+
+
 def fraction_partition(model):
     """The exact energies as Fractions in joint-index order, their equality
     classes ascending in energy, and the number of equal-energy pairs that

@@ -422,6 +422,30 @@ class TestTransitionReadGuards:
         with pytest.raises(DimensionError):
             _transition_reads(e_f, gamma, e_i, u, model)[read]()
 
+    # 2L would alias the joint rows of the next system level
+    @pytest.mark.parametrize("bad", [-1, 24, -24])
+    @pytest.mark.parametrize("side", ["e_f", "e_i"])
+    def test_battery_index_array_with_one_bad_entry(self, side, bad):
+        model, u, gamma = self.model_and_unitary()
+        stack = np.array([0, 7, bad, 23])
+        args = (stack, gamma, 7) if side == "e_f" else (7, gamma, stack)
+        with pytest.raises(DimensionError):
+            dyn.transition_probability(*args, u, model)
+
+    @pytest.mark.parametrize("e_f, e_i", [([1, 2], [7, 8]), ([[1, 2]], 7), (7, [[1, 2]])])
+    def test_battery_index_arrays_on_both_sides_or_not_1d(self, e_f, e_i):
+        model, u, gamma = self.model_and_unitary()
+        with pytest.raises(DimensionError):
+            dyn.transition_probability(np.array(e_f), gamma, np.array(e_i), u, model)
+
+    @pytest.mark.parametrize("side", ["e_f", "e_i"])
+    def test_empty_battery_index_array(self, side):
+        model, u, gamma = self.model_and_unitary()
+        empty = np.array([], dtype=int)
+        args = (empty, gamma, 7) if side == "e_f" else (7, gamma, empty)
+        read = dyn.transition_probability(*args, u, model)
+        assert isinstance(read, np.ndarray) and read.shape == (0,)
+
     # -1 used to alias U[d - 1, d - 1] and d escaped as a numpy IndexError
     @pytest.mark.parametrize("rows, cols", [([-1], [95]), ([96], [0]), ([0], [96]),
                                             ([3, 5], [0, -96]), ([], [96]), ([-1], [])])

@@ -306,6 +306,14 @@ class TestAlgebraPlumbing:
         energy = fock.expectation(h, fock.thermal_state(beta, mode))
         assert energy == pytest.approx(oracle, abs=1e-7)
 
+    @pytest.mark.parametrize("matrix", [np.diag([1.2, -0.2, 0.0]),
+                                        np.array([[0.5, 0.9, 0], [0.9, 0.5, 0], [0, 0, 0]])],
+                                ids=["diagonal", "off-diagonal"])
+    def test_density_with_a_negative_eigenvalue(self, matrix):
+        # unit trace and Hermitian, with eigenvalue -0.2 or -0.4
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            fock.DensityState(fock.HilbertSpace(3, "s"), matrix.astype(complex))
+
     def test_expectation_dimension_guard(self):
         mode = fock.OscillatorMode(1.0, 4)
         other = fock.thermal_state(2.0, fock.OscillatorMode(1.0, 5), 1e-2)

@@ -441,6 +441,14 @@ class TestFigureData:
             assert q_a == cf.q_align(p, 0.8, chi)
             assert q_s == cf.q_size(p, chi)
 
+    @pytest.mark.parametrize("kind", ["figure2", "figure3", "figure4", "sweep"])
+    def test_no_files_without_out_dir(self, kind, tmp_path, monkeypatch):
+        # out_dir unset used to write <kind>.csv and <kind>.gp into the cwd
+        monkeypatch.chdir(tmp_path)
+        report = sc.run_scenario(sc.default_config(kind, chi_grid=(0.2, 1.0)))
+        assert report.all_passed and "csv" not in report.provenance
+        assert list(tmp_path.iterdir()) == []
+
     def test_gnuplot_artifacts(self, tmp_path):
         sc.run_scenario(sc.default_config("figure4", chi_grid=(0.5,),
                                           out_dir=str(tmp_path)))
