@@ -83,7 +83,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (QfluxError, FloatingPointError, ZeroDivisionError, OverflowError) as exc:
+    except (QfluxError, ArithmeticError, MemoryError) as exc:
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
 

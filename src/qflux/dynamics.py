@@ -13,9 +13,9 @@ battery's own basis index is b = 2 w + s.
 
 A conserving unitary is block-diagonal over the degenerate eigenspaces of
 the joint Hamiltonian and is stored as those blocks only, zero-padded to the
-largest block; Q, transition probabilities and work distributions are
-evaluated from the blocks, Q from the system and battery factors of X and
-rho: no d x d array is ever formed.
+largest block. Transition reads and work distributions gather U's entries
+from them; Q, for one term or a stack of terms, pairs them with entries read
+from the system and battery factors of X and rho. No d x d array is formed.
 """
 
 from __future__ import annotations
@@ -415,52 +415,59 @@ def _block_pairs(energy: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, n
     return k, np.repeat(np.repeat(order, offsets.size), count)
 
 
-def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> float:
+def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> Union[float, np.ndarray]:
     """Tr[X U rho U^dag] for X = x_s (x) x_b and rho = rho_s (x) rho_b,
-    clamped to zero when within -1e-14 of it.
+    clamped to zero when within -1e-14 of it: a float, or for four stacks of
+    T factors, one per term, the length-T array of the terms' Q.
 
     ``x`` and ``rho`` are the factor pairs ``(system, battery)``, each an
     array or an ``OperatorMatrix``. Q sums Tr[X_lk U_k rho_kl U_l^dag] over
     the pairs of energy blocks (k, l) with E_k - E_l an energy offset of rho
     and E_l - E_k one of X, where k holds a nonzero row of rho and column of
-    X and l the converse. X_lk and rho_kl are gathered entrywise from the
-    factors. The pairs run widest first in one loop over chunks of at most
-    ``_PAIR_CHUNK`` entries per array, each padded to its widest block (U's
-    zero padding adds exact zeros for finite factors); no d x d array is
-    formed (README, "How a unitary is stored")."""
-    (x_s, x_b), (rho_s, rho_b) = (
-        [f.matrix if hasattr(f, "matrix") else np.asarray(f, dtype=complex) for f in pair]
-        for pair in (x, rho))
-    bdim = model.battery.dim
-    if ({x_s.shape, rho_s.shape} != {(model.system_cutoff,) * 2} or u.dim != model.dim
-            or {x_b.shape, rho_b.shape} != {(bdim, bdim)}):
+    X and l the converse; a stack visits the union of its terms' pairs, and
+    a pair outside a term's own adds exact zeros to it. The pairs run widest
+    first in chunks of at most ``_PAIR_CHUNK`` entries per array, each padded
+    to its widest block (U's zero padding adds exact zeros for finite
+    factors); per chunk, U's slices and the flat indices from which each term
+    ``take``s X_lk and rho_kl are made once (README, "How a unitary is stored")."""
+    factors = [np.ascontiguousarray(f.matrix if hasattr(f, "matrix") else f, dtype=complex)
+               for f in (*x, *rho)]
+    single = all(f.ndim == 2 for f in factors)
+    x_s, x_b, rho_s, rho_b = (f[None] if single else f for f in factors)
+    terms, ds, bdim = x_s.shape[:1], model.system_cutoff, model.battery.dim
+    if (terms == (0,) or {x_s.shape, rho_s.shape} != {terms + (ds, ds)} or u.dim != model.dim
+            or {x_b.shape, rho_b.shape} != {terms + (bdim, bdim)}):
         raise DimensionError(f"factors {x_s.shape, x_b.shape}, {rho_s.shape, rho_b.shape} "
                              f"and U of dim {u.dim} do not fit the model")
 
-    def holds(f_s, f_b, axis):   # per block: a nonzero row (1) or column (0)
-        return np.bincount(u.block, np.outer(f_s.any(axis), f_b.any(axis)).ravel()) > 0
+    def holds(f_s, f_b, axis):   # per term and block: a nonzero row (-1) or column (-2)
+        return np.array([np.bincount(u.block, np.outer(a, b).ravel()) > 0
+                         for a, b in zip(f_s.any(axis), f_b.any(axis))])
 
-    k, l = _block_pairs(model.levels[u.indices[:, 0]],
-                        np.intersect1d(_energy_offsets(rho_s, rho_b, model),
-                                       -_energy_offsets(x_s, x_b, model)))
-    keep = (holds(rho_s, rho_b, 1) & holds(x_s, x_b, 0))[k] & \
-        (holds(rho_s, rho_b, 0) & holds(x_s, x_b, 1))[l]
+    k, l = _block_pairs(model.levels[u.indices[:, 0]], np.unique(np.concatenate(
+        [np.intersect1d(_energy_offsets(*r, model), -_energy_offsets(*f, model))
+         for r, f in zip(zip(rho_s, rho_b), zip(x_s, x_b))])))
+    keep = ((holds(rho_s, rho_b, -1) & holds(x_s, x_b, -2))[:, k]
+            & (holds(rho_s, rho_b, -2) & holds(x_s, x_b, -1))[:, l]).any(axis=0)
     width = np.maximum(u.size[k], u.size[l])
     order = np.flatnonzero(keep)[np.argsort(-width[keep], kind="stable")]
     k, l, width = k[order], l[order], width[order]
-    total, at = 0j, 0
+    n, b = np.divmod(u.indices, bdim)
+    total, at = np.zeros(terms, dtype=complex), 0
     while at < k.size:   # widths descend: a chunk's first pair is its widest
         w = width[at]
         stop = at + max(1, _PAIR_CHUNK // w ** 2)
         p_k, p_l = k[at:stop], l[at:stop]
-        n_k, b_k = np.divmod(u.indices[p_k, :w, None], bdim)
-        n_l, b_l = np.divmod(u.indices[p_l, None, :w], bdim)
-        rho_kl = rho_s[n_k, n_l] * rho_b[b_k, b_l]
-        x_lk_t = x_s[n_l, n_k] * x_b[b_l, b_k]
-        u_k, u_l = u.matrices[p_k, :w, :w], u.matrices[p_l, :w, :w]
-        total += np.einsum('pab,pab->', x_lk_t, u_k @ rho_kl @ u_l.conj().transpose(0, 2, 1))
+        n_k, b_k, n_l, b_l = n[p_k, :w, None], b[p_k, :w, None], n[p_l, None, :w], b[p_l, None, :w]
+        s_kl, b_kl, s_lk, b_lk = n_k * ds + n_l, b_k * bdim + b_l, n_l * ds + n_k, b_l * bdim + b_k
+        u_k, u_l_dag = u.matrices[p_k, :w, :w], u.matrices[p_l, :w, :w].conj().transpose(0, 2, 1)
+        for t in range(total.size):
+            rho_kl = rho_s[t].take(s_kl) * rho_b[t].take(b_kl)
+            x_lk_t = x_s[t].take(s_lk) * x_b[t].take(b_lk)
+            total[t] += np.einsum('pab,pab->', x_lk_t, u_k @ rho_kl @ u_l_dag)
         at = stop
-    return 0.0 if -1e-14 <= total.real < 0.0 else float(total.real)
+    q = np.where((-1e-14 <= total.real) & (total.real < 0.0), 0.0, total.real)
+    return float(q[0]) if single else q
 
 
 def _system_density(system_state, model: JointModel) -> np.ndarray:
@@ -523,6 +530,8 @@ def conditional_photon_number(e_f_index: int, system_state, e_i_index: int,
     """
     if which not in ("N", "N+1"):
         raise DomainError(f'which must be "N" or "N+1", got {which!r}')
+    if np.ndim(e_f_index) or np.ndim(e_i_index):
+        raise DimensionError("conditional_photon_number takes scalar battery indices")
     rho, (sub,), (prob,) = _transition_read(e_f_index, system_state, e_i_index, u, model)
     prob = float(prob)
     if prob <= prob_floor:

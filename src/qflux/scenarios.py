@@ -381,8 +381,9 @@ def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
         rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta).matrix
         rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta).matrix
 
-        q_f = dyn.q_quantity((x_s_f, x_b_f), (rho_s_i, rho_b_i), u, model)
-        q_r = dyn.q_quantity((x_s_i, x_b_i), (rho_s_f, rho_b_f), u, model)
+        q_f, q_r = dyn.q_quantity((np.array((x_s_f, x_s_i)), np.array((x_b_f, x_b_i))),
+                                  (np.array((rho_s_i, rho_s_f)), np.array((rho_b_i, rho_b_f))),
+                                  u, model).tolist()
         if q_f <= 1e-12 or q_r <= 1e-12:
             continue
         d_f_tilde = gibbs.gen_free_energy_diff(beta, h_i, x_s_i, h_f, x_s_f)
@@ -495,15 +496,15 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
     else:
         pairs = [(n_i, p, n_f, p) for n_i in n_grid for n_f in n_grid
                  if n_i != n_f for p in p_grid]
-    eye_s = np.eye(config.system_cutoff, dtype=complex)
+    eye_s = np.array([np.eye(config.system_cutoff, dtype=complex)] * 2)   # forward, reverse
     ladder = cache(_binomial_ladder_projector)   # each binomial state built once per scan
     for model, chi_b, beta, u in _dynamics_scan(
             config, report, ("below_floor",), [(Fraction(1), Fraction(1))],
             config.chi_grid or (0.1, 0.5, 1.0), by_spacing=True):
         battery, spacing = model.battery, float(model.battery.spacing)
         h_b = battery.hamiltonian().matrix
-        gamma = fock.thermal_state(beta, model.system_mode(dyn.SECTOR_INITIAL),
-                                   tail_tol=1.0)
+        gamma = np.array([fock.thermal_state(beta, model.system_mode(dyn.SECTOR_INITIAL),
+                                             tail_tol=1.0).matrix] * 2)
         # each Gibbs map made once per chi; the projectors are rebuilt on use, so
         # the maps take the place of the full projectors in memory
         prepared = cache(lambda *key: gibbs.gibbs_map(
@@ -513,8 +514,8 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
             x_b_f = _binomial_battery_projector(battery, n_f, p_f, dyn.SECTOR_FINAL, ladder)
             rho_b_i = prepared(n_i, p_i, dyn.SECTOR_INITIAL)
             rho_b_f = prepared(n_f, p_f, dyn.SECTOR_FINAL)
-            p_fwd = dyn.q_quantity((eye_s, x_b_f), (gamma, rho_b_i), u, model)
-            p_rev = dyn.q_quantity((eye_s, x_b_i), (gamma, rho_b_f), u, model)
+            p_fwd, p_rev = dyn.q_quantity((eye_s, np.array((x_b_f, x_b_i))),
+                                          (gamma, np.array((rho_b_i, rho_b_f))), u, model).tolist()
             if p_fwd <= 1e-12 or p_rev <= 1e-12:
                 report.provenance["dropped"]["below_floor"] += 1
                 continue

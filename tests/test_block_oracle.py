@@ -14,6 +14,7 @@ every joint energy as a ``Fraction`` and groups equal ones in a dict.
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -286,6 +287,103 @@ class TestPairSelection:
                     for d in (model.system_cutoff, model.battery.dim))
         assert dyn.q_quantity(x, rho, u, model) == 0.0
         assert abs(product_q(x, rho, u)) <= 1e-12
+
+
+def shared_terms(model):
+    """Three (x, rho) terms with one pair set: the binomial suites' forward
+    and reverse terms, and a forward term at other weights. A binomial state
+    at 0 < p < 1 spans the same levels for every p."""
+    on = partial(_binomial_battery_projector, model.battery, 3)   # (p, sector)
+    eye = np.eye(model.system_cutoff, dtype=complex)
+    gamma = fock.thermal_state(0.8, model.system_mode(0), tail_tol=1.0).matrix
+    return [((eye, on(0.4, 1)), (gamma, on(0.2, 0))), ((eye, on(0.2, 0)), (gamma, on(0.4, 1))),
+            ((eye, on(0.7, 1)), (gamma, on(0.4, 0)))]
+
+
+def sector_terms(model):
+    """Three (x, rho) terms with different pair sets: forward and reverse on
+    opposite switch sectors, the reverse with the one-sided x_s = N + a, and
+    one of dense factors, which visits every pair."""
+    rng = np.random.default_rng(9)
+    cutoff = model.system_cutoff
+    on = [_binomial_battery_projector(model.battery, 3, 0.4, sector) for sector in (0, 1)]
+    raising = (np.diag(np.arange(cutoff, dtype=complex))
+               + np.diag(np.sqrt(np.arange(1, cutoff)), 1))
+    rho_s = random_factor(rng, cutoff) / cutoff
+    dims = (cutoff, model.battery.dim)
+    return [((np.eye(cutoff, dtype=complex), on[1]), (rho_s, on[0])),
+            ((raising, on[0]), (rho_s, on[1])),
+            (tuple(random_factor(rng, d) for d in dims),
+             tuple(random_factor(rng, d) / d for d in dims))]
+
+
+def stacked(terms):
+    """The terms as one (x, rho) pair of factor stacks."""
+    return tuple(tuple(np.stack([term[i][j] for term in terms]) for j in (0, 1))
+                 for i in (0, 1))
+
+
+def single_calls(terms, u, model, monkeypatch):
+    """One Q call per term, and whether the terms' offset sets all agree."""
+    offsets, real = [], dyn._block_pairs
+    monkeypatch.setattr(dyn, "_block_pairs",
+                        lambda energy, off: offsets.append(off) or real(energy, off))
+    singles = [dyn.q_quantity(x, rho, u, model) for x, rho in terms]
+    monkeypatch.setattr(dyn, "_block_pairs", real)
+    return singles, all(np.array_equal(off, offsets[0]) for off in offsets)
+
+
+class TestStackedQ:
+    """Q on stacks of factor pairs. Terms that share one pair set get the
+    bits of one call each; terms with different sets share the union's
+    chunks, so their sums may round differently."""
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_shared_pairs_give_the_single_calls_bits(self, model_and_unitary, monkeypatch,
+                                                     size):
+        model, u = model_and_unitary
+        terms = shared_terms(model)[:size]
+        singles, shared = single_calls(terms, u, model, monkeypatch)
+        assert shared
+        got = dyn.q_quantity(*stacked(terms), u, model)
+        assert isinstance(got, np.ndarray) and got.shape == (size,)
+        assert got.tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_different_pairs_match_the_single_calls(self, model_and_unitary, monkeypatch,
+                                                    size):
+        model, u = model_and_unitary
+        terms = sector_terms(model)[-size:]
+        singles, shared = single_calls(terms, u, model, monkeypatch)
+        assert not shared
+        got = dyn.q_quantity(*stacked(terms), u, model)
+        assert got.shape == (size,)
+        for q, single in zip(got.tolist(), singles):
+            assert abs(q - single) <= 1e-13 * abs(single)
+
+    def test_each_term_matches_dense(self, model_and_unitary):
+        model, u = model_and_unitary
+        terms = sector_terms(model)
+        got = dyn.q_quantity(*stacked(terms), u, model)
+        for q, (x, rho) in zip(got.tolist(), terms):
+            ref = product_q(x, rho, u)
+            assert abs(q - ref) <= 1e-12 * abs(ref)
+
+    def test_two_d_call_gives_a_float(self, model_and_unitary):
+        model, u = model_and_unitary
+        x, rho = sector_terms(model)[0]
+        assert type(dyn.q_quantity(x, rho, u, model)) is float
+
+    @pytest.mark.parametrize("shape", ["unequal-length", "mixed-2d", "empty"])
+    def test_malformed_stacks(self, shape):
+        model = MODELS["ratio-2"]()
+        u = SAMPLERS["conserving"](model, 23)
+        (x_s, x_b), (rho_s, rho_b) = stacked(sector_terms(model))
+        x, rho = {"unequal-length": ((x_s, x_b[:2]), (rho_s, rho_b)),
+                  "mixed-2d": ((x_s, x_b), (rho_s[0], rho_b)),
+                  "empty": ((x_s[:0], x_b[:0]), (rho_s[:0], rho_b[:0]))}[shape]
+        with pytest.raises(DimensionError):
+            dyn.q_quantity(x, rho, u, model)
 
 
 class TestEnergyOffsets:
@@ -616,14 +714,18 @@ class TestMemory:
         rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta)
         rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta)
         eye_s = np.eye(model.system_cutoff, dtype=complex)
+        stack = ((np.stack((eye_s, eye_s)), np.stack((x_b_f, x_b_i))),
+                 (np.stack((gamma.matrix,) * 2), np.stack((rho_b_i.matrix, rho_b_f.matrix))))
         tracemalloc.start()
         try:
             p_fwd = dyn.q_quantity((eye_s, x_b_f), (gamma, rho_b_i), u, model)
             p_rev = dyn.q_quantity((eye_s, x_b_i), (gamma, rho_b_f), u, model)
+            both = dyn.q_quantity(*stack, u, model)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2 ** 20
+        assert both.tolist() == [p_fwd, p_rev]   # one pair set: the same bits
         assert p_fwd > 1e-12 and p_rev > 1e-12
         predicted = math.exp(beta * cf.q_align(p_i, p_f, chi)
                              * cf.w_q_align(n, p_i, p_f, beta, spacing))

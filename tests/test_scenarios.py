@@ -538,6 +538,16 @@ class TestCli:
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
 
+    def test_memory_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        # a unitary too large to allocate is a numeric error, not a traceback
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB for an array")
+        monkeypatch.setattr(sc.dyn, "_sample", exhausted)
+        code = cli.main(["jarzynski", "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric error: MemoryError: Unable to allocate 1.00 TiB for an array"]
+
     def test_tolerance_override_forces_failure(self, tmp_path, capsys):
         code = cli.main(["figure2", "--out", str(tmp_path),
                          "--tolerance", "0"])
