@@ -347,9 +347,16 @@ def _block_signature(model: JointModel, block: np.ndarray) -> bytes:
 def translation_reach(model: JointModel) -> int:
     """Largest battery-level change any single interaction can produce:
     ceil(system spectral spread / ladder spacing), computed exactly."""
-    omegas = (model.omega_i, model.omega_f)
-    spread = max(omegas) * Fraction(2 * model.system_cutoff - 1, 2) - min(omegas) / 2
-    return int(math.ceil(spread / model.battery.spacing))
+    return reach_for(model.omega_i, model.omega_f, model.system_cutoff,
+                     model.battery.spacing)
+
+
+def reach_for(omega_i: RationalLike, omega_f: RationalLike, system_cutoff: int,
+              spacing: RationalLike) -> int:
+    """``translation_reach`` of the model these would build, without building it."""
+    omegas = (Fraction(omega_i), Fraction(omega_f))
+    spread = max(omegas) * Fraction(2 * system_cutoff - 1, 2) - min(omegas) / 2
+    return int(math.ceil(spread / Fraction(spacing)))
 
 
 def sample_translation_invariant_unitary(model: JointModel,

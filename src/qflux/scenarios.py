@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
@@ -214,22 +214,60 @@ class VerificationReport:
         return [c for c in self.cases if not c.passed]
 
     def to_dict(self) -> dict:
+        """The report as plain data; every case a fresh dict with its own
+        copy of ``inputs``."""
         return {
             "kind": self.kind,
             "tolerance": self.tolerance,
             "provenance": self.provenance,
             "summary": self.summary,
-            "cases": [asdict(c) for c in self.cases],
+            "cases": [{"key": c.key, "inputs": dict(c.inputs), "simulated": c.simulated,
+                       "closed_form": c.closed_form, "abs_dev": c.abs_dev,
+                       "rel_dev": c.rel_dev, "passed": c.passed} for c in self.cases],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, byte for
+        byte, with each case written from its fixed layout: json's indent
+        encoder runs in pure Python, the flat one in C. TypeError for an
+        ``inputs`` value that is a dict, list or tuple."""
+        head = json.dumps({"kind": self.kind, "tolerance": self.tolerance,
+                           "provenance": self.provenance, "summary": self.summary},
+                          indent=2, sort_keys=True)
+        cases = ",\n".join(map(_case_json, self.cases))
+        return '{\n  "cases": ' + (f"[\n{cases}\n  ]" if cases else "[]") + ",\n" + head[2:]
 
     def write(self, path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.to_json() + "\n")
         return path
+
+
+#: json's C encoder lays out a flat ``inputs`` dict at its indent in the report
+_INPUTS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n" + " " * 8, ": "))
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_json(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _case_json(case: CaseRecord) -> str:
+    """One case as ``json.dumps(..., indent=2)`` writes it inside a report."""
+    inputs = case.inputs
+    if any(isinstance(v, (dict, list, tuple)) for v in inputs.values()):
+        raise TypeError(f"case {case.key!r}: inputs must hold no dict, list or tuple")
+    inputs = ("{\n        " + _INPUTS_ENCODER.encode(inputs)[1:-1] + "\n      }"
+              if inputs else "{}")
+    return (f'    {{\n      "abs_dev": {_float_json(case.abs_dev)},\n'
+            f'      "closed_form": {_float_json(case.closed_form)},\n'
+            f'      "inputs": {inputs},\n'
+            f'      "key": {json.encoder.encode_basestring_ascii(case.key)},\n'
+            f'      "passed": {"true" if case.passed else "false"},\n'
+            f'      "rel_dev": {_float_json(case.rel_dev)},\n'
+            f'      "simulated": {_float_json(case.simulated)}\n    }}')
 
 
 def _record(report: VerificationReport, key: str, inputs: dict,
@@ -406,22 +444,23 @@ def _dynamics_scan(config: ScenarioConfig, report: VerificationReport,
     """Yield ``(model, chi, beta, U)`` per (omega_i, omega_f) in ``frequencies``
     and chi in ``chis``: one model per pair, beta = 2 chi / omega_i (or / the
     ladder spacing, ``by_spacing``), U translation invariant on the middle
-    ladder level if asked (ConfigError without an interior). U's seed is keyed
-    by (config seed, kind, flat grid index). No yielded U is kept here: drop
-    yours before the next point and one U is alive at a time. Starts
-    ``provenance["dropped"]`` at zero per reason."""
+    ladder level if asked (ConfigError without an interior, raised before the
+    pair's model is built). U's seed is keyed by (config seed, kind, flat grid
+    index). No yielded U is kept here: drop yours before the next point and one
+    U is alive at a time. Starts ``provenance["dropped"]`` at zero per reason."""
     report.provenance["dropped"] = dict.fromkeys(reasons, 0)
     suite = int.from_bytes(config.kind.encode(), "little")
+    middle = (config.ladder_dim - 1) // 2
     for pair, (omega_i, omega_f) in enumerate(frequencies):
-        battery = dyn.SwitchedBattery(config.ladder_dim,
-                                      dyn.battery_spacing_for(omega_i, omega_f))
+        spacing = dyn.battery_spacing_for(omega_i, omega_f)
+        if translation_invariant and (reach := dyn.reach_for(
+                omega_i, omega_f, config.system_cutoff, spacing)) > middle:
+            raise ConfigError(f"ladder_dim {config.ladder_dim} leaves no interior "
+                              f"window (translation reach {reach})")
+        battery = dyn.SwitchedBattery(config.ladder_dim, spacing)
         model = dyn.build_joint_model(omega_i, omega_f, config.system_cutoff, battery)
         blocks = dyn.spectral_blocks(model)
         scale = float(battery.spacing if by_spacing else omega_i)
-        middle = (battery.ladder_dim - 1) // 2
-        if translation_invariant and (reach := dyn.translation_reach(model)) > middle:
-            raise ConfigError(f"ladder_dim {battery.ladder_dim} leaves no interior "
-                              f"window (translation reach {reach})")
         for point, chi in enumerate(chis):
             key = (suite, pair * len(chis) + point)   # the flat grid index
             seed = int(np.random.SeedSequence(config.seed, spawn_key=key)
@@ -827,7 +866,7 @@ def verify_all(seed: int = 2024, budget_seconds: float = 600.0,
     configs = [default_config(kind, seed=seed, out_dir=out_dir, tolerance=tolerance)
                for kind in SUITES]
     t0 = time.perf_counter()
-    results: dict = {"seed": seed, "tool_version": __version__, "suites": {}}
+    reports: dict[str, VerificationReport] = {}
     for config in configs:
         elapsed = time.perf_counter() - t0
         if elapsed > budget_seconds:
@@ -835,14 +874,22 @@ def verify_all(seed: int = 2024, budget_seconds: float = 600.0,
                 f"verification exceeded budget: {elapsed:.1f}s > {budget_seconds}s "
                 f"before suite {config.kind!r}"
             )
-        results["suites"][config.kind] = run_scenario(config).to_dict()
-    results["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
-    results["all_passed"] = all(s["summary"]["all_passed"]
-                                for s in results["suites"].values())
+        reports[config.kind] = run_scenario(config)
+    results = {"seed": seed, "tool_version": __version__,
+               "suites": {kind: report.to_dict() for kind, report in reports.items()},
+               "elapsed_seconds": round(time.perf_counter() - t0, 3),
+               "all_passed": all(r.all_passed for r in reports.values())}
     if out_dir is not None:
+        # json.dumps(results minus elapsed_seconds, indent=2, sort_keys=True):
+        # each report's own JSON, indented two levels deeper (json escapes
+        # every newline inside a string, so each "\n" is a line break)
+        nested = {kind: reports[kind].to_json().replace("\n", "\n    ")
+                  for kind in sorted(reports)}
+        suites = ",\n    ".join(f"{json.dumps(kind)}: {text}" for kind, text in nested.items())
         path = Path(out_dir) / "verify.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = dict(results)
-        payload.pop("elapsed_seconds")     # keep report bytes seed-deterministic
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(f'{{\n  "all_passed": {json.dumps(results["all_passed"])},\n'
+                        f'  "seed": {json.dumps(seed)},\n'
+                        f'  "suites": {{\n    {suites}\n  }},\n'
+                        f'  "tool_version": {json.dumps(__version__)}\n}}\n')
     return results

@@ -233,6 +233,99 @@ class TestReports:
         assert not report.all_passed
 
 
+def _dumps(payload) -> str:
+    """The layout every report and verify.json must reproduce byte for byte."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _lines(text: str) -> list[str]:
+    """A text as its lines, ends kept: a mismatch of two large files is
+    reported by its first differing line, where a str diff takes minutes."""
+    return text.splitlines(keepends=True)
+
+
+def _report(cases) -> sc.VerificationReport:
+    return sc.VerificationReport("figure2", 1e-12, list(cases),
+                                 {"kind": "figure2", "seed": 3}).finalize()
+
+
+_ODD_CASES = [
+    sc.CaseRecord("chi-nan", {"chi": 0.5}, math.nan, 1.0, math.nan, math.nan, False),
+    sc.CaseRecord("chi-inf", {"chi": 1e-05, "n": 3}, math.inf, 2.5, math.inf,
+                  -math.inf, False),
+    sc.CaseRecord('quote"back\\slash-χ\né', {"label": 'a"\\é\n'},
+                  1e+16, -0.0, 5e-324, 1.7976931348623157e308, True),
+    sc.CaseRecord("empty-inputs", {}, 0.1, 0.1, 0.0, 0.0, True),
+    sc.CaseRecord("mixed", {"n": 7, "name": "added", "x": np.float64(0.3),
+                            "flag": True, "none": None, "neg": -2},
+                  np.float64(1 / 3), 1.0, np.float64(2 / 3), 2.0, False),
+]
+
+
+class TestReportJson:
+    """to_json writes each case from a fixed layout; its bytes must be those
+    of json.dumps(to_dict(), indent=2, sort_keys=True)."""
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_every_suite_and_verify_json_match_json_dumps(self, tmp_path, seed):
+        results = sc.verify_all(seed=seed, out_dir=str(tmp_path))
+        for kind, suite in results["suites"].items():
+            assert _lines((tmp_path / f"{kind}.json").read_text()) == \
+                _lines(_dumps(suite) + "\n"), kind
+        payload = {k: v for k, v in results.items() if k != "elapsed_seconds"}
+        assert _lines((tmp_path / "verify.json").read_text()) == \
+            _lines(_dumps(payload) + "\n")
+
+    def test_report_without_cases(self):
+        report = _report([])
+        assert report.to_json() == _dumps(report.to_dict())
+        assert '"cases": [],' in report.to_json()
+
+    @pytest.mark.parametrize("case", _ODD_CASES, ids=lambda c: c.key.split("-")[0])
+    def test_edge_case(self, case):
+        report = _report([case])
+        assert report.to_json() == _dumps(report.to_dict())
+
+    def test_edge_cases_together_and_inside_verify_json(self, tmp_path, monkeypatch):
+        report = _report(_ODD_CASES)
+        assert report.to_json() == _dumps(report.to_dict())
+        monkeypatch.setattr(sc, "run_scenario", lambda config: report)
+        results = sc.verify_all(seed=1, out_dir=str(tmp_path))
+        payload = {k: v for k, v in results.items() if k != "elapsed_seconds"}
+        assert (tmp_path / "verify.json").read_text() == _dumps(payload) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(cases=st.lists(st.builds(
+        sc.CaseRecord, st.text(),
+        st.dictionaries(st.text(), st.one_of(st.floats(), st.integers(), st.text(),
+                                             st.booleans(), st.none())),
+        st.floats(), st.floats(), st.floats(), st.floats(), st.booleans()),
+        max_size=4, unique_by=lambda c: c.key))
+    def test_random_flat_cases(self, cases):
+        report = _report(cases)
+        assert report.to_json() == _dumps(report.to_dict())
+
+    @pytest.mark.parametrize("nested", [{"a": 1}, [1, 2], (1, 2), {}, []])
+    def test_nested_inputs_raise(self, nested):
+        report = _report([sc.CaseRecord("k", {"chi": 0.5, "deep": nested},
+                                        1.0, 1.0, 0.0, 0.0, True)])
+        with pytest.raises(TypeError):
+            report.to_json()
+
+    def test_to_dict_copies_cases(self):
+        report = _report(_ODD_CASES)
+        before = report.to_json()
+        data = report.to_dict()
+        data["cases"][0]["inputs"]["chi"] = 99.0
+        data["cases"][0]["inputs"]["extra"] = 1
+        data["cases"][0]["simulated"] = 42.0
+        data["cases"].pop()
+        assert report.to_json() == before
+        again = report.to_dict()
+        assert again["cases"][0] is not data["cases"][0]
+        assert again["cases"][0]["inputs"] is not report.cases[0].inputs
+
+
 class TestCrooksDropCounts:
     """Every candidate (ratio, chi, level) transition of a crooks scan is
     either a case or counted under one drop reason."""
@@ -547,6 +640,31 @@ class TestCli:
         assert code == 3
         assert capsys.readouterr().err.splitlines() == [
             "numeric error: MemoryError: Unable to allocate 1.00 TiB for an array"]
+
+    def test_window_checked_before_the_model_is_built(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # 3000 x 4000 would build a d = 24e6 model before the old check ran
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("build_joint_model ran before the window check")
+        monkeypatch.setattr(sc.dyn, "build_joint_model", unbuilt)
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"system_cutoff": 3000, "ladder_dim": 4000}))
+        code = cli.main(["jarzynski", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: ladder_dim 4000 leaves no interior window "
+            "(translation reach 11997)"]
+
+    @pytest.mark.parametrize("ladder_dim, fits", [(35, True), (34, False)])
+    def test_window_check_agrees_with_the_sampler(self, ladder_dim, fits):
+        # omega 1 -> 2 at cutoff 5 reaches 17 levels: the middle of a
+        # 35-level ladder is the one interior level, a 34-level one has none
+        cfg = sc.default_config("jarzynski", ladder_dim=ladder_dim, chi_grid=(0.5,))
+        if fits:
+            assert sc.run_scenario(cfg).summary["cases"] == 4
+        else:
+            with pytest.raises(ConfigError, match=r"translation reach 17\)"):
+                sc.run_scenario(cfg)
 
     def test_tolerance_override_forces_failure(self, tmp_path, capsys):
         code = cli.main(["figure2", "--out", str(tmp_path),
