@@ -575,13 +575,9 @@ def work_distribution(direction: str, system_state, reference_level: int,
                 f"reference level {reference_level} outside the guaranteed "
                 f"window [{lo}, {hi}]"
             )
-    rho = _system_density(system_state, model)
     b_in = model.battery.basis_index(reference_level, sector)
-    cols = np.arange(model.system_cutoff) * model.battery.dim + b_in
-    amp = u.entries(np.arange(model.dim), cols)
-    per_row = np.einsum('rn,nm,rm->r', amp.conj(), rho, amp).real
-    per_row = per_row.reshape(model.system_cutoff, ladder, 2)
-    per_level = per_row.sum(axis=(0, 2))
+    prob = _transition_read(np.arange(model.battery.dim), system_state, b_in, u, model)[2]
+    per_level = prob.reshape(ladder, 2).sum(axis=1)
     spacing = model.battery.spacing
     return {spacing * (reference_level - w): float(per_level[w])
             for w in range(ladder)}

@@ -109,7 +109,8 @@ def gibbs_map(x, h, beta: float) -> DensityState:
     if xm.shape[0] != energies.size:
         raise DimensionError(f"dim mismatch {xm.shape[0]} vs {energies.size}")
     w = np.exp(-beta * (energies - energies.min()) / 2.0)
-    mapped = (w[:, None] * xm * w[None, :]).T
+    mapped = np.multiply(xm.T, w[None, :], order="C")   # (w_b x_ba) w_a, C-ordered
+    mapped *= w[:, None]
     norm = np.trace(mapped).real
     if not norm > MIN_NORMALIZER:
         raise DegenerateMapError(

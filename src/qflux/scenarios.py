@@ -3,8 +3,10 @@ regeneration, parameter sweeps, machine-readable reports.
 
 Reports are deterministic functions of (config, seed): no timestamps, cases
 sorted by key, floats serialized with full round-trip precision. Every CSV row
-can be recomputed from its recorded inputs with library calls alone, and the
-figure runners do exactly that as a self-check before reporting success.
+can be recomputed from its recorded inputs with library calls alone. The figure
+runners record each row's cases from that row's own values: figure2 checks its
+columns against each other, while figure3, figure4 and sweep compare a value
+with itself until they get independent checks (ROADMAP item 7).
 """
 
 from __future__ import annotations
@@ -617,67 +619,52 @@ def run_jarzynski(config: ScenarioConfig, report: VerificationReport) -> None:
 # ---------------------------------------------------------------------------
 
 def _emit_rows(report: VerificationReport, config: ScenarioConfig,
-               header: Sequence[str], rows: list, plot: Optional[tuple] = None) -> list:
+               header: Sequence[str], rows: list, plot: Optional[tuple] = None) -> None:
     """Write ``rows`` to ``<kind>.csv`` (and a ``<kind>.gp`` of ``plot`` =
-    (title, columns)) in ``config.out_dir`` when set; return them as floats,
-    the values the CSV's 17 significant digits read back to exactly."""
+    (title, columns)) in ``config.out_dir`` when set."""
     if config.out_dir is not None:
         csv_path = write_csv(Path(config.out_dir) / f"{report.kind}.csv", header, rows)
         if plot is not None:
             _write_gnuplot(csv_path.with_suffix(".gp"), csv_path.name, *plot)
         report.provenance["csv"] = csv_path.name
-    return [[None if v is None else float(v) for v in row] for row in rows]
 
 
-def _default_chi_grid() -> tuple[float, ...]:
-    return tuple(float(c) for c in np.logspace(np.log10(0.01), np.log10(4.0), 60))
+def _chi_points(config: ScenarioConfig):
+    """Yield ``(chi, beta, params)`` over the chi grid (default: 60 log-spaced
+    points on [0.01, 4]), beta = 2 chi / omega_i."""
+    omega_i, omega_f = float(config.omega_i), float(config.omega_f)
+    for chi in config.chi_grid or np.logspace(np.log10(0.01), np.log10(4.0), 60).tolist():
+        beta = 2.0 * chi / omega_i
+        yield chi, beta, cf.ScenarioParams(beta, omega_i, omega_f)
 
 
 def run_figure2(config: ScenarioConfig, report: VerificationReport) -> None:
     """Generalized free-energy curves (energies in units of k_B T) versus chi
     for the added/subtracted protocols at omega_f = 1.5 omega_i."""
-    chis = config.chi_grid or _default_chi_grid()
-    omega_i = float(config.omega_i)
-    omega_f = float(config.omega_f)
     header = ["chi", "dF", "twodF", "dEvac", "dFplus", "dFminus"]
     rows = []
-    for chi in chis:
-        beta = 2.0 * chi / omega_i
-        params = cf.ScenarioParams(beta, omega_i, omega_f)
-        rows.append([chi,
-                     beta * cf.delta_F(params),
-                     2.0 * beta * cf.delta_F(params),
-                     beta * cf.delta_E_vac(params),
-                     beta * cf.gen_free_energy_pm(params, +1),
-                     beta * cf.gen_free_energy_pm(params, -1)])
-    plot = ("generalized free energies vs chi", header[1:])
-    for chi, df, twodf, devac, dfp, dfm in _emit_rows(report, config, header, rows, plot):
-        beta = 2.0 * chi / omega_i
-        params = cf.ScenarioParams(beta, omega_i, omega_f)
-        _record(report, f"chi={_fmt(chi)}",
-                {"chi": chi, "columns": "dFplus"},
-                dfp, beta * (2.0 * cf.delta_F(params) + cf.delta_E_vac(params)),
-                relative=False)
+    for chi, beta, params in _chi_points(config):
+        d_f, e_vac = cf.delta_F(params), cf.delta_E_vac(params)
+        twodf, devac = 2.0 * beta * d_f, beta * e_vac
+        dfp = beta * cf.gen_free_energy_pm(params, +1)
+        dfm = beta * cf.gen_free_energy_pm(params, -1)
+        rows.append([chi, beta * d_f, twodf, devac, dfp, dfm])
+        _record(report, f"chi={_fmt(chi)}", {"chi": chi, "columns": "dFplus"},
+                dfp, beta * (2.0 * d_f + e_vac), relative=False)
         _record(report, f"chi={_fmt(chi)}-consistency",
-                {"chi": chi, "columns": "twodF+dEvac"},
-                twodf + devac, dfp, relative=False)
-        _record(report, f"chi={_fmt(chi)}-minus",
-                {"chi": chi, "columns": "dFminus"},
+                {"chi": chi, "columns": "twodF+dEvac"}, twodf + devac, dfp, relative=False)
+        _record(report, f"chi={_fmt(chi)}-minus", {"chi": chi, "columns": "dFminus"},
                 dfm, twodf - devac, relative=False)
+    _emit_rows(report, config, header, rows, ("generalized free energies vs chi", header[1:]))
 
 
 def run_figure3(config: ScenarioConfig, report: VerificationReport) -> None:
     """Predicted forward/reverse ratio and prefactor versus chi for
     omega_f = 5 omega_i at the work values requested (defaults 0 and 2)."""
-    chis = config.chi_grid or _default_chi_grid()
-    omega_i = float(config.omega_i)
-    omega_f = float(config.omega_f)
-    works = config.w_values or (0.0, 2.0 * omega_i)
+    works = config.w_values or (0.0, 2.0 * float(config.omega_i))
     header = ["chi", "W", "R_plus", "R_minus", "rhs_plus", "rhs_minus", "classical"]
     rows = []
-    for chi in chis:
-        beta = 2.0 * chi / omega_i
-        params = cf.ScenarioParams(beta, omega_i, omega_f)
+    for chi, beta, params in _chi_points(config):
         for work in works:
             values = {}
             for sign, tag in ((+1, "plus"), (-1, "minus")):
@@ -685,78 +672,63 @@ def run_figure3(config: ScenarioConfig, report: VerificationReport) -> None:
                     values[f"R_{tag}"] = cf.prefactor_R(work, params, sign)
                     values[f"rhs_{tag}"] = cf.crooks_rhs_pm(work, params, sign)
                 except UndefinedRatioError:
-                    values[f"R_{tag}"] = None
-                    values[f"rhs_{tag}"] = None
+                    values[f"R_{tag}"] = values[f"rhs_{tag}"] = None
             classical = math.exp(beta * (work - cf.delta_F(params)))
             rows.append([chi, work, values["R_plus"], values["R_minus"],
                          values["rhs_plus"], values["rhs_minus"], classical])
-    plot = ("predicted ratio and prefactor vs chi", header[2:])
-    parsed = _emit_rows(report, config, header, rows, plot)
-    for chi, work, r_p, r_m, rhs_p, rhs_m, classical in parsed:
-        beta = 2.0 * chi / omega_i
-        params = cf.ScenarioParams(beta, omega_i, omega_f)
-        if r_p is not None:
-            _record(report, f"chi={_fmt(chi)}-W={_fmt(work)}-plus",
-                    {"chi": chi, "W": work}, r_p,
-                    cf.prefactor_R(work, params, +1), relative=True)
-        if rhs_m is not None:
-            _record(report, f"chi={_fmt(chi)}-W={_fmt(work)}-minus",
-                    {"chi": chi, "W": work}, rhs_m,
-                    cf.crooks_rhs_pm(work, params, -1), relative=True)
-        _record(report, f"chi={_fmt(chi)}-W={_fmt(work)}-classical",
-                {"chi": chi, "W": work}, classical,
-                math.exp(beta * (work - cf.delta_F(params))), relative=True)
+            for tag, value in (("plus", values["R_plus"]), ("minus", values["rhs_minus"]),
+                               ("classical", classical)):
+                if value is not None:
+                    _record(report, f"chi={_fmt(chi)}-W={_fmt(work)}-{tag}",
+                            {"chi": chi, "W": work}, value, value, relative=True)
+    _emit_rows(report, config, header, rows,
+               ("predicted ratio and prefactor vs chi", header[2:]))
 
 
 def run_figure4(config: ScenarioConfig, report: VerificationReport) -> None:
     """Distortion factors versus chi: q_align on the p_f = 0.8 slice and
     q_size, over the configured p grid."""
-    chis = config.chi_grid or _default_chi_grid()
     p_grid = config.p_grid or (0.2, 0.4, 0.6)
     p_f = 0.8
     header = ["chi", "p", "q_align_pf08", "q_size"]
     rows = []
-    for chi in chis:
+    for chi, _, _ in _chi_points(config):
         for p in p_grid:
             q_a = cf.q_align(p, p_f, chi) if p != p_f else None
-            rows.append([chi, p, q_a, cf.q_size(p, chi)])
-    plot = ("quantum distortion factors vs chi", header[2:])
-    for chi, p, q_a, q_s in _emit_rows(report, config, header, rows, plot):
-        if q_a is not None:
-            _record(report, f"chi={_fmt(chi)}-p={_fmt(p)}-align",
-                    {"chi": chi, "p": p, "p_f": p_f},
-                    q_a, cf.q_align(p, p_f, chi), relative=True)
-        _record(report, f"chi={_fmt(chi)}-p={_fmt(p)}-size",
-                {"chi": chi, "p": p}, q_s, cf.q_size(p, chi), relative=True)
+            q_s = cf.q_size(p, chi)
+            rows.append([chi, p, q_a, q_s])
+            if q_a is not None:
+                _record(report, f"chi={_fmt(chi)}-p={_fmt(p)}-align",
+                        {"chi": chi, "p": p, "p_f": p_f}, q_a, q_a, relative=True)
+            _record(report, f"chi={_fmt(chi)}-p={_fmt(p)}-size",
+                    {"chi": chi, "p": p}, q_s, q_s, relative=True)
+    _emit_rows(report, config, header, rows,
+               ("quantum distortion factors vs chi", header[2:]))
 
 
 def run_harmonic_limit(config: ScenarioConfig, report: VerificationReport) -> None:
     """Convergence of binomial batteries to the coherent limit: state overlap,
-    characteristic-function gap, and the distortion factor against tanh(chi)/chi."""
+    characteristic-function gap, and the distortion factor against tanh(chi)/chi.
+    Each size after the first is checked against the one before it."""
     lam = 1.0
-    sizes = config.n_grid or (8, 32, 128)
-    overlaps = []
-    supgaps = []
     t_grid = np.linspace(0.0, 6.0, 121)
-    for n in sizes:
+    previous = None
+    for n in config.n_grid or (8, 32, 128):
         space = fock.HilbertSpace(n + 2, "ladder")
         target = fock.coherent_state(math.sqrt(lam), space, tail_tol=0.5)
-        binom = fock.binomial_state(n, lam / n, space)
-        overlaps.append(1.0 - fock.state_fidelity(target, binom))
+        overlap = 1.0 - fock.state_fidelity(target, fock.binomial_state(n, lam / n, space))
         gap = max(abs(cf.char_fn_binomial(n, lam / n, 1.0, t)
                       - cf.char_fn_coherent(lam, 1.0, t)) for t in t_grid)
-        supgaps.append(gap)
-    for idx in range(1, len(sizes)):
-        _record(report, f"overlap-decreasing-{sizes[idx]}",
-                {"n": sizes[idx], "defect": overlaps[idx],
-                 "previous": overlaps[idx - 1]},
-                overlaps[idx], 0.0,
-                tolerance=overlaps[idx - 1], relative=False)
-        _record(report, f"charfn-decreasing-{sizes[idx]}",
-                {"n": sizes[idx], "gap": supgaps[idx], "previous": supgaps[idx - 1]},
-                supgaps[idx], 0.0, tolerance=supgaps[idx - 1], relative=False)
+        if previous is not None:
+            _record(report, f"overlap-decreasing-{n}",
+                    {"n": n, "defect": overlap, "previous": previous[0]},
+                    overlap, 0.0, tolerance=previous[0], relative=False)
+            _record(report, f"charfn-decreasing-{n}",
+                    {"n": n, "gap": gap, "previous": previous[1]},
+                    gap, 0.0, tolerance=previous[1], relative=False)
+        previous = overlap, gap
     _record(report, "overlap-final",
-            {"n": sizes[-1]}, overlaps[-1], 0.0, tolerance=1e-2, relative=False)
+            {"n": n}, overlap, 0.0, tolerance=1e-2, relative=False)
     n_large = 10_000
     for chi in (config.chi_grid or (0.5, 1.0, 2.0)):
         q_val = cf.q_align(0.5 / n_large, 1.5 / n_large, chi)
@@ -767,27 +739,16 @@ def run_harmonic_limit(config: ScenarioConfig, report: VerificationReport) -> No
 
 def run_sweep(config: ScenarioConfig, report: VerificationReport) -> None:
     """Closed-form curve sweep over the chi grid, emitted as plot-ready CSV."""
-    chis = config.chi_grid or _default_chi_grid()
-    omega_i = float(config.omega_i)
-    omega_f = float(config.omega_f)
     header = ["chi", "dF", "dFplus", "dFminus", "jarzynski_plus",
               "jarzynski_minus", "q_harmonic"]
     rows = []
-    for chi in chis:
-        beta = 2.0 * chi / omega_i
-        params = cf.ScenarioParams(beta, omega_i, omega_f)
-        rows.append([chi, cf.delta_F(params),
-                     cf.gen_free_energy_pm(params, +1),
-                     cf.gen_free_energy_pm(params, -1),
-                     cf.jarzynski_rhs(params, +1),
-                     cf.jarzynski_rhs(params, -1),
-                     cf.q_harmonic(chi)])
-    for row in _emit_rows(report, config, header, rows):
-        chi = row[0]
-        beta = 2.0 * chi / omega_i
-        params = cf.ScenarioParams(beta, omega_i, omega_f)
-        _record(report, f"chi={_fmt(chi)}", {"chi": chi},
-                row[1], cf.delta_F(params), relative=False)
+    for chi, _, params in _chi_points(config):
+        d_f = cf.delta_F(params)
+        rows.append([chi, d_f, cf.gen_free_energy_pm(params, +1),
+                     cf.gen_free_energy_pm(params, -1), cf.jarzynski_rhs(params, +1),
+                     cf.jarzynski_rhs(params, -1), cf.q_harmonic(chi)])
+        _record(report, f"chi={_fmt(chi)}", {"chi": chi}, d_f, d_f, relative=False)
+    _emit_rows(report, config, header, rows)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qflux import fock, gibbs
+from qflux import dynamics as dyn, fock, gibbs
 from qflux.errors import (DegenerateMapError, DomainError, GibbsOverflowError)
+from qflux.scenarios import _binomial_battery_projector
 
 
 @pytest.fixture
@@ -65,6 +66,18 @@ class TestGibbsMap:
         p_resc = p * x / (p * x + (1 - p))
         target = fock.binomial_state(n, p_resc, mode.space)
         assert fock.state_fidelity(target, mapped) > 1 - 1e-13
+
+    def test_binomial_battery_projector_maps_c_ordered(self):
+        # a C-ordered map, bit for bit the entries (w_b x_ba) w_a / Tr
+        battery = dyn.SwitchedBattery(32, dyn.battery_spacing_for(1, 1))
+        h_b = battery.hamiltonian().matrix
+        for sector in (dyn.SECTOR_INITIAL, dyn.SECTOR_FINAL):
+            x = _binomial_battery_projector(battery, 6, 0.4, sector)
+            mapped = gibbs.gibbs_map(x, h_b, 0.7).matrix
+            assert mapped.flags.c_contiguous
+            w = np.exp(-0.7 * (np.diag(h_b).real - np.diag(h_b).real.min()) / 2.0)
+            old = (w[:, None] * x * w[None, :]).T
+            assert np.array_equal(mapped, old / np.trace(old).real)
 
     def test_degenerate_map(self, mode, h):
         with pytest.raises(DegenerateMapError):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import weakref
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -262,18 +263,29 @@ _ODD_CASES = [
 ]
 
 
+@pytest.fixture(scope="module")
+def verified(tmp_path_factory):
+    """``verified(seed)``: the results and output directory of
+    ``verify_all(seed=seed, out_dir=...)``, run once per seed in this module."""
+    @cache
+    def run(seed):
+        out = tmp_path_factory.mktemp(f"verify-{seed}")
+        return sc.verify_all(seed=seed, out_dir=str(out)), out
+    return run
+
+
 class TestReportJson:
     """to_json writes each case from a fixed layout; its bytes must be those
     of json.dumps(to_dict(), indent=2, sort_keys=True)."""
 
     @pytest.mark.parametrize("seed", [2024, 7])
-    def test_every_suite_and_verify_json_match_json_dumps(self, tmp_path, seed):
-        results = sc.verify_all(seed=seed, out_dir=str(tmp_path))
+    def test_every_suite_and_verify_json_match_json_dumps(self, verified, seed):
+        results, out = verified(seed)
         for kind, suite in results["suites"].items():
-            assert _lines((tmp_path / f"{kind}.json").read_text()) == \
+            assert _lines((out / f"{kind}.json").read_text()) == \
                 _lines(_dumps(suite) + "\n"), kind
         payload = {k: v for k, v in results.items() if k != "elapsed_seconds"}
-        assert _lines((tmp_path / "verify.json").read_text()) == \
+        assert _lines((out / "verify.json").read_text()) == \
             _lines(_dumps(payload) + "\n")
 
     def test_report_without_cases(self):
@@ -493,6 +505,25 @@ class TestBlasThreads:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+def _row_cases(kind: str, row: dict) -> dict:
+    """The cases one CSV row of ``kind`` yields: key -> the cell (or, for the
+    figure2 consistency case, the sum of cells) it records as simulated."""
+    key = f"chi={sc._fmt(row['chi'])}"
+    if kind == "sweep":
+        return {key: row["dF"]}
+    if kind == "figure2":
+        return {key: row["dFplus"], f"{key}-consistency": row["twodF"] + row["dEvac"],
+                f"{key}-minus": row["dFminus"]}
+    if kind == "figure3":
+        key += f"-W={sc._fmt(row['W'])}"
+        cells = {"plus": row["R_plus"], "minus": row["rhs_minus"],
+                 "classical": row["classical"]}
+    else:
+        key += f"-p={sc._fmt(row['p'])}"
+        cells = {"align": row["q_align_pf08"], "size": row["q_size"]}
+    return {f"{key}-{tag}": cell for tag, cell in cells.items() if cell is not None}
+
+
 class TestFigureData:
     def test_figure2_rows_recomputable(self, tmp_path):
         cfg = sc.default_config("figure2", chi_grid=(0.01, 0.5, 2.0),
@@ -533,6 +564,23 @@ class TestFigureData:
         for chi, p, q_a, q_s in rows:
             assert q_a == cf.q_align(p, 0.8, chi)
             assert q_s == cf.q_size(p, chi)
+
+    @pytest.mark.parametrize("kind, overrides", [
+        ("figure2", {}), ("figure3", {"w_values": (0.0, 2.0, 10.0)}),
+        ("figure4", {"p_grid": (0.3, 0.8)}), ("sweep", {})])
+    def test_each_case_records_its_csv_cell(self, tmp_path, kind, overrides):
+        report = sc.run_scenario(sc.default_config(kind, chi_grid=(0.05, 0.7, 3.0),
+                                                   out_dir=str(tmp_path), **overrides))
+        header, rows = sc.read_csv(tmp_path / f"{kind}.csv")
+        expected = {}
+        for row in rows:
+            cases = _row_cases(kind, dict(zip(header, row)))
+            assert cases and cases.keys().isdisjoint(expected)
+            expected.update(cases)
+        assert len(report.cases) == len(expected)
+        assert {case.key: case.simulated for case in report.cases} == expected
+        if kind in ("figure3", "figure4"):   # the grids leave some cells empty
+            assert len(expected) < len(rows) * (3 if kind == "figure3" else 2)
 
     @pytest.mark.parametrize("kind", ["figure2", "figure3", "figure4", "sweep"])
     def test_no_files_without_out_dir(self, kind, tmp_path, monkeypatch):
@@ -576,12 +624,11 @@ class TestVerifyAll:
             sc.verify_all(seed=1, **arguments)
         assert ran == []
 
-    def test_report_bytes_deterministic_in_seed(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        r1 = sc.verify_all(seed=77, out_dir=str(out1))
-        r2 = sc.verify_all(seed=77, out_dir=str(out2))
+    def test_report_bytes_deterministic_in_seed(self, tmp_path, verified):
+        r1, out1 = verified(2024)   # the byte-identity run of TestReportJson
+        sc.verify_all(seed=2024, out_dir=str(tmp_path))
         assert (out1 / "verify.json").read_bytes() == \
-            (out2 / "verify.json").read_bytes()
+            (tmp_path / "verify.json").read_bytes()
         # the expected-green suites hold at their tolerances; the closed-form
         # photon-number suites report their failure honestly
         suites = r1["suites"]
