@@ -16,6 +16,10 @@ the joint Hamiltonian and is stored as those blocks only, zero-padded to the
 largest block. Transition reads and work distributions gather U's entries
 from them; Q, for one term or a stack of terms, pairs them with entries read
 from the system and battery factors of X and rho. No d x d array is formed.
+A sampled unitary holds each block's Gaussian draw until a read first needs
+that block, and exponentiates it then: the transition, photon-number and
+work reads and Q touch only their own blocks, while ``matrices``,
+``blocks``, ``matrix`` and ``assert_valid`` exponentiate every block.
 """
 
 from __future__ import annotations
@@ -218,6 +222,14 @@ class ConservingUnitary:
     ``window`` is set by the translation-invariant sampler: the inclusive
     battery-level range over which transition probabilities depend only on
     level differences.
+
+    A unitary from ``_sample`` keeps the Gaussian draws of its blocks of two
+    or more indices, and leaves a translation-invariant copy empty, until a
+    read first needs that block: ``entries`` exponentiates the blocks it
+    gathers from, ``q_quantity`` those of its block pairs, and ``matrices``,
+    ``blocks``, ``matrix`` and ``assert_valid`` every block, so no caller
+    sees a pending block. Each block comes out the same whichever read
+    exponentiates it first.
     """
 
     def __init__(self, blocks: Sequence[np.ndarray], matrices: np.ndarray,
@@ -234,13 +246,48 @@ class ConservingUnitary:
         nonzero = matrices != 0      # reduced per row and per column, never gathered
         if (nonzero.any(axis=2) & ~held).any() or (nonzero.any(axis=1) & ~held).any():
             raise DimensionError("unitary matrices are not zero past their block's size")
-        self.matrices = matrices
+        self._matrices = matrices
+        self._pending = self._source = None   # set by _sample: see _read
         self.indices = np.zeros(held.shape, dtype=np.intp)
         self.indices[held] = order
         self.block, self.slot = np.empty((2, order.size), dtype=np.intp)
         self.block[order], self.slot[order] = np.nonzero(held)
-        for array in (self.indices, self.matrices, size, self.block, self.slot):
+        for array in (self.indices, matrices, size, self.block, self.slot):
             array.flags.writeable = False
+
+    def _read(self, blocks=None) -> np.ndarray:
+        """The padded stack once ``blocks`` (every block if None) are final.
+
+        A pending block holds its Gaussian draw A, or is an empty copy of
+        block ``_source[b]``. Pending draws are replaced by exp(i K), K =
+        (A + A^T) / 2 diagonalized per block size in stacked chunks of at most
+        ``_SAMPLE_CHUNK`` entries; a copy is filled once its source is final."""
+        if self._pending is None:
+            return self._matrices
+        need = np.flatnonzero(self._pending) if blocks is None else np.unique(blocks)
+        need = need[self._pending[need]]
+        source = self._source[need]
+        draws = np.unique(source[self._pending[source]])
+        stack, size = self._matrices, self.size[draws]
+        stack.flags.writeable = True
+        for s in set(size.tolist()):
+            group, step = draws[size == s], max(1, _SAMPLE_CHUNK // s ** 2)
+            for chunk in (group[lo:lo + step] for lo in range(0, group.size, step)):
+                a = stack[chunk, :s, :s].real
+                lam, vec = np.linalg.eigh((a + a.transpose(0, 2, 1)) / 2.0)
+                stack[chunk, :s, :s] = (vec * np.exp(1j * lam)[:, None]) @ vec.transpose(0, 2, 1)
+        copy = source != need
+        stack[need[copy]] = stack[source[copy]]
+        stack.flags.writeable = False
+        self._pending[draws] = self._pending[need] = False
+        if not self._pending.any():
+            self._pending = self._source = None
+        return stack
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The read-only padded stack, every block exponentiated."""
+        return self._read()
 
     @property
     def dim(self) -> int:
@@ -279,7 +326,8 @@ class ConservingUnitary:
         row_block = self.block[rows]
         r, c = np.nonzero(row_block[:, None] == self.block[cols][None, :])
         out = np.zeros((rows.size, cols.size), dtype=complex)
-        out[r, c] = self.matrices[row_block[r], self.slot[rows[r]], self.slot[cols[c]]]
+        read = row_block[r]
+        out[r, c] = self._read(read)[read, self.slot[rows[r]], self.slot[cols[c]]]
         return out
 
     def assert_valid(self, model: JointModel) -> None:
@@ -305,29 +353,25 @@ def _sample(blocks: Sequence[np.ndarray], keys, seed: int,
             window: Optional[tuple[int, int]] = None) -> ConservingUnitary:
     """A random symmetric unitary per block, drawn in block order from one
     stream straight into the padded matrices: exp(2 pi i r) for a singleton,
-    else exp(i K) for K a symmetrized Gaussian real matrix, diagonalized per
-    block size in stacked chunks of at most ``_SAMPLE_CHUNK`` entries. A block
-    whose key (one per block, from ``keys``) came before copies the finished
-    matrix of the first block with that key."""
+    at once, else exp(i K) for K a symmetrized Gaussian real matrix, left
+    pending with its draw until a read needs the block (``ConservingUnitary
+    ._read``). A block whose key (one per block, from ``keys``) came before
+    is drawn nowhere and left pending as a copy of the first block with that
+    key."""
     rng = np.random.default_rng(seed)
     size = np.array([idx.size for idx in blocks])
     matrices = np.zeros((size.size, size.max(), size.max()), dtype=complex)
     first: dict = {}
     at = np.array([first.setdefault(key, b) for b, key in enumerate(keys)])
-    fresh = np.flatnonzero(at == np.arange(at.size))
+    copy = at != np.arange(at.size)
+    fresh = np.flatnonzero(~copy)
     for b, s in zip(fresh.tolist(), size[fresh].tolist()):
         matrices[b, :s, :s] = rng.random() if s == 1 else rng.standard_normal((s, s))
     one = fresh[size[fresh] == 1]
     matrices[one, 0, 0] = np.exp(2j * np.pi * matrices[one, 0, 0].real)
-    for s in set(size[fresh].tolist()) - {1}:
-        group, step = fresh[size[fresh] == s], max(1, _SAMPLE_CHUNK // s ** 2)
-        for chunk in (group[lo:lo + step] for lo in range(0, group.size, step)):
-            a = matrices[chunk, :s, :s].real
-            lam, vec = np.linalg.eigh((a + a.transpose(0, 2, 1)) / 2.0)
-            matrices[chunk, :s, :s] = (vec * np.exp(1j * lam)[:, None]) @ vec.transpose(0, 2, 1)
-    for b in np.flatnonzero(at != np.arange(at.size)).tolist():
-        matrices[b] = matrices[at[b]]
-    return ConservingUnitary(blocks, matrices, window)
+    u = ConservingUnitary(blocks, matrices, window)
+    u._pending, u._source = copy | (size > 1), at
+    return u
 
 
 def sample_conserving_unitary(blocks: Sequence[np.ndarray],
@@ -459,6 +503,7 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> Union[float, 
     width = np.maximum(u.size[k], u.size[l])
     order = np.flatnonzero(keep)[np.argsort(-width[keep], kind="stable")]
     k, l, width = k[order], l[order], width[order]
+    stack = u._read(np.concatenate((k, l)))
     n, b = np.divmod(u.indices, bdim)
     total, at = np.zeros(terms, dtype=complex), 0
     while at < k.size:   # widths descend: a chunk's first pair is its widest
@@ -467,7 +512,7 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> Union[float, 
         p_k, p_l = k[at:stop], l[at:stop]
         n_k, b_k, n_l, b_l = n[p_k, :w, None], b[p_k, :w, None], n[p_l, None, :w], b[p_l, None, :w]
         s_kl, b_kl, s_lk, b_lk = n_k * ds + n_l, b_k * bdim + b_l, n_l * ds + n_k, b_l * bdim + b_k
-        u_k, u_l_dag = u.matrices[p_k, :w, :w], u.matrices[p_l, :w, :w].conj().transpose(0, 2, 1)
+        u_k, u_l_dag = stack[p_k, :w, :w], stack[p_l, :w, :w].conj().transpose(0, 2, 1)
         for t in range(total.size):
             rho_kl = rho_s[t].take(s_kl) * rho_b[t].take(b_kl)
             x_lk_t = x_s[t].take(s_lk) * x_b[t].take(b_lk)
@@ -523,33 +568,36 @@ def transition_probability(e_f_index, system_state, e_i_index,
     return prob if np.ndim(e_f_index) or np.ndim(e_i_index) else float(prob[0])
 
 
-def conditional_photon_number(e_f_index: int, system_state, e_i_index: int,
+def conditional_photon_number(e_f_index, system_state, e_i_index,
                               u: ConservingUnitary, model: JointModel,
                               which: str = "N",
-                              prob_floor: float = DEFAULT_PROB_FLOOR
-                              ) -> tuple[float, float]:
+                              prob_floor: float = DEFAULT_PROB_FLOOR):
     """Factor Q(X_S otimes |E_f><E_f| | rho otimes |E_i><E_i|) into
-    (conditional mean, transition probability).
+    (conditional mean, transition probability): two floats, or for a 1-D
+    array in one index, as ``transition_probability`` takes, two arrays over
+    it from one gather.
 
     ``which`` selects the measured system operator: "N" for the photon-added
     protocol, "N+1" for photon-subtracted; the returned mean is the
-    conditional expectation of that operator.
+    conditional expectation of that operator. A probability at or below
+    ``prob_floor`` leaves the mean undefined: a scalar read raises
+    UndefinedRatioError, a stacked read gives NaN there.
     """
     if which not in ("N", "N+1"):
         raise DomainError(f'which must be "N" or "N+1", got {which!r}')
-    if np.ndim(e_f_index) or np.ndim(e_i_index):
-        raise DimensionError("conditional_photon_number takes scalar battery indices")
-    rho, (sub,), (prob,) = _transition_read(e_f_index, system_state, e_i_index, u, model)
-    prob = float(prob)
-    if prob <= prob_floor:
-        raise UndefinedRatioError(
-            f"transition probability {prob:.3e} at or below floor {prob_floor:.1e}"
-        )
+    rho, sub, prob = _transition_read(e_f_index, system_state, e_i_index, u, model)
     weights = np.arange(model.system_cutoff, dtype=float)
     if which == "N+1":
         weights = weights + 1.0
-    q_val = float(np.einsum('a,an,nm,am->', weights, sub.conj(), rho, sub).real)
-    return q_val / prob, prob
+    q_val = np.einsum('a,jan,nm,jam->j', weights, sub.conj(), rho, sub).real
+    undefined = prob <= prob_floor
+    if np.ndim(e_f_index) or np.ndim(e_i_index):
+        return np.divide(q_val, prob, out=np.full(prob.shape, np.nan), where=~undefined), prob
+    if undefined[0]:
+        raise UndefinedRatioError(
+            f"transition probability {prob[0]:.3e} at or below floor {prob_floor:.1e}"
+        )
+    return float(q_val[0]) / float(prob[0]), float(prob[0])
 
 
 def work_distribution(direction: str, system_state, reference_level: int,

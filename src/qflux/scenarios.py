@@ -145,6 +145,8 @@ class ScenarioConfig:
             raise ConfigError(f"chi grid entries must lie in {list(CHI_RANGE)}")
         if any(not 0 <= p <= 1 for p in self.p_grid or ()):
             raise ConfigError("p grid entries must lie in [0, 1]")
+        if any(n < 1 for n in self.n_grid or ()):
+            raise ConfigError("n grid entries must be >= 1")
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ScenarioConfig":

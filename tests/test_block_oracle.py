@@ -24,7 +24,7 @@ from conftest import padded_unitary, reference_block_unitary, reference_unitary
 from qflux import closedform as cf
 from qflux import dynamics as dyn
 from qflux import fock, gibbs
-from qflux.errors import DimensionError, IncommensurateError
+from qflux.errors import DimensionError, IncommensurateError, UndefinedRatioError
 from qflux.scenarios import (_FT_FREQUENCIES, _binomial_battery_projector, default_config,
                              run_scenario)
 
@@ -146,8 +146,9 @@ class TestExport:
 
 
 class TestSamplerAgainstReference:
-    """The samplers draw the reference's stream, then diagonalize each block
-    size in stacked chunks: the same matrices, bit for bit. The singleton
+    """The samplers draw the reference's stream; a read then diagonalizes
+    the blocks it needs per size in stacked chunks: the same matrices, bit
+    for bit, whatever the order of the reads. The singleton
     model's translation reach exceeds its ladder, so it has the plain
     sampler only."""
 
@@ -173,6 +174,57 @@ class TestSamplerAgainstReference:
         got = translation_invariant(model, seed)
         ref = reference_unitary(blocks, keys, seed, got.window)
         assert got.matrices.tobytes() == ref.matrices.tobytes()
+
+    @pytest.mark.parametrize("chunk", [dyn._SAMPLE_CHUNK, 1, 40])
+    @pytest.mark.parametrize("seed", [7, 2024])
+    @pytest.mark.parametrize("name, sampler", [(m, s) for m in MODELS for s in SAMPLERS
+                                               if (m, s) != ("singletons",
+                                                             "translation-invariant")])
+    def test_any_read_order(self, monkeypatch, name, sampler, seed, chunk):
+        # each block is exponentiated when a read first needs it: a few
+        # blocks through entries (a translate's copy before its source),
+        # then one Q, then the whole stack give the reference's bits
+        monkeypatch.setattr(dyn, "_SAMPLE_CHUNK", chunk)
+        model = MODELS[name]()
+        blocks = dyn.spectral_blocks(model)
+        keys = (list(range(len(blocks))) if sampler == "conserving"
+                else [dyn._block_signature(model, idx) for idx in blocks])
+        got = SAMPLERS[sampler](model, seed)
+        ref = reference_unitary(blocks, keys, seed, got.window)
+        size = np.array([idx.size for idx in blocks])
+        source = np.array([keys.index(key) for key in keys])
+        picks = [int(np.argmax(size)), 0, size.size // 2]
+        if sampler == "translation-invariant":
+            copies = np.flatnonzero((source != np.arange(size.size)) & (size > 1))
+            picks.insert(0, int(copies[-1]))
+        for b in picks:
+            assert got.entries(blocks[b], blocks[b]).tobytes() == \
+                ref.entries(blocks[b], blocks[b]).tobytes()
+        gamma = fock.thermal_state(1.0, model.system_mode(0), tail_tol=1.0)
+        x_b, rho_b = (np.diag(np.eye(model.battery.dim)[b]).astype(complex)
+                      for b in (model.battery.basis_index(3, 1),
+                                model.battery.basis_index(model.battery.ladder_dim // 2, 0)))
+        x = (np.eye(model.system_cutoff), x_b)
+        assert dyn.q_quantity(x, (gamma, rho_b), got, model) == \
+            dyn.q_quantity(x, (gamma, rho_b), ref, model)
+        assert got.matrices.tobytes() == ref.matrices.tobytes()
+
+    def test_transition_read_exponentiates_only_its_blocks(self, monkeypatch):
+        # a crooks read at the suite defaults (8 x 24): the blocks of its
+        # system columns, not the model's 60 blocks of two or more indices
+        model = make_model(1, Fraction(3, 2), 8, 24)
+        counted, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(dyn.np.linalg, "eigh", lambda a: counted.append(len(a)) or eigh(a))
+        u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 7)
+        assert counted == []
+        gamma = fock.photon_added_state(1.0, model.system_mode(0), tail_tol=1.0)
+        b_i = model.battery.basis_index(12, 0)
+        dyn.transition_probability(2 * np.arange(24) + 1, gamma, b_i, u, model)
+        touched = np.unique(u.block[np.arange(model.system_cutoff) * model.battery.dim + b_i])
+        wide = int((u.size > 1).sum())
+        assert 0 < sum(counted) <= (u.size[touched] > 1).sum() and wide == 60
+        assert not u.matrices.flags.writeable
+        assert sum(counted) == wide   # the rest, each once
 
 
 def random_factor(rng, d):
@@ -488,6 +540,32 @@ class TestStackedReads:
         assert read.tobytes() == np.array(scalars).tobytes()
         assert read.tolist() == [dense_transition(um, model, b_f, gamma.matrix, b_i)
                                  for b_f, b_i in pairs]
+
+    @pytest.mark.parametrize("which", ["N", "N+1"])
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_stacked_conditional_photon_number(self, model_and_unitary, direction, which):
+        # the same bits as one scalar read per entry; NaN where a scalar
+        # read raises for a probability at or below the floor
+        model, u = model_and_unitary
+        gamma = fock.photon_subtracted_state(0.7, model.system_mode(1), tail_tol=1.0)
+        b_0 = model.battery.basis_index(model.battery.ladder_dim // 2, 1)
+        stack = np.arange(model.battery.dim)
+        pairs = [(b, b_0) if direction == "forward" else (b_0, b) for b in stack.tolist()]
+        means, probs = dyn.conditional_photon_number(
+            *((stack, gamma, b_0) if direction == "forward" else (b_0, gamma, stack)),
+            u, model, which)
+        assert means.shape == probs.shape == stack.shape
+        defined = 0
+        for (b_f, b_i), mean, prob in zip(pairs, means.tolist(), probs.tolist()):
+            if prob <= dyn.DEFAULT_PROB_FLOOR:
+                assert math.isnan(mean)
+                with pytest.raises(UndefinedRatioError):
+                    dyn.conditional_photon_number(b_f, gamma, b_i, u, model, which)
+                continue
+            scalar = dyn.conditional_photon_number(b_f, gamma, b_i, u, model, which)
+            assert np.array(scalar).tobytes() == np.array((mean, prob)).tobytes()
+            defined += 1
+        assert defined >= 1
 
 
 def fraction_partition(model):

@@ -438,10 +438,10 @@ class TestTransitionReadGuards:
         with pytest.raises(DimensionError):
             dyn.transition_probability(np.array(e_f), gamma, np.array(e_i), u, model)
 
-    # an array used to escape as a bare ValueError from unpacking the reads
+    # one 1-D index is a stacked read (test_block_oracle.py, TestStackedReads)
     @pytest.mark.parametrize("which", ["N", "N+1"])
-    @pytest.mark.parametrize("e_f, e_i", [([1, 3], 7), (7, [1, 3]), ([], 7), (7, [[1]])])
-    def test_photon_number_of_a_battery_index_array(self, which, e_f, e_i):
+    @pytest.mark.parametrize("e_f, e_i", [([1, 3], [7, 8]), ([[1, 3]], 7), (7, [[1]])])
+    def test_photon_number_of_two_arrays_or_a_2d_index(self, which, e_f, e_i):
         model, u, gamma = self.model_and_unitary()
         with pytest.raises(DimensionError):
             dyn.conditional_photon_number(np.array(e_f), gamma, np.array(e_i), u, model, which)

@@ -145,6 +145,15 @@ class TestSchema:
         with pytest.raises(ConfigError, match="empty"):
             sc.ScenarioConfig(kind="figure3", **{name: ()})
 
+    # each used to pass the schema and then raise from the runner:
+    # ZeroDivisionError, DimensionError and a bare ValueError
+    @pytest.mark.parametrize("kind, n_grid", [("harmonic-limit", (0,)),
+                                              ("harmonic-limit", (-3,)),
+                                              ("crooks-binomial-align", (-1,))])
+    def test_n_grid_entries_below_one(self, kind, n_grid):
+        with pytest.raises(ConfigError, match="n grid"):
+            sc.default_config(kind, n_grid=n_grid)
+
     @pytest.mark.parametrize("cutoffs", [(3, 24), (12, 7), (2, 2)])
     def test_global_ft_rejects_cutoffs_below_its_draw_ranges(self, cutoffs):
         cfg = sc.default_config("global-ft", cases=1, system_cutoff=cutoffs[0],
@@ -751,7 +760,7 @@ class TestCli:
     @pytest.mark.parametrize("fields", [
         {"chi_grid": "25"}, {"tolerance": []}, {"cases": 2.5}, {"seed": 1.5},
         {"n_grid": [2.7, True]}, {"chi_grid": [float("nan")]}, {"chi_grid": [1000]},
-        {"w_values": [float("inf")]},
+        {"w_values": [float("inf")]}, {"n_grid": [0]},
         # an empty grid used to run the default grid in its place
         {"chi_grid": []}, {"p_grid": []}, {"n_grid": []}, {"w_values": []},
     ])
