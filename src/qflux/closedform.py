@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, UndefinedRatioError
 
@@ -22,7 +23,11 @@ CHI_MAX = 50.0
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """Inverse temperature plus the initial and final oscillator frequencies."""
+    """Inverse temperature plus the initial and final oscillator frequencies.
+
+    The thermal quantities every ratio of a chi point needs, ``nbar_i``,
+    ``nbar_f`` and ``delta_F``, are computed on first use and kept; equality,
+    hash and repr see only the three fields."""
 
     beta: float
     omega_i: float
@@ -39,6 +44,18 @@ class ScenarioParams:
     @property
     def chi_f(self) -> float:
         return self.beta * self.omega_f / 2.0
+
+    @cached_property
+    def nbar_i(self) -> float:
+        return mean_occupation(self.chi_i)
+
+    @cached_property
+    def nbar_f(self) -> float:
+        return mean_occupation(self.chi_f)
+
+    @cached_property
+    def delta_F(self) -> float:
+        return (_log_partition(self.chi_i) - _log_partition(self.chi_f)) / self.beta
 
 
 @dataclass(frozen=True)
@@ -98,7 +115,7 @@ def mean_occupation(chi: float) -> float:
 
 def delta_F(params: ScenarioParams) -> float:
     """Helmholtz free-energy change (1/beta) ln(Z_i / Z_f)."""
-    return (_log_partition(params.chi_i) - _log_partition(params.chi_f)) / params.beta
+    return params.delta_F
 
 
 def delta_E_vac(params: ScenarioParams) -> float:
@@ -131,11 +148,9 @@ def prefactor_R(work: float, params: ScenarioParams, sign: int) -> float:
     if sign not in (+1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     k = 1.0 if sign == +1 else params.omega_i / params.omega_f
-    nbar_i = mean_occupation(params.chi_i)
-    nbar_f = mean_occupation(params.chi_f)
     devac = delta_E_vac(params)
-    num = params.omega_f * (2.0 * nbar_f + k) - work + devac
-    den = params.omega_i * (2.0 * nbar_i + 1.0 / k) + work - devac
+    num = params.omega_f * (2.0 * params.nbar_f + k) - work + devac
+    den = params.omega_i * (2.0 * params.nbar_i + 1.0 / k) + work - devac
     if num <= 0 or den <= 0:
         raise UndefinedRatioError(
             f"prefactor undefined at W={work}: photon counts (n_F, n_R) = "

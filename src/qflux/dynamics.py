@@ -197,10 +197,11 @@ def spectral_blocks(model: JointModel) -> list[np.ndarray]:
     joint indices per eigenspace, in ascending energy.
 
     Levels are exact integers, so a block is a run of equal levels after a
-    stable sort."""
+    stable sort: a slice of the sorted order."""
     order = np.argsort(model.levels, kind="stable")
     ranked = model.levels[order]
-    return np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
+    edges = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), order.size]
+    return [order[start:stop] for start, stop in zip(edges[:-1], edges[1:])]
 
 
 class ConservingUnitary:

@@ -18,9 +18,11 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from sys import float_info
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -230,48 +232,96 @@ class VerificationReport:
                        "rel_dev": c.rel_dev, "passed": c.passed} for c in self.cases],
         }
 
-    def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, byte for
-        byte, with each case written from its fixed layout: json's indent
-        encoder runs in pure Python, the flat one in C. TypeError for an
-        ``inputs`` value that is a dict, list or tuple."""
+    def _json_chunks(self) -> Iterator[str]:
+        """``to_json()`` in pieces, ``_CASE_CHUNK`` cases each, after every
+        case's ``inputs`` has been checked: TypeError before the first piece."""
+        _check_inputs(self.cases)
         head = json.dumps({"kind": self.kind, "tolerance": self.tolerance,
                            "provenance": self.provenance, "summary": self.summary},
                           indent=2, sort_keys=True)
-        cases = ",\n".join(map(_case_json, self.cases))
-        return '{\n  "cases": ' + (f"[\n{cases}\n  ]" if cases else "[]") + ",\n" + head[2:]
+        return _report_chunks(self.cases, head)
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, byte for
+        byte, with the cases written column by column into a fixed layout:
+        json's indent encoder runs in pure Python, the flat one in C.
+        TypeError for an ``inputs`` value that is not a string, number,
+        boolean or None."""
+        return "".join(self._json_chunks())
 
     def write(self, path) -> Path:
+        """Stream ``to_json()`` and a newline to ``path`` a chunk of cases at a
+        time, so the full text is never held; the file is opened only once
+        every case's ``inputs`` has passed ``to_json``'s check."""
         path = Path(path)
+        chunks = self._json_chunks()
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
+        with path.open("w") as out:
+            out.writelines(chunks)
+            out.write("\n")
         return path
 
 
-#: json's C encoder lays out a flat ``inputs`` dict at its indent in the report
+#: cases formatted per chunk: a report is written one chunk's text at a time
+_CASE_CHUNK = 1 << 8
+#: json's C encoder lays out flat ``inputs`` dicts at their indent in the
+#: report; json escapes every newline inside a string, so in the encoded list
+#: of a chunk's dicts each ``_INPUTS_SPLIT`` separates two of them
 _INPUTS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n" + " " * 8, ": "))
+_INPUTS_SPLIT = "},\n" + " " * 8 + "{"
+_SCALARS = (str, int, float, type(None))
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BOOLS = {True: "true", False: "false"}
+_FIELDS = attrgetter("abs_dev", "closed_form", "inputs", "key", "passed", "rel_dev",
+                     "simulated")
+#: one case as ``json.dumps(..., indent=2)`` writes it inside a report, its
+#: fields in ``_FIELDS`` order
+_CASE_JSON = ('    {\n      "abs_dev": %s,\n      "closed_form": %s,\n      "inputs": %s,\n'
+              '      "key": %s,\n      "passed": %s,\n      "rel_dev": %s,\n'
+              '      "simulated": %s\n    }')
 
 
-def _float_json(value: float) -> str:
-    text = float.__repr__(value)
-    return _NON_FINITE.get(text, text)
+def _check_inputs(cases: Sequence[CaseRecord]) -> None:
+    """TypeError naming the first case whose ``inputs`` holds a value json
+    cannot write flat: anything but a string, number, boolean or None."""
+    values = chain.from_iterable(map(dict.values, map(attrgetter("inputs"), cases)))
+    if all(issubclass(kind, _SCALARS) for kind in set(map(type, values))):
+        return
+    bad = next(c for c in cases if not all(isinstance(v, _SCALARS) for v in c.inputs.values()))
+    raise TypeError(f"case {bad.key!r}: inputs must hold only strings, numbers, "
+                    "booleans and None")
 
 
-def _case_json(case: CaseRecord) -> str:
-    """One case as ``json.dumps(..., indent=2)`` writes it inside a report."""
-    inputs = case.inputs
-    if any(isinstance(v, (dict, list, tuple)) for v in inputs.values()):
-        raise TypeError(f"case {case.key!r}: inputs must hold no dict, list or tuple")
-    inputs = ("{\n        " + _INPUTS_ENCODER.encode(inputs)[1:-1] + "\n      }"
-              if inputs else "{}")
-    return (f'    {{\n      "abs_dev": {_float_json(case.abs_dev)},\n'
-            f'      "closed_form": {_float_json(case.closed_form)},\n'
-            f'      "inputs": {inputs},\n'
-            f'      "key": {json.encoder.encode_basestring_ascii(case.key)},\n'
-            f'      "passed": {"true" if case.passed else "false"},\n'
-            f'      "rel_dev": {_float_json(case.rel_dev)},\n'
-            f'      "simulated": {_float_json(case.simulated)}\n    }}')
+def _floats_json(values: Sequence[float]) -> Iterator[str]:
+    """Floats as json writes them: repr, or NaN, Infinity, -Infinity."""
+    texts = list(map(float.__repr__, values))
+    return map(_NON_FINITE.get, texts, texts)
+
+
+def _inputs_json(inputs: Sequence[dict]) -> list[str]:
+    """Each flat ``inputs`` dict laid out as inside its case, all of them from
+    one call of the C encoder."""
+    texts = _INPUTS_ENCODER.encode(inputs)[2:-2].split(_INPUTS_SPLIT)
+    return ["{\n        " + text + "\n      }" if text else "{}" for text in texts]
+
+
+def _cases_json(cases: Sequence[CaseRecord]) -> str:
+    """A nonempty run of cases as they sit in a report's case list, each
+    field formatted for all of them in one pass."""
+    abs_dev, closed_form, inputs, keys, passed, rel_dev, simulated = zip(*map(_FIELDS, cases))
+    return ",\n".join(map(_CASE_JSON.__mod__, zip(
+        _floats_json(abs_dev), _floats_json(closed_form), _inputs_json(inputs),
+        map(json.encoder.encode_basestring_ascii, keys), map(_BOOLS.__getitem__, passed),
+        _floats_json(rel_dev), _floats_json(simulated))))
+
+
+def _report_chunks(cases: Sequence[CaseRecord], head: str) -> Iterator[str]:
+    """A report's JSON text: ``cases`` a chunk at a time, then ``head``, the
+    indented JSON of the other fields, without its opening brace."""
+    yield '{\n  "cases": [' + ("\n" if cases else "")
+    for start in range(0, len(cases), _CASE_CHUNK):
+        yield ("" if start == 0 else ",\n") + _cases_json(cases[start:start + _CASE_CHUNK])
+    yield ("\n  ]" if cases else "]") + ",\n" + head[2:]
 
 
 def _record(report: VerificationReport, key: str, inputs: dict,
@@ -292,17 +342,19 @@ def _record(report: VerificationReport, key: str, inputs: dict,
 # CSV helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+#: a number in a CSV cell or a case key, as ``format(float(v), ".17g")``
+#: writes it; a C method, so mapping it over a column runs no Python frame
+_fmt = "%.17g".__mod__
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> Path:
+    """``header`` and the cells of ``rows`` as ``_fmt`` writes them, a None
+    cell left empty; each column is formatted in one pass."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else _fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    columns = [map(_fmt, cells) if None not in cells
+               else ["" if v is None else _fmt(v) for v in cells] for cells in zip(*rows)]
+    path.write_text("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
     return path
 
 
@@ -651,11 +703,12 @@ def run_figure2(config: ScenarioConfig, report: VerificationReport) -> None:
         dfp = beta * cf.gen_free_energy_pm(params, +1)
         dfm = beta * cf.gen_free_energy_pm(params, -1)
         rows.append([chi, beta * d_f, twodf, devac, dfp, dfm])
-        _record(report, f"chi={_fmt(chi)}", {"chi": chi, "columns": "dFplus"},
+        key = f"chi={_fmt(chi)}"
+        _record(report, key, {"chi": chi, "columns": "dFplus"},
                 dfp, beta * (2.0 * d_f + e_vac), relative=False)
-        _record(report, f"chi={_fmt(chi)}-consistency",
+        _record(report, f"{key}-consistency",
                 {"chi": chi, "columns": "twodF+dEvac"}, twodf + devac, dfp, relative=False)
-        _record(report, f"chi={_fmt(chi)}-minus", {"chi": chi, "columns": "dFminus"},
+        _record(report, f"{key}-minus", {"chi": chi, "columns": "dFminus"},
                 dfm, twodf - devac, relative=False)
     _emit_rows(report, config, header, rows, ("generalized free energies vs chi", header[1:]))
 
@@ -665,9 +718,11 @@ def run_figure3(config: ScenarioConfig, report: VerificationReport) -> None:
     omega_f = 5 omega_i at the work values requested (defaults 0 and 2)."""
     works = config.w_values or (0.0, 2.0 * float(config.omega_i))
     header = ["chi", "W", "R_plus", "R_minus", "rhs_plus", "rhs_minus", "classical"]
+    w_keys = [f"-W={_fmt(work)}-" for work in works]
     rows = []
     for chi, beta, params in _chi_points(config):
-        for work in works:
+        chi_key = f"chi={_fmt(chi)}"
+        for work, w_key in zip(works, w_keys):
             values = {}
             for sign, tag in ((+1, "plus"), (-1, "minus")):
                 try:
@@ -681,7 +736,7 @@ def run_figure3(config: ScenarioConfig, report: VerificationReport) -> None:
             for tag, value in (("plus", values["R_plus"]), ("minus", values["rhs_minus"]),
                                ("classical", classical)):
                 if value is not None:
-                    _record(report, f"chi={_fmt(chi)}-W={_fmt(work)}-{tag}",
+                    _record(report, f"{chi_key}{w_key}{tag}",
                             {"chi": chi, "W": work}, value, value, relative=True)
     _emit_rows(report, config, header, rows,
                ("predicted ratio and prefactor vs chi", header[2:]))
@@ -693,16 +748,18 @@ def run_figure4(config: ScenarioConfig, report: VerificationReport) -> None:
     p_grid = config.p_grid or (0.2, 0.4, 0.6)
     p_f = 0.8
     header = ["chi", "p", "q_align_pf08", "q_size"]
+    p_keys = [f"-p={_fmt(p)}-" for p in p_grid]
     rows = []
     for chi, _, _ in _chi_points(config):
-        for p in p_grid:
+        chi_key = f"chi={_fmt(chi)}"
+        for p, p_key in zip(p_grid, p_keys):
             q_a = cf.q_align(p, p_f, chi) if p != p_f else None
             q_s = cf.q_size(p, chi)
             rows.append([chi, p, q_a, q_s])
             if q_a is not None:
-                _record(report, f"chi={_fmt(chi)}-p={_fmt(p)}-align",
+                _record(report, f"{chi_key}{p_key}align",
                         {"chi": chi, "p": p, "p_f": p_f}, q_a, q_a, relative=True)
-            _record(report, f"chi={_fmt(chi)}-p={_fmt(p)}-size",
+            _record(report, f"{chi_key}{p_key}size",
                     {"chi": chi, "p": p}, q_s, q_s, relative=True)
     _emit_rows(report, config, header, rows,
                ("quantum distortion factors vs chi", header[2:]))

@@ -1,5 +1,6 @@
 import inspect
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -148,6 +149,58 @@ class TestPrefactorAndRatios:
         for sign in (+1, -1):
             assert cf.jarzynski_rhs(params, sign) == pytest.approx(
                 math.exp(-0.8 * cf.gen_free_energy_pm(params, sign)), rel=1e-14)
+
+
+def _outcome(call):
+    """A closed form's value as its exact bits, or the error it raised."""
+    try:
+        return call().hex()
+    except UndefinedRatioError as exc:
+        return repr(exc)
+
+
+class TestCachedParams:
+    """nbar_i, nbar_f and dF are computed once per ScenarioParams and kept."""
+
+    CHIS = np.logspace(-6, math.log10(50.0), 41).tolist()
+    WORKS = (-3.0, 0.0, 0.75, 2.0, 10.0)
+
+    def _calls(self, params):
+        calls = [lambda: cf.delta_F(params)]
+        calls += [lambda s=sign: cf.jarzynski_rhs(params, s) for sign in (+1, -1)]
+        for work in self.WORKS:
+            for sign in (+1, -1):
+                calls.append(lambda w=work, s=sign: cf.prefactor_R(w, params, s))
+                calls.append(lambda w=work, s=sign: cf.crooks_rhs_pm(w, params, s))
+        return calls
+
+    @pytest.mark.parametrize("omega_f", [1.5, 5.0])
+    def test_reused_params_give_the_bits_of_fresh_ones(self, omega_f):
+        for chi in self.CHIS:
+            reused = cf.ScenarioParams(2.0 * chi, 1.0, omega_f)
+            for _ in range(2):   # the second pass reads only kept values
+                for n, call in enumerate(self._calls(reused)):
+                    fresh = self._calls(cf.ScenarioParams(2.0 * chi, 1.0, omega_f))[n]
+                    assert _outcome(call) == _outcome(fresh), (chi, n)
+
+    def test_kept_values_are_the_closed_forms(self):
+        for chi in self.CHIS:
+            params = cf.ScenarioParams(2.0 * chi, 1.0, 1.5)
+            assert params.nbar_i == cf.mean_occupation(params.chi_i)
+            assert params.nbar_f == cf.mean_occupation(params.chi_f)
+            assert cf.delta_F(params) == (cf._log_partition(params.chi_i)
+                                          - cf._log_partition(params.chi_f)) / params.beta
+
+    def test_identity_sees_only_the_fields(self):
+        used, fresh = cf.ScenarioParams(1.3, 1.0, 1.5), cf.ScenarioParams(1.3, 1.0, 1.5)
+        cf.crooks_rhs_pm(0.5, used, +1)
+        assert {"nbar_i", "nbar_f", "delta_F"} <= set(vars(used))
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "ScenarioParams(beta=1.3, omega_i=1.0, omega_f=1.5)"
+        assert used != cf.ScenarioParams(1.3, 1.0, 2.0)
+        for name in ("beta", "omega_i", "omega_f", "delta_F"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(used, name, 2.0)
 
 
 class TestBinomialFormulas:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from functools import cache
 from pathlib import Path
@@ -272,6 +273,27 @@ _ODD_CASES = [
 ]
 
 
+_CHUNK = sc._CASE_CHUNK
+
+
+def _chunked_cases(count: int) -> list:
+    """``count`` plain cases in report order, with ``_ODD_CASES`` in turn at
+    the first and the last place of every chunk ``write`` formats."""
+    cases = [sc.CaseRecord(f"case-{i:05d}", {"chi": i / 7, "i": i, "which": "N"},
+                           i / 3, -i / 9, i / 11, i / 13, i % 3 != 0) for i in range(count)]
+    edges = sorted({i for start in range(0, count, _CHUNK)
+                    for i in (start, min(start + _CHUNK, count) - 1)})
+    for n, i in enumerate(edges):
+        cases[i] = _ODD_CASES[n % len(_ODD_CASES)]
+    return cases
+
+
+def _unsorted_report(cases) -> sc.VerificationReport:
+    """A report whose cases stay in the given order (``finalize`` sorts them)."""
+    return sc.VerificationReport("figure2", 1e-12, list(cases), {"kind": "figure2"},
+                                 {"cases": len(cases)})
+
+
 @pytest.fixture(scope="module")
 def verified(tmp_path_factory):
     """``verified(seed)``: the results and output directory of
@@ -332,6 +354,44 @@ class TestReportJson:
                                         1.0, 1.0, 0.0, 0.0, True)])
         with pytest.raises(TypeError):
             report.to_json()
+
+    @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                       2 * _CHUNK + 1])
+    def test_chunk_boundaries(self, tmp_path, count):
+        report = _unsorted_report(_chunked_cases(count))
+        text = report.to_json()
+        assert _lines(text) == _lines(_dumps(report.to_dict()))
+        assert report.write(tmp_path / "r.json").read_bytes() == (text + "\n").encode()
+
+    @pytest.mark.parametrize("value", [{"a": 1}, [1, 2], (1, 2), {}, {1, 2}, b"x"])
+    def test_write_checks_inputs_before_opening(self, tmp_path, value):
+        cases = _chunked_cases(2 * _CHUNK + 1)
+        cases[-1] = sc.CaseRecord("zz-last", {"chi": 0.5, "deep": value},
+                                  1.0, 1.0, 0.0, 0.0, True)
+        report = _unsorted_report(cases)
+        path = tmp_path / "sub" / "r.json"
+        with pytest.raises(TypeError, match="zz-last"):
+            report.write(path)
+        assert not path.parent.exists()
+        path.parent.mkdir()
+        path.write_text("kept\n")
+        with pytest.raises(TypeError, match="zz-last"):
+            report.write(path)
+        assert path.read_text() == "kept\n"
+
+    def test_write_never_holds_the_full_text(self, tmp_path):
+        report = _report(sc.CaseRecord(f"case-{i:05d}", {"chi": i / 7, "W": -i / 3},
+                                       i / 3, i / 9, i / 11, i / 13, i % 2 == 0)
+                         for i in range(20_000))
+        size = len(report.to_json())
+        tracemalloc.start()
+        try:
+            path = report.write(tmp_path / "r.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == size + 1
+        assert peak < size
 
     def test_to_dict_copies_cases(self):
         report = _report(_ODD_CASES)
