@@ -14,11 +14,10 @@ from .errors import (BudgetExceededError, ConfigError, DegenerateMapError,
                      IncommensurateError, QfluxError, TruncationError,
                      UndefinedRatioError, WindowError)
 from .fock import (DensityState, HilbertSpace, OperatorMatrix, OscillatorMode,
-                   PureState, binomial_state, coherent_state, dagger,
-                   expectation, hamiltonian, identity, ladder_operators,
-                   min_cutoff_for_tail, number_operator, photon_added_state,
-                   photon_subtracted_state, state_fidelity, tensor, thermal_state,
-                   trace)
+                   PureState, binomial_state, coherent_state, expectation,
+                   hamiltonian, identity, ladder_operators, min_cutoff_for_tail,
+                   number_operator, photon_added_state, photon_subtracted_state,
+                   state_fidelity, tensor, thermal_state, trace)
 from .gibbs import (EffectivePotentialValue, MeasurementOperator,
                     effective_potential, gen_free_energy_diff, gen_work_diff,
                     gibbs_map, gibbs_map_inverse, time_reversal)

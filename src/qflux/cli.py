@@ -77,8 +77,8 @@ def main(argv=None) -> int:
         print(f"{flag} {report.kind}: {summary['passed']}/{summary['cases']} cases, "
               f"max_rel_dev={summary['max_rel_dev']:.3e}")
         for case in report.failing_cases()[:5]:
-            print(f"     failing case {case.key}: simulated={case.simulated:.9g} "
-                  f"expected={case.closed_form:.9g}")
+            print(f"     failing case {case['key']}: simulated={case['simulated']:.9g} "
+                  f"expected={case['closed_form']:.9g}")
         return EXIT_PASS if report.all_passed else EXIT_VERIFICATION_FAILURE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

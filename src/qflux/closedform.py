@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import DomainError, UndefinedRatioError
 
@@ -45,17 +44,21 @@ class ScenarioParams:
     def chi_f(self) -> float:
         return self.beta * self.omega_f / 2.0
 
-    @cached_property
-    def nbar_i(self) -> float:
-        return mean_occupation(self.chi_i)
+    def __getattr__(self, name: str) -> float:
+        """Compute a ``_THERMAL`` value on its first read and keep it in the
+        instance dict, where later reads find it without a call or a lock
+        (``functools.cached_property`` takes one under Python 3.11)."""
+        if name not in _THERMAL:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self.__dict__[name] = _THERMAL[name](self)
+        return value
 
-    @cached_property
-    def nbar_f(self) -> float:
-        return mean_occupation(self.chi_f)
 
-    @cached_property
-    def delta_F(self) -> float:
-        return (_log_partition(self.chi_i) - _log_partition(self.chi_f)) / self.beta
+#: the thermal values a ScenarioParams computes on first read and keeps
+_THERMAL = {"nbar_i": lambda params: mean_occupation(params.chi_i),
+            "nbar_f": lambda params: mean_occupation(params.chi_f),
+            "delta_F": lambda params: (_log_partition(params.chi_i)
+                                       - _log_partition(params.chi_f)) / params.beta}
 
 
 @dataclass(frozen=True)

@@ -366,10 +366,6 @@ def tensor(a, b):
     raise DimensionError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
 
 
-def dagger(op: OperatorMatrix) -> OperatorMatrix:
-    return OperatorMatrix(op.space, op.matrix.conj().T)
-
-
 def trace(op) -> complex:
     mat = op.matrix if hasattr(op, "matrix") else np.asarray(op)
     t = complex(np.trace(mat))

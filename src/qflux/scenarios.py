@@ -6,7 +6,7 @@ sorted by key, floats serialized with full round-trip precision. Every CSV row
 can be recomputed from its recorded inputs with library calls alone. The figure
 runners record each row's cases from that row's own values: figure2 checks its
 columns against each other, while figure3, figure4 and sweep compare a value
-with itself until they get independent checks (ROADMAP item 7).
+with itself until they get independent checks (ROADMAP item 8).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from sys import float_info
 from typing import Callable, Iterator, Optional, Sequence
@@ -181,65 +180,62 @@ class ScenarioConfig:
         }
 
 
-@dataclass
-class CaseRecord:
-    key: str
-    inputs: dict
-    simulated: float
-    closed_form: float
-    abs_dev: float
-    rel_dev: float
-    passed: bool
+#: a case's fields, in the order a report writes them
+_FIELDS = ("abs_dev", "closed_form", "inputs", "key", "passed", "rel_dev", "simulated")
 
 
 @dataclass
 class VerificationReport:
+    """A suite's cases, held as columns: one list per name in ``_FIELDS``,
+    whose i-th entries make up the i-th case. ``_record`` appends them."""
+
     kind: str
     tolerance: float
-    cases: list[CaseRecord]
     provenance: dict
     summary: dict = field(default_factory=dict)
+    columns: dict = field(default_factory=lambda: {name: [] for name in _FIELDS})
 
     def finalize(self) -> "VerificationReport":
-        self.cases.sort(key=lambda c: c.key)
-        self.summary = {
-            "cases": len(self.cases),
-            "passed": sum(c.passed for c in self.cases),
-            "failed": sum(not c.passed for c in self.cases),
-            "max_abs_dev": max((c.abs_dev for c in self.cases), default=0.0),
-            "max_rel_dev": max((c.rel_dev for c in self.cases), default=0.0),
-            "all_passed": bool(self.cases) and all(c.passed for c in self.cases),
-        }
+        """Sort the cases stably by key and sum them up in ``summary``."""
+        keys = self.columns["key"]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.columns = {name: list(map(self.columns[name].__getitem__, order))
+                        for name in _FIELDS}
+        count, passed = len(order), sum(self.columns["passed"])
+        self.summary = {"cases": count, "passed": passed, "failed": count - passed,
+                        "max_abs_dev": max(self.columns["abs_dev"], default=0.0),
+                        "max_rel_dev": max(self.columns["rel_dev"], default=0.0),
+                        "all_passed": count > 0 and passed == count}
         return self
 
     @property
     def all_passed(self) -> bool:
         return bool(self.summary.get("all_passed", False))
 
-    def failing_cases(self) -> list[CaseRecord]:
-        return [c for c in self.cases if not c.passed]
+    def failing_cases(self) -> list[dict]:
+        """The cases that did not pass, in order, as ``to_dict`` gives them."""
+        return [case for case in self.to_dict()["cases"] if not case["passed"]]
 
     def to_dict(self) -> dict:
         """The report as plain data; every case a fresh dict with its own
         copy of ``inputs``."""
+        columns = {**self.columns, "inputs": map(dict, self.columns["inputs"])}
         return {
             "kind": self.kind,
             "tolerance": self.tolerance,
             "provenance": self.provenance,
             "summary": self.summary,
-            "cases": [{"key": c.key, "inputs": dict(c.inputs), "simulated": c.simulated,
-                       "closed_form": c.closed_form, "abs_dev": c.abs_dev,
-                       "rel_dev": c.rel_dev, "passed": c.passed} for c in self.cases],
+            "cases": [dict(zip(_FIELDS, case)) for case in zip(*map(columns.get, _FIELDS))],
         }
 
     def _json_chunks(self) -> Iterator[str]:
         """``to_json()`` in pieces, ``_CASE_CHUNK`` cases each, after every
         case's ``inputs`` has been checked: TypeError before the first piece."""
-        _check_inputs(self.cases)
+        _check_inputs(self.columns["key"], self.columns["inputs"])
         head = json.dumps({"kind": self.kind, "tolerance": self.tolerance,
                            "provenance": self.provenance, "summary": self.summary},
                           indent=2, sort_keys=True)
-        return _report_chunks(self.cases, head)
+        return _report_chunks([self.columns[name] for name in _FIELDS], head)
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, byte for
@@ -272,8 +268,6 @@ _INPUTS_SPLIT = "},\n" + " " * 8 + "{"
 _SCALARS = (str, int, float, type(None))
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _BOOLS = {True: "true", False: "false"}
-_FIELDS = attrgetter("abs_dev", "closed_form", "inputs", "key", "passed", "rel_dev",
-                     "simulated")
 #: one case as ``json.dumps(..., indent=2)`` writes it inside a report, its
 #: fields in ``_FIELDS`` order
 _CASE_JSON = ('    {\n      "abs_dev": %s,\n      "closed_form": %s,\n      "inputs": %s,\n'
@@ -281,14 +275,15 @@ _CASE_JSON = ('    {\n      "abs_dev": %s,\n      "closed_form": %s,\n      "inp
               '      "simulated": %s\n    }')
 
 
-def _check_inputs(cases: Sequence[CaseRecord]) -> None:
+def _check_inputs(keys: Sequence[str], inputs: Sequence[dict]) -> None:
     """TypeError naming the first case whose ``inputs`` holds a value json
     cannot write flat: anything but a string, number, boolean or None."""
-    values = chain.from_iterable(map(dict.values, map(attrgetter("inputs"), cases)))
+    values = chain.from_iterable(map(dict.values, inputs))
     if all(issubclass(kind, _SCALARS) for kind in set(map(type, values))):
         return
-    bad = next(c for c in cases if not all(isinstance(v, _SCALARS) for v in c.inputs.values()))
-    raise TypeError(f"case {bad.key!r}: inputs must hold only strings, numbers, "
+    bad = next(key for key, case in zip(keys, inputs)
+               if not all(isinstance(v, _SCALARS) for v in case.values()))
+    raise TypeError(f"case {bad!r}: inputs must hold only strings, numbers, "
                     "booleans and None")
 
 
@@ -305,37 +300,46 @@ def _inputs_json(inputs: Sequence[dict]) -> list[str]:
     return ["{\n        " + text + "\n      }" if text else "{}" for text in texts]
 
 
-def _cases_json(cases: Sequence[CaseRecord]) -> str:
-    """A nonempty run of cases as they sit in a report's case list, each
-    field formatted for all of them in one pass."""
-    abs_dev, closed_form, inputs, keys, passed, rel_dev, simulated = zip(*map(_FIELDS, cases))
+def _cases_json(abs_dev, closed_form, inputs, keys, passed, rel_dev, simulated) -> str:
+    """A nonempty run of cases, given as its columns, as they sit in a
+    report's case list, each field formatted for all of them in one pass."""
     return ",\n".join(map(_CASE_JSON.__mod__, zip(
         _floats_json(abs_dev), _floats_json(closed_form), _inputs_json(inputs),
         map(json.encoder.encode_basestring_ascii, keys), map(_BOOLS.__getitem__, passed),
         _floats_json(rel_dev), _floats_json(simulated))))
 
 
-def _report_chunks(cases: Sequence[CaseRecord], head: str) -> Iterator[str]:
-    """A report's JSON text: ``cases`` a chunk at a time, then ``head``, the
-    indented JSON of the other fields, without its opening brace."""
-    yield '{\n  "cases": [' + ("\n" if cases else "")
-    for start in range(0, len(cases), _CASE_CHUNK):
-        yield ("" if start == 0 else ",\n") + _cases_json(cases[start:start + _CASE_CHUNK])
-    yield ("\n  ]" if cases else "]") + ",\n" + head[2:]
+def _report_chunks(columns: Sequence[list], head: str) -> Iterator[str]:
+    """A report's JSON text: the cases of ``columns`` (in ``_FIELDS`` order)
+    a chunk at a time, then ``head``, the indented JSON of the other fields,
+    without its opening brace."""
+    count = len(columns[0])
+    yield '{\n  "cases": [' + ("\n" if count else "")
+    for start in range(0, count, _CASE_CHUNK):
+        yield ("" if start == 0 else ",\n") + _cases_json(
+            *(column[start:start + _CASE_CHUNK] for column in columns))
+    yield ("\n  ]" if count else "]") + ",\n" + head[2:]
 
 
-def _record(report: VerificationReport, key: str, inputs: dict,
-            simulated: float, closed_form: float,
-            tolerance: Optional[float] = None, relative: bool = True) -> CaseRecord:
-    tol = report.tolerance if tolerance is None else tolerance
-    abs_dev = abs(simulated - closed_form)
-    scale = abs(closed_form)
-    rel_dev = abs_dev / scale if scale > 0 else abs_dev
-    passed = (rel_dev if relative else abs_dev) <= tol
-    case = CaseRecord(key, inputs, float(simulated), float(closed_form),
-                      float(abs_dev), float(rel_dev), bool(passed))
-    report.cases.append(case)
-    return case
+def _record(report: VerificationReport, keys: Sequence[str], inputs: Sequence[dict],
+            simulated: Sequence[float], closed_form: Sequence[float],
+            tolerance: Optional[float | Sequence[float]] = None,
+            relative: bool = True) -> None:
+    """Append one case per key, ``simulated`` against ``closed_form``:
+    abs_dev = |s - c|, rel_dev = abs_dev / |c| (abs_dev unless |c| > 0), passed
+    if rel_dev (abs_dev unless ``relative``) <= ``tolerance``, one value or
+    one per case (None: the report's). numpy's elementwise arithmetic is
+    IEEE's: each value has the bits Python floats give, and warns of none."""
+    sim, closed = np.array(simulated, dtype=float), np.array(closed_form, dtype=float)
+    with np.errstate(all="ignore"):
+        abs_dev = np.abs(sim - closed)
+        scale = np.abs(closed)
+        rel_dev = np.divide(abs_dev, scale, out=abs_dev.copy(), where=scale > 0)
+        passed = (rel_dev if relative else abs_dev) <= (
+            report.tolerance if tolerance is None else tolerance)
+    for name, column in zip(_FIELDS, (abs_dev.tolist(), closed.tolist(), inputs, keys,
+                                      passed.tolist(), rel_dev.tolist(), sim.tolist())):
+        report.columns[name] += column
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +486,12 @@ def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
             continue
         d_f_tilde = gibbs.gen_free_energy_diff(beta, h_i, x_s_i, h_f, x_s_f)
         d_w_tilde = gibbs.gen_work_diff(beta, h_b, x_b_i, x_b_f)
-        lhs = math.log(q_f) - math.log(q_r)
-        rhs = beta * (d_w_tilde - d_f_tilde)
-        _record(report, f"case-{evaluated:04d}",
-                {"omega_i": str(omega_i), "omega_f": str(omega_f),
-                 "system_cutoff": ds, "ladder_dim": ladder, "beta": beta,
-                 "attempt": attempt - 1},
-                lhs, rhs, relative=False)
+        _record(report, [f"case-{evaluated:04d}"],
+                [{"omega_i": str(omega_i), "omega_f": str(omega_f),
+                  "system_cutoff": ds, "ladder_dim": ladder, "beta": beta,
+                  "attempt": attempt - 1}],
+                [math.log(q_f) - math.log(q_r)], [beta * (d_w_tilde - d_f_tilde)],
+                relative=False)
         evaluated += 1
     report.provenance["attempts"] = attempt
 
@@ -551,20 +554,21 @@ def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
         b_f = 2 * np.arange(config.ladder_dim) + dyn.SECTOR_FINAL   # every w_meas at once
         p_fwds = dyn.transition_probability(b_f, gamma_i, b_i, u, model).tolist()
         p_revs = dyn.transition_probability(b_i, gamma_f, b_f, u, model).tolist()
+        inputs, predicted = [], []
         for w_meas, p_fwd, p_rev in zip(range(config.ladder_dim), p_fwds, p_revs):
             if p_fwd <= 1e-10 or p_rev <= 1e-10:   # the probability floor
                 report.provenance["dropped"]["below_floor"] += 1
                 continue
             work = float(battery.spacing * (w0 - w_meas))
             try:
-                predicted = cf.crooks_rhs_pm(work, params, sign)
+                predicted.append(cf.crooks_rhs_pm(work, params, sign))
             except UndefinedRatioError:
                 report.provenance["dropped"]["undefined_ratio"] += 1
                 continue
-            _record(report, f"r{ratio}-chi{chi}-W{work:+.3f}",
-                    {"omega_ratio": str(ratio), "chi": chi, "W": work,
-                     "P_F": p_fwd, "P_R": p_rev, "which": "N" if sign == +1 else "N+1"},
-                    p_fwd / p_rev, predicted)
+            inputs.append({"omega_ratio": str(ratio), "chi": chi, "W": work,
+                           "P_F": p_fwd, "P_R": p_rev, "which": "N" if sign == +1 else "N+1"})
+        _record(report, [f"r{ratio}-chi{chi}-W{case['W']:+.3f}" for case in inputs], inputs,
+                [case["P_F"] / case["P_R"] for case in inputs], predicted)
         del u   # else it stays alive while the next U is built beside it
 
 
@@ -604,6 +608,7 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
         # the maps take the place of the full projectors in memory
         prepared = cache(lambda *key: gibbs.gibbs_map(
             _binomial_battery_projector(battery, *key, ladder), h_b, beta).matrix)
+        inputs, predicted = [], []
         for n_i, p_i, n_f, p_f in pairs:
             x_b_i = _binomial_battery_projector(battery, n_i, p_i, dyn.SECTOR_INITIAL, ladder)
             x_b_f = _binomial_battery_projector(battery, n_f, p_f, dyn.SECTOR_FINAL, ladder)
@@ -620,11 +625,12 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
             else:
                 q_factor = cf.q_size(p_i, chi_b)
                 w_q = cf.w_q_size(n_i, n_f, p_i, beta, spacing)
-            predicted = math.exp(beta * q_factor * w_q)   # dF = 0: equal spectra
-            _record(report, f"chi{chi_b}-n{n_i}-{n_f}-p{p_i}-{p_f}",
-                    {"chi_battery": chi_b, "n_i": n_i, "n_f": n_f,
-                     "p_i": p_i, "p_f": p_f, "P_F": p_fwd, "P_R": p_rev},
-                    p_fwd / p_rev, predicted)
+            predicted.append(math.exp(beta * q_factor * w_q))   # dF = 0: equal spectra
+            inputs.append({"chi_battery": chi_b, "n_i": n_i, "n_f": n_f,
+                           "p_i": p_i, "p_f": p_f, "P_F": p_fwd, "P_R": p_rev})
+        _record(report, [f"chi{chi_b}-n{c['n_i']}-{c['n_f']}-p{c['p_i']}-{c['p_f']}"
+                         for c in inputs], inputs, [c["P_F"] / c["P_R"] for c in inputs],
+                predicted)
         del u, prepared   # the maps go with this chi's U
 
 
@@ -657,14 +663,14 @@ def run_jarzynski(config: ScenarioConfig, report: VerificationReport) -> None:
                 total += prob / r * math.exp(-beta * float(work))
                 covered += prob
                 averaged += 1
-            _record(report, f"chi{chi}-{label}-average",
-                    {"chi": chi, "sign": sign, "covered_probability": covered,
-                     "averaged": averaged},
-                    total, cf.jarzynski_rhs(params, sign))
-            _record(report, f"chi{chi}-{label}-reverse-normalization",
-                    {"chi": chi, "sign": sign},
-                    sum(dyn.work_distribution("R", gamma_f, level, u, model).values()),
-                    1.0, tolerance=1e-10, relative=False)
+            _record(report, [f"chi{chi}-{label}-average"],
+                    [{"chi": chi, "sign": sign, "covered_probability": covered,
+                      "averaged": averaged}],
+                    [total], [cf.jarzynski_rhs(params, sign)])
+            _record(report, [f"chi{chi}-{label}-reverse-normalization"],
+                    [{"chi": chi, "sign": sign}],
+                    [sum(dyn.work_distribution("R", gamma_f, level, u, model).values())],
+                    [1.0], tolerance=1e-10, relative=False)
         del u
 
 
@@ -696,20 +702,21 @@ def run_figure2(config: ScenarioConfig, report: VerificationReport) -> None:
     """Generalized free-energy curves (energies in units of k_B T) versus chi
     for the added/subtracted protocols at omega_f = 1.5 omega_i."""
     header = ["chi", "dF", "twodF", "dEvac", "dFplus", "dFminus"]
-    rows = []
+    rows, expected = [], []
     for chi, beta, params in _chi_points(config):
         d_f, e_vac = cf.delta_F(params), cf.delta_E_vac(params)
-        twodf, devac = 2.0 * beta * d_f, beta * e_vac
-        dfp = beta * cf.gen_free_energy_pm(params, +1)
-        dfm = beta * cf.gen_free_energy_pm(params, -1)
-        rows.append([chi, beta * d_f, twodf, devac, dfp, dfm])
-        key = f"chi={_fmt(chi)}"
-        _record(report, key, {"chi": chi, "columns": "dFplus"},
-                dfp, beta * (2.0 * d_f + e_vac), relative=False)
-        _record(report, f"{key}-consistency",
-                {"chi": chi, "columns": "twodF+dEvac"}, twodf + devac, dfp, relative=False)
-        _record(report, f"{key}-minus", {"chi": chi, "columns": "dFminus"},
-                dfm, twodf - devac, relative=False)
+        rows.append([chi, beta * d_f, 2.0 * beta * d_f, beta * e_vac,
+                     beta * cf.gen_free_energy_pm(params, +1),
+                     beta * cf.gen_free_energy_pm(params, -1)])
+        expected.append(beta * (2.0 * d_f + e_vac))
+    chis, _, twodf, devac, dfp, dfm = np.array(rows).T
+    chis = chis.tolist()
+    for suffix, compared, simulated, closed_form in (
+            ("", "dFplus", dfp, expected), ("-consistency", "twodF+dEvac", twodf + devac, dfp),
+            ("-minus", "dFminus", dfm, twodf - devac)):
+        _record(report, [f"chi={_fmt(chi)}{suffix}" for chi in chis],
+                [{"chi": chi, "columns": compared} for chi in chis],
+                simulated, closed_form, relative=False)
     _emit_rows(report, config, header, rows, ("generalized free energies vs chi", header[1:]))
 
 
@@ -718,26 +725,22 @@ def run_figure3(config: ScenarioConfig, report: VerificationReport) -> None:
     omega_f = 5 omega_i at the work values requested (defaults 0 and 2)."""
     works = config.w_values or (0.0, 2.0 * float(config.omega_i))
     header = ["chi", "W", "R_plus", "R_minus", "rhs_plus", "rhs_minus", "classical"]
-    w_keys = [f"-W={_fmt(work)}-" for work in works]
     rows = []
     for chi, beta, params in _chi_points(config):
-        chi_key = f"chi={_fmt(chi)}"
-        for work, w_key in zip(works, w_keys):
-            values = {}
-            for sign, tag in ((+1, "plus"), (-1, "minus")):
+        for work in works:
+            row = [chi, work, None, None, None, None]   # R_+-, rhs_+- empty where undefined
+            for column, sign in ((2, +1), (3, -1)):
                 try:
-                    values[f"R_{tag}"] = cf.prefactor_R(work, params, sign)
-                    values[f"rhs_{tag}"] = cf.crooks_rhs_pm(work, params, sign)
+                    row[column], row[column + 2] = (cf.prefactor_R(work, params, sign),
+                                                    cf.crooks_rhs_pm(work, params, sign))
                 except UndefinedRatioError:
-                    values[f"R_{tag}"] = values[f"rhs_{tag}"] = None
-            classical = math.exp(beta * (work - cf.delta_F(params)))
-            rows.append([chi, work, values["R_plus"], values["R_minus"],
-                         values["rhs_plus"], values["rhs_minus"], classical])
-            for tag, value in (("plus", values["R_plus"]), ("minus", values["rhs_minus"]),
-                               ("classical", classical)):
-                if value is not None:
-                    _record(report, f"{chi_key}{w_key}{tag}",
-                            {"chi": chi, "W": work}, value, value, relative=True)
+                    pass
+            rows.append(row + [math.exp(beta * (work - cf.delta_F(params)))])
+    for tag, column in (("plus", 2), ("minus", 5), ("classical", 6)):
+        kept = [row for row in rows if row[column] is not None]
+        values = [row[column] for row in kept]
+        _record(report, [f"chi={_fmt(chi)}-W={_fmt(work)}-{tag}" for chi, work, *_ in kept],
+                [{"chi": chi, "W": work} for chi, work, *_ in kept], values, values)
     _emit_rows(report, config, header, rows,
                ("predicted ratio and prefactor vs chi", header[2:]))
 
@@ -748,19 +751,13 @@ def run_figure4(config: ScenarioConfig, report: VerificationReport) -> None:
     p_grid = config.p_grid or (0.2, 0.4, 0.6)
     p_f = 0.8
     header = ["chi", "p", "q_align_pf08", "q_size"]
-    p_keys = [f"-p={_fmt(p)}-" for p in p_grid]
-    rows = []
-    for chi, _, _ in _chi_points(config):
-        chi_key = f"chi={_fmt(chi)}"
-        for p, p_key in zip(p_grid, p_keys):
-            q_a = cf.q_align(p, p_f, chi) if p != p_f else None
-            q_s = cf.q_size(p, chi)
-            rows.append([chi, p, q_a, q_s])
-            if q_a is not None:
-                _record(report, f"{chi_key}{p_key}align",
-                        {"chi": chi, "p": p, "p_f": p_f}, q_a, q_a, relative=True)
-            _record(report, f"{chi_key}{p_key}size",
-                    {"chi": chi, "p": p}, q_s, q_s, relative=True)
+    rows = [[chi, p, cf.q_align(p, p_f, chi) if p != p_f else None, cf.q_size(p, chi)]
+            for chi, _, _ in _chi_points(config) for p in p_grid]
+    for tag, column, fixed in (("align", 2, {"p_f": p_f}), ("size", 3, {})):
+        kept = [row for row in rows if row[column] is not None]
+        values = [row[column] for row in kept]
+        _record(report, [f"chi={_fmt(chi)}-p={_fmt(p)}-{tag}" for chi, p, *_ in kept],
+                [{"chi": chi, "p": p, **fixed} for chi, p, *_ in kept], values, values)
     _emit_rows(report, config, header, rows,
                ("quantum distortion factors vs chi", header[2:]))
 
@@ -771,42 +768,40 @@ def run_harmonic_limit(config: ScenarioConfig, report: VerificationReport) -> No
     Each size after the first is checked against the one before it."""
     lam = 1.0
     t_grid = np.linspace(0.0, 6.0, 121)
-    previous = None
-    for n in config.n_grid or (8, 32, 128):
+    sizes = config.n_grid or (8, 32, 128)
+    overlaps, gaps = [], []
+    for n in sizes:
         space = fock.HilbertSpace(n + 2, "ladder")
         target = fock.coherent_state(math.sqrt(lam), space, tail_tol=0.5)
-        overlap = 1.0 - fock.state_fidelity(target, fock.binomial_state(n, lam / n, space))
-        gap = max(abs(cf.char_fn_binomial(n, lam / n, 1.0, t)
-                      - cf.char_fn_coherent(lam, 1.0, t)) for t in t_grid)
-        if previous is not None:
-            _record(report, f"overlap-decreasing-{n}",
-                    {"n": n, "defect": overlap, "previous": previous[0]},
-                    overlap, 0.0, tolerance=previous[0], relative=False)
-            _record(report, f"charfn-decreasing-{n}",
-                    {"n": n, "gap": gap, "previous": previous[1]},
-                    gap, 0.0, tolerance=previous[1], relative=False)
-        previous = overlap, gap
-    _record(report, "overlap-final",
-            {"n": n}, overlap, 0.0, tolerance=1e-2, relative=False)
+        overlaps.append(1.0 - fock.state_fidelity(target, fock.binomial_state(n, lam / n, space)))
+        gaps.append(max(abs(cf.char_fn_binomial(n, lam / n, 1.0, t)
+                            - cf.char_fn_coherent(lam, 1.0, t)) for t in t_grid))
+    for name, label, values in (("overlap", "defect", overlaps), ("charfn", "gap", gaps)):
+        _record(report, [f"{name}-decreasing-{n}" for n in sizes[1:]],
+                [{"n": n, label: value, "previous": previous}
+                 for n, value, previous in zip(sizes[1:], values[1:], values)],
+                values[1:], [0.0] * (len(sizes) - 1), tolerance=values[:-1], relative=False)
+    _record(report, ["overlap-final"], [{"n": sizes[-1]}], overlaps[-1:], [0.0],
+            tolerance=1e-2, relative=False)
     n_large = 10_000
-    for chi in (config.chi_grid or (0.5, 1.0, 2.0)):
-        q_val = cf.q_align(0.5 / n_large, 1.5 / n_large, chi)
-        _record(report, f"distortion-chi{chi}",
-                {"chi": chi, "n": n_large},
-                q_val, cf.q_harmonic(chi), tolerance=1e-3, relative=False)
+    chis = config.chi_grid or (0.5, 1.0, 2.0)
+    _record(report, [f"distortion-chi{chi}" for chi in chis],
+            [{"chi": chi, "n": n_large} for chi in chis],
+            [cf.q_align(0.5 / n_large, 1.5 / n_large, chi) for chi in chis],
+            [cf.q_harmonic(chi) for chi in chis], tolerance=1e-3, relative=False)
 
 
 def run_sweep(config: ScenarioConfig, report: VerificationReport) -> None:
     """Closed-form curve sweep over the chi grid, emitted as plot-ready CSV."""
     header = ["chi", "dF", "dFplus", "dFminus", "jarzynski_plus",
               "jarzynski_minus", "q_harmonic"]
-    rows = []
-    for chi, _, params in _chi_points(config):
-        d_f = cf.delta_F(params)
-        rows.append([chi, d_f, cf.gen_free_energy_pm(params, +1),
-                     cf.gen_free_energy_pm(params, -1), cf.jarzynski_rhs(params, +1),
-                     cf.jarzynski_rhs(params, -1), cf.q_harmonic(chi)])
-        _record(report, f"chi={_fmt(chi)}", {"chi": chi}, d_f, d_f, relative=False)
+    rows = [[chi, cf.delta_F(params), cf.gen_free_energy_pm(params, +1),
+             cf.gen_free_energy_pm(params, -1), cf.jarzynski_rhs(params, +1),
+             cf.jarzynski_rhs(params, -1), cf.q_harmonic(chi)]
+            for chi, _, params in _chi_points(config)]
+    d_f = [row[1] for row in rows]
+    _record(report, [f"chi={_fmt(row[0])}" for row in rows], [{"chi": row[0]} for row in rows],
+            d_f, d_f, relative=False)
     _emit_rows(report, config, header, rows)
 
 
@@ -866,8 +861,7 @@ def default_config(kind: str, path=None, **overrides) -> ScenarioConfig:
 def run_scenario(config: ScenarioConfig) -> VerificationReport:
     """Run one suite; writes `<kind>.json` (and CSV artifacts for the
     figure kinds) into config.out_dir when set."""
-    report = VerificationReport(config.kind, config.effective_tolerance(), [],
-                                config.provenance())
+    report = VerificationReport(config.kind, config.effective_tolerance(), config.provenance())
     SUITES[config.kind].runner(config, report)
     report.finalize()
     if config.out_dir is not None:

@@ -71,7 +71,7 @@ RATIOS = tuple(omega_f for _, omega_f in sc._CROOKS_FREQUENCIES)
 def _scan(config, frequencies, **options):
     """The (model, chi, beta, U) points the suite of ``config`` draws: the
     runners' own scan, filling a scratch report."""
-    report = sc.VerificationReport(config.kind, 0.0, [], {})
+    report = sc.VerificationReport(config.kind, 0.0, {})
     return sc._dynamics_scan(config, report, (), frequencies, config.chi_grid, **options)
 
 
@@ -377,8 +377,8 @@ def test_criterion_09a_jarzynski_closed_form_average():
 def test_criterion_09b_reverse_work_distribution_normalization():
     config = sc.default_config("jarzynski", seed=5150)
     report = sc.run_scenario(config)
-    norms = [c for c in report.cases if c.key.endswith("-normalization")]
-    max_gap = max(c.abs_dev for c in norms)
+    norms = [c for c in report.to_dict()["cases"] if c["key"].endswith("-normalization")]
+    max_gap = max(c["abs_dev"] for c in norms)
     ok = bool(norms) and max_gap < 1e-10
     _verdict(9, ok, f"reverse work distribution normalization across "
                     f"{len(norms)} cases: max |sum - 1| = {max_gap:.2e} "

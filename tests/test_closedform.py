@@ -191,6 +191,16 @@ class TestCachedParams:
             assert cf.delta_F(params) == (cf._log_partition(params.chi_i)
                                           - cf._log_partition(params.chi_f)) / params.beta
 
+    def test_values_are_computed_on_first_read(self):
+        # chi_f = 400: e^(2 chi_f) overflows, so only a read of nbar_f raises
+        params = cf.ScenarioParams(100.0, 1.0, 8.0)
+        assert math.isfinite(cf.delta_F(params))
+        assert "nbar_f" not in vars(params)
+        with pytest.raises(OverflowError):
+            params.nbar_f
+        with pytest.raises(AttributeError, match="nbar"):
+            params.nbar
+
     def test_identity_sees_only_the_fields(self):
         used, fresh = cf.ScenarioParams(1.3, 1.0, 1.5), cf.ScenarioParams(1.3, 1.0, 1.5)
         cf.crooks_rhs_pm(0.5, used, +1)

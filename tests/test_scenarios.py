@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 import weakref
 from functools import cache
 from pathlib import Path
@@ -225,7 +227,7 @@ class TestReports:
         report = sc.run_scenario(cfg)
         assert not report.all_passed
         failing = report.failing_cases()
-        assert failing and failing[0].key.startswith("case-")
+        assert failing and failing[0]["key"].startswith("case-")
 
     def test_summary_counts(self):
         cfg = sc.default_config("harmonic-limit")
@@ -255,21 +257,33 @@ def _lines(text: str) -> list[str]:
     return text.splitlines(keepends=True)
 
 
+#: the entries of a case as these tests write it, one tuple per case
+_CASE = ("key", "inputs", "simulated", "closed_form", "abs_dev", "rel_dev", "passed")
+
+
+def _columns(cases) -> dict:
+    """``_CASE`` tuples as a report's columns, any field values allowed."""
+    columns = {name: [] for name in _CASE}
+    for case in cases:
+        for name, value in zip(_CASE, case):
+            columns[name].append(value)
+    return columns
+
+
 def _report(cases) -> sc.VerificationReport:
-    return sc.VerificationReport("figure2", 1e-12, list(cases),
-                                 {"kind": "figure2", "seed": 3}).finalize()
+    return sc.VerificationReport("figure2", 1e-12, {"kind": "figure2", "seed": 3},
+                                 columns=_columns(cases)).finalize()
 
 
 _ODD_CASES = [
-    sc.CaseRecord("chi-nan", {"chi": 0.5}, math.nan, 1.0, math.nan, math.nan, False),
-    sc.CaseRecord("chi-inf", {"chi": 1e-05, "n": 3}, math.inf, 2.5, math.inf,
-                  -math.inf, False),
-    sc.CaseRecord('quote"back\\slash-χ\né', {"label": 'a"\\é\n'},
-                  1e+16, -0.0, 5e-324, 1.7976931348623157e308, True),
-    sc.CaseRecord("empty-inputs", {}, 0.1, 0.1, 0.0, 0.0, True),
-    sc.CaseRecord("mixed", {"n": 7, "name": "added", "x": np.float64(0.3),
-                            "flag": True, "none": None, "neg": -2},
-                  np.float64(1 / 3), 1.0, np.float64(2 / 3), 2.0, False),
+    ("chi-nan", {"chi": 0.5}, math.nan, 1.0, math.nan, math.nan, False),
+    ("chi-inf", {"chi": 1e-05, "n": 3}, math.inf, 2.5, math.inf, -math.inf, False),
+    ('quote"back\\slash-χ\né', {"label": 'a"\\é\n'},
+     1e+16, -0.0, 5e-324, 1.7976931348623157e308, True),
+    ("empty-inputs", {}, 0.1, 0.1, 0.0, 0.0, True),
+    ("mixed", {"n": 7, "name": "added", "x": np.float64(0.3),
+               "flag": True, "none": None, "neg": -2},
+     np.float64(1 / 3), 1.0, np.float64(2 / 3), 2.0, False),
 ]
 
 
@@ -279,8 +293,8 @@ _CHUNK = sc._CASE_CHUNK
 def _chunked_cases(count: int) -> list:
     """``count`` plain cases in report order, with ``_ODD_CASES`` in turn at
     the first and the last place of every chunk ``write`` formats."""
-    cases = [sc.CaseRecord(f"case-{i:05d}", {"chi": i / 7, "i": i, "which": "N"},
-                           i / 3, -i / 9, i / 11, i / 13, i % 3 != 0) for i in range(count)]
+    cases = [(f"case-{i:05d}", {"chi": i / 7, "i": i, "which": "N"},
+              i / 3, -i / 9, i / 11, i / 13, i % 3 != 0) for i in range(count)]
     edges = sorted({i for start in range(0, count, _CHUNK)
                     for i in (start, min(start + _CHUNK, count) - 1)})
     for n, i in enumerate(edges):
@@ -290,8 +304,8 @@ def _chunked_cases(count: int) -> list:
 
 def _unsorted_report(cases) -> sc.VerificationReport:
     """A report whose cases stay in the given order (``finalize`` sorts them)."""
-    return sc.VerificationReport("figure2", 1e-12, list(cases), {"kind": "figure2"},
-                                 {"cases": len(cases)})
+    return sc.VerificationReport("figure2", 1e-12, {"kind": "figure2"},
+                                 {"cases": len(cases)}, _columns(cases))
 
 
 @pytest.fixture(scope="module")
@@ -324,7 +338,7 @@ class TestReportJson:
         assert report.to_json() == _dumps(report.to_dict())
         assert '"cases": [],' in report.to_json()
 
-    @pytest.mark.parametrize("case", _ODD_CASES, ids=lambda c: c.key.split("-")[0])
+    @pytest.mark.parametrize("case", _ODD_CASES, ids=lambda c: c[0].split("-")[0])
     def test_edge_case(self, case):
         report = _report([case])
         assert report.to_json() == _dumps(report.to_dict())
@@ -338,20 +352,19 @@ class TestReportJson:
         assert (tmp_path / "verify.json").read_text() == _dumps(payload) + "\n"
 
     @settings(max_examples=100, deadline=None)
-    @given(cases=st.lists(st.builds(
-        sc.CaseRecord, st.text(),
+    @given(cases=st.lists(st.tuples(
+        st.text(),
         st.dictionaries(st.text(), st.one_of(st.floats(), st.integers(), st.text(),
                                              st.booleans(), st.none())),
         st.floats(), st.floats(), st.floats(), st.floats(), st.booleans()),
-        max_size=4, unique_by=lambda c: c.key))
+        max_size=4, unique_by=lambda c: c[0]))
     def test_random_flat_cases(self, cases):
         report = _report(cases)
         assert report.to_json() == _dumps(report.to_dict())
 
     @pytest.mark.parametrize("nested", [{"a": 1}, [1, 2], (1, 2), {}, []])
     def test_nested_inputs_raise(self, nested):
-        report = _report([sc.CaseRecord("k", {"chi": 0.5, "deep": nested},
-                                        1.0, 1.0, 0.0, 0.0, True)])
+        report = _report([("k", {"chi": 0.5, "deep": nested}, 1.0, 1.0, 0.0, 0.0, True)])
         with pytest.raises(TypeError):
             report.to_json()
 
@@ -366,8 +379,7 @@ class TestReportJson:
     @pytest.mark.parametrize("value", [{"a": 1}, [1, 2], (1, 2), {}, {1, 2}, b"x"])
     def test_write_checks_inputs_before_opening(self, tmp_path, value):
         cases = _chunked_cases(2 * _CHUNK + 1)
-        cases[-1] = sc.CaseRecord("zz-last", {"chi": 0.5, "deep": value},
-                                  1.0, 1.0, 0.0, 0.0, True)
+        cases[-1] = ("zz-last", {"chi": 0.5, "deep": value}, 1.0, 1.0, 0.0, 0.0, True)
         report = _unsorted_report(cases)
         path = tmp_path / "sub" / "r.json"
         with pytest.raises(TypeError, match="zz-last"):
@@ -380,8 +392,8 @@ class TestReportJson:
         assert path.read_text() == "kept\n"
 
     def test_write_never_holds_the_full_text(self, tmp_path):
-        report = _report(sc.CaseRecord(f"case-{i:05d}", {"chi": i / 7, "W": -i / 3},
-                                       i / 3, i / 9, i / 11, i / 13, i % 2 == 0)
+        report = _report((f"case-{i:05d}", {"chi": i / 7, "W": -i / 3},
+                          i / 3, i / 9, i / 11, i / 13, i % 2 == 0)
                          for i in range(20_000))
         size = len(report.to_json())
         tracemalloc.start()
@@ -404,7 +416,51 @@ class TestReportJson:
         assert report.to_json() == before
         again = report.to_dict()
         assert again["cases"][0] is not data["cases"][0]
-        assert again["cases"][0]["inputs"] is not report.cases[0].inputs
+        assert again["cases"][0]["inputs"] is not report.columns["inputs"][0]
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestRecordColumns:
+    """_record's column arithmetic against the scalar expressions on Python
+    floats: the same bits for every deviation, the same verdicts."""
+
+    EDGES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, -2.5, 1 / 3, 5e-324,
+             1e-300, 1.7976931348623157e308)
+
+    @staticmethod
+    def _scalar(simulated, closed_form, tol, relative):
+        abs_dev = abs(simulated - closed_form)
+        scale = abs(closed_form)
+        rel_dev = abs_dev / scale if scale > 0 else abs_dev
+        return abs_dev, rel_dev, (rel_dev if relative else abs_dev) <= tol
+
+    @pytest.mark.parametrize("relative", [True, False])
+    @pytest.mark.parametrize("tolerance", [None, 0.5, "column"])
+    def test_bits_and_verdicts_match_scalar_arithmetic(self, relative, tolerance):
+        pairs = [(s, c) for s in self.EDGES for c in self.EDGES]
+        tols = [(0.0, 1e-12, 1.0, math.inf, math.nan, 2.0)[i % 6] for i in range(len(pairs))]
+        report = sc.VerificationReport("figure2", 1e-12, {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sc._record(report, [f"k{i:03d}" for i in range(len(pairs))],
+                       [{"i": i} for i in range(len(pairs))],
+                       [s for s, _ in pairs], [c for _, c in pairs],
+                       tolerance=tols if tolerance == "column" else tolerance,
+                       relative=relative)
+        columns = report.columns
+        assert [len(columns[name]) for name in sc._FIELDS] == [len(pairs)] * 7
+        for i, (s, c) in enumerate(pairs):
+            tol = tols[i] if tolerance == "column" else tolerance or 1e-12
+            abs_dev, rel_dev, passed = self._scalar(s, c, tol, relative)
+            assert _bits(columns["simulated"][i]) == _bits(s), (s, c)
+            assert _bits(columns["closed_form"][i]) == _bits(c), (s, c)
+            assert _bits(columns["abs_dev"][i]) == _bits(abs_dev), (s, c)
+            assert _bits(columns["rel_dev"][i]) == _bits(rel_dev), (s, c)
+            assert columns["passed"][i] is passed, (s, c, tol)
+            assert columns["key"][i] == f"k{i:03d}" and columns["inputs"][i] == {"i": i}
 
 
 class TestCrooksDropCounts:
@@ -422,7 +478,7 @@ class TestCrooksDropCounts:
         report = sc.run_scenario(cfg)
         dropped = report.provenance["dropped"]
         assert set(dropped) == {"below_floor", "undefined_ratio"}
-        got = (len(report.cases), dropped["below_floor"], dropped["undefined_ratio"])
+        got = (len(report.columns["key"]), dropped["below_floor"], dropped["undefined_ratio"])
         assert sum(got) == 3 * n_chi * cfg.ladder_dim
         if counts is not None:
             assert got == counts
@@ -448,8 +504,8 @@ class TestBinomialDropCounts:
         report = sc.run_scenario(sc.default_config(kind, seed=seed, **overrides))
         dropped = report.provenance["dropped"]
         assert set(dropped) == {"below_floor"}
-        assert len(report.cases) + dropped["below_floor"] == candidates
-        assert (len(report.cases), dropped["below_floor"]) == counts
+        assert len(report.columns["key"]) + dropped["below_floor"] == candidates
+        assert (len(report.columns["key"]), dropped["below_floor"]) == counts
 
 
 class TestBinomialProjectors:
@@ -462,7 +518,7 @@ class TestBinomialProjectors:
         monkeypatch.setattr(sc.fock, "binomial_state",
                             lambda *args, **kw: built.append(args) or real(*args, **kw))
         report = sc.run_scenario(sc.default_config(kind))
-        assert len(report.cases) == 54
+        assert len(report.columns["key"]) == 54
         assert len(built) == 9
 
     @pytest.mark.parametrize("kind", ["crooks-binomial-align", "crooks-binomial-size"])
@@ -474,7 +530,7 @@ class TestBinomialProjectors:
         monkeypatch.setattr(sc.gibbs, "gibbs_map",
                             lambda *args, **kw: mapped.append(args) or real(*args, **kw))
         report = sc.run_scenario(sc.default_config(kind))
-        assert len(report.cases) == 54
+        assert len(report.columns["key"]) == 54
         assert len(mapped) == 54
 
 
@@ -491,8 +547,9 @@ class TestJarzynskiDropCounts:
         report = sc.run_scenario(cfg)
         dropped = report.provenance["dropped"]
         assert set(dropped) == {"below_floor", "undefined_ratio"}
-        averaged = [c.inputs["averaged"] for c in report.cases
-                    if c.key.endswith("-average")]
+        averaged = [inputs["averaged"] for key, inputs
+                    in zip(report.columns["key"], report.columns["inputs"])
+                    if key.endswith("-average")]
         assert len(averaged) == 2 * len(cfg.chi_grid or (0.25, 0.5))
         assert sum(averaged) + sum(dropped.values()) == len(averaged) * cfg.ladder_dim
 
@@ -646,8 +703,8 @@ class TestFigureData:
             cases = _row_cases(kind, dict(zip(header, row)))
             assert cases and cases.keys().isdisjoint(expected)
             expected.update(cases)
-        assert len(report.cases) == len(expected)
-        assert {case.key: case.simulated for case in report.cases} == expected
+        assert len(report.columns["key"]) == len(expected)
+        assert dict(zip(report.columns["key"], report.columns["simulated"])) == expected
         if kind in ("figure3", "figure4"):   # the grids leave some cells empty
             assert len(expected) < len(rows) * (3 if kind == "figure3" else 2)
 
@@ -672,7 +729,7 @@ class TestVerifyAll:
 
         def fake_run(config):
             ran.append(config.kind)
-            return sc.VerificationReport(config.kind, 0.0, [], {}).finalize()
+            return sc.VerificationReport(config.kind, 0.0, {}).finalize()
 
         monkeypatch.setattr(sc, "run_scenario", fake_run)
         results = sc.verify_all(seed=1)
@@ -786,6 +843,24 @@ class TestCli:
         code = cli.main(["figure2", "--out", str(tmp_path),
                          "--tolerance", "0"])
         assert code == 1
+
+    def test_failing_case_lines_are_the_first_five_of_the_report(self, tmp_path, capsys):
+        assert cli.main(["figure2", "--out", str(tmp_path), "--tolerance", "0"]) == 1
+        cases = json.loads((tmp_path / "figure2.json").read_text())["cases"]
+        failing = [case for case in cases if not case["passed"]]
+        assert len(failing) > 5
+        assert [case["key"] for case in cases] == sorted(case["key"] for case in cases)
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"     failing case {case['key']}: simulated={case['simulated']:.9g} "
+            f"expected={case['closed_form']:.9g}" for case in failing[:5]]
+
+    @pytest.mark.parametrize("kind", ["figure2", "figure4", "sweep"])
+    def test_runs_that_never_read_an_overflowing_nbar(self, tmp_path, kind):
+        # chi_f = 8 chi = 400: e^(2 chi_f) overflows, but these kinds never
+        # read nbar_f (figure3 does, and exits 3: test_overflow_exit_three)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega_f": 8, "chi_grid": [50.0]}))
+        assert cli.main([kind, "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
     def test_config_file_drives_sweep(self, tmp_path):
         cfg = tmp_path / "sweep.json"
