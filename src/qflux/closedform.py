@@ -111,9 +111,13 @@ def _log_partition(chi: float) -> float:
 
 
 def mean_occupation(chi: float) -> float:
-    """Thermal mean photon number 1/(exp(2 chi) - 1)."""
+    """Thermal mean photon number 1/(exp(2 chi) - 1): exp(-2 chi), to which
+    it rounds, past chi = 354.9, where exp(2 chi) overflows."""
     chi = _check_chi(chi)
-    return 1.0 / math.expm1(2.0 * chi)
+    try:
+        return 1.0 / math.expm1(2.0 * chi)
+    except OverflowError:
+        return math.exp(-2.0 * chi)
 
 
 def delta_F(params: ScenarioParams) -> float:

@@ -534,10 +534,31 @@ def _system_density(system_state, model: JointModel) -> np.ndarray:
     return rho
 
 
+def _weighted_read(sub: np.ndarray, rho: np.ndarray, weights=None) -> np.ndarray:
+    """sum_a w_a (U_j rho U_j^dag)_aa per j for the (J, system, system) stack
+    ``sub`` of U_j, unclamped; w_a = 1 if ``weights`` is None.
+
+    A rho whose off-diagonal entries are all exactly zero is read from its
+    diagonal: sum_n rho_nn sum_a w_a |U_j[a, n]|^2, by elementwise products and
+    ``sum`` reductions, never a BLAS product, so a stack of reads gives each
+    read's own bits at any BLAS thread count, and a positive diagonal gives no
+    negative value. Any other rho (an off-diagonal NaN or 1e-300 too) is
+    contracted whole by ``einsum``."""
+    if (rho[~np.eye(rho.shape[0], dtype=bool)] == 0).all():
+        square = sub.real ** 2 + sub.imag ** 2
+        if weights is not None:
+            square = square * weights[:, None]
+        return (square.sum(axis=1) * rho.diagonal().real).sum(axis=1)
+    if weights is None:
+        return np.einsum('jan,nm,jam->j', sub.conj(), rho, sub).real
+    return np.einsum('a,jan,nm,jam->j', weights, sub.conj(), rho, sub).real
+
+
 def _transition_read(e_f_index, system_state, e_i_index,
                      u: ConservingUnitary, model: JointModel):
     """rho, the (J, system, system) stack of U on battery-out ``e_f_index`` rows and
-    battery-in ``e_i_index`` columns, and the J unclamped transition probabilities.
+    battery-in ``e_i_index`` columns, and the J unclamped transition probabilities
+    (``_weighted_read``: from rho's diagonal when rho is diagonal).
     One index may be a 1-D array of J entries; a pair of scalars is the stack of one."""
     e_f, e_i = np.asarray(e_f_index), np.asarray(e_i_index)
     bdim = model.battery.dim
@@ -552,7 +573,7 @@ def _transition_read(e_f_index, system_state, e_i_index,
         sub = sub.reshape(ds, e_i.size, ds).transpose(1, 0, 2)
     else:
         sub = u.entries((e_f.reshape(-1, 1) + system).ravel(), system + e_i).reshape(-1, ds, ds)
-    return rho, sub, np.einsum('jan,nm,jam->j', sub.conj(), rho, sub).real
+    return rho, sub, _weighted_read(sub, rho)
 
 
 def transition_probability(e_f_index, system_state, e_i_index,
@@ -580,7 +601,9 @@ def conditional_photon_number(e_f_index, system_state, e_i_index,
 
     ``which`` selects the measured system operator: "N" for the photon-added
     protocol, "N+1" for photon-subtracted; the returned mean is the
-    conditional expectation of that operator. A probability at or below
+    conditional expectation of that operator, and its weighted sum is read
+    as the probability is (``_weighted_read``: from the diagonal of a
+    diagonal rho, else by ``einsum``). A probability at or below
     ``prob_floor`` leaves the mean undefined: a scalar read raises
     UndefinedRatioError, a stacked read gives NaN there.
     """
@@ -590,7 +613,7 @@ def conditional_photon_number(e_f_index, system_state, e_i_index,
     weights = np.arange(model.system_cutoff, dtype=float)
     if which == "N+1":
         weights = weights + 1.0
-    q_val = np.einsum('a,jan,nm,jam->j', weights, sub.conj(), rho, sub).real
+    q_val = _weighted_read(sub, rho, weights)
     undefined = prob <= prob_floor
     if np.ndim(e_f_index) or np.ndim(e_i_index):
         return np.divide(q_val, prob, out=np.full(prob.shape, np.nan), where=~undefined), prob

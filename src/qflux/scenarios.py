@@ -536,6 +536,13 @@ def _photon_states(model: dyn.JointModel, beta: float, sign: int) -> tuple:
             maker(beta, model.system_mode(dyn.SECTOR_FINAL), tail_tol=1.0))
 
 
+def _note_tail_mass(report: VerificationReport, *states: fock.DensityState) -> None:
+    """Keep the largest tail mass the truncation of ``states`` dropped in
+    ``provenance["max_tail_mass"]``."""
+    report.provenance["max_tail_mass"] = max(report.provenance.get("max_tail_mass", 0.0),
+                                             *(state.tail_mass for state in states))
+
+
 def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
                       sign: int) -> None:
     """Measured forward/reverse battery transition ratios for photon
@@ -550,6 +557,7 @@ def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
         battery, ratio = model.battery, model.omega_f
         params = cf.ScenarioParams(beta, float(model.omega_i), float(ratio))
         gamma_i, gamma_f = _photon_states(model, beta, sign)
+        _note_tail_mass(report, gamma_i, gamma_f)
         b_i = battery.basis_index(w0, dyn.SECTOR_INITIAL)
         b_f = 2 * np.arange(config.ladder_dim) + dyn.SECTOR_FINAL   # every w_meas at once
         p_fwds = dyn.transition_probability(b_f, gamma_i, b_i, u, model).tolist()
@@ -648,6 +656,7 @@ def run_jarzynski(config: ScenarioConfig, report: VerificationReport) -> None:
         params = cf.ScenarioParams(beta, float(model.omega_i), float(model.omega_f))
         for sign, label in ((+1, "added"), (-1, "subtracted")):
             gamma_i, gamma_f = _photon_states(model, beta, sign)
+            _note_tail_mass(report, gamma_i, gamma_f)
             fwd = dyn.work_distribution("F", gamma_i, level, u, model)
             total = covered = 0.0
             averaged = 0

@@ -4,8 +4,9 @@ qflux stores a conserving unitary as its energy blocks and never forms the
 d x d matrix. The oracle here does: it scatters the padded blocks
 (``u.indices``, ``u.matrices``, ``u.size``) into a dense array and evaluates
 Q, transition probabilities, conditional photon numbers and work
-distributions with dense products; the sparse ``u.matrix`` export is checked
-against that array.
+distributions with dense products; a diagonal system state is read from its
+diagonal, summed in the order qflux sums it. The sparse ``u.matrix`` export
+is checked against that array.
 
 qflux decides degeneracy on integer levels. The partition oracle computes
 every joint energy as a ``Fraction`` and groups equal ones in a dict.
@@ -54,15 +55,38 @@ def dense_sub(um, model, b_out, b_in):
     return um[np.ix_(rows, cols)]
 
 
+def is_diagonal(rho):
+    """Every off-diagonal entry exactly zero (a NaN is not)."""
+    return np.count_nonzero(rho[~np.eye(len(rho), dtype=bool)]) == 0
+
+
+def dense_expectation(sub, rho, weights=None):
+    """sum_a w_a (sub rho sub^dag)_aa for one (system, system) block of U. A
+    diagonal rho is read as sum_n rho_nn sum_a w_a |sub[a, n]|^2, summed in
+    that order; any other rho is contracted whole."""
+    if is_diagonal(rho):
+        square = sub.real ** 2 + sub.imag ** 2
+        if weights is not None:
+            square = square * weights[:, None]
+        return float((square.sum(axis=0) * np.diag(rho).real).sum())
+    if weights is None:
+        return float(np.einsum('an,nm,am->', sub.conj(), rho, sub).real)
+    return float(np.einsum('a,an,nm,am->', weights, sub.conj(), rho, sub).real)
+
+
 def dense_transition(um, model, b_out, rho, b_in):
-    sub = dense_sub(um, model, b_out, b_in)
-    return max(float(np.einsum('an,nm,am->', sub.conj(), rho, sub).real), 0.0)
+    return max(dense_expectation(dense_sub(um, model, b_out, b_in), rho), 0.0)
 
 
 def dense_work(um, model, rho, level, sector):
     b_in = model.battery.basis_index(level, sector)
     cols = np.arange(model.system_cutoff) * model.battery.dim + b_in
     amp = um[:, cols]
+    if is_diagonal(rho):   # rows (a, b): sum over a, then over n with rho's diagonal
+        square = (amp.real ** 2 + amp.imag ** 2).reshape(model.system_cutoff, -1,
+                                                         model.system_cutoff)
+        per_b = (square.sum(axis=0) * np.diag(rho).real).sum(axis=1)
+        return per_b.reshape(model.battery.ladder_dim, 2).sum(axis=1)
     per_row = np.einsum('rn,nm,rm->r', amp.conj(), rho, amp).real
     return per_row.reshape(model.system_cutoff, model.battery.ladder_dim, 2).sum(axis=(0, 2))
 
@@ -500,10 +524,10 @@ class TestReadsEqualDense:
         checked = 0
         for b_f in range(model.battery.dim):
             sub = dense_sub(um, model, b_f, b_i)
-            prob = float(np.einsum('an,nm,am->', sub.conj(), rho, sub).real)
+            prob = dense_expectation(sub, rho)
             if prob <= dyn.DEFAULT_PROB_FLOOR:
                 continue
-            q_val = float(np.einsum('a,an,nm,am->', weights, sub.conj(), rho, sub).real)
+            q_val = dense_expectation(sub, rho, weights)
             assert dyn.conditional_photon_number(b_f, gamma, b_i, u, model, "N+1") == \
                 (q_val / prob, prob)
             checked += 1
@@ -566,6 +590,76 @@ class TestStackedReads:
             assert np.array(scalar).tobytes() == np.array((mean, prob)).tobytes()
             defined += 1
         assert defined >= 1
+
+
+def random_density(rng, d):
+    """A random density matrix with no zero entry."""
+    g = random_factor(rng, d)
+    return g / np.trace(g).real
+
+
+class TestReadPaths:
+    # a rho with every off-diagonal entry exactly zero is read from its
+    # diagonal; any other rho is contracted whole, as dense_expectation does
+    def test_non_diagonal_rho_reads_as_the_dense_contraction(self, model_and_unitary):
+        model, u = model_and_unitary
+        um = dense(u)
+        rho = random_density(np.random.default_rng(41), model.system_cutoff)
+        weights = np.arange(model.system_cutoff, dtype=float)
+        b_0 = model.battery.basis_index(model.battery.ladder_dim // 2, 0)
+        checked = 0
+        for b_f in range(model.battery.dim):
+            sub = dense_sub(um, model, b_f, b_0)
+            prob = dense_expectation(sub, rho)
+            assert dyn.transition_probability(b_f, rho, b_0, u, model) == max(prob, 0.0)
+            if prob > dyn.DEFAULT_PROB_FLOOR:
+                assert dyn.conditional_photon_number(b_f, rho, b_0, u, model, "N") == \
+                    (dense_expectation(sub, rho, weights) / prob, prob)
+                checked += 1
+        assert checked >= 1
+        level = u.window[0] if u.window else model.battery.ladder_dim // 2
+        per_level = dense_work(um, model, rho, level, 0)
+        assert dyn.work_distribution("F", rho, level, u, model) == {
+            model.battery.spacing * (level - w): float(per_level[w])
+            for w in range(model.battery.ladder_dim)}
+
+    @pytest.mark.parametrize("name, sampler", [(m, s) for m in MODELS for s in SAMPLERS
+                                               if m != "singletons"])
+    @pytest.mark.parametrize("entry", [1e-300, math.nan])
+    def test_any_nonzero_off_diagonal_entry_takes_the_general_path(self, name, sampler,
+                                                                   entry):
+        # singleton blocks give both paths the same terms, so they are left out
+        model = MODELS[name]()
+        u = SAMPLERS[sampler](model, 23)
+        um = dense(u)
+        gamma = fock.thermal_state(0.9, model.system_mode(0), tail_tol=1.0).matrix
+        rho = gamma.copy()
+        rho[0, 1] = entry
+        b_0 = model.battery.basis_index(model.battery.ladder_dim // 2, 0)
+        stack = np.arange(model.battery.dim)
+        read = dyn.transition_probability(stack, rho, b_0, u, model)
+        diagonal = np.array([dense_transition(um, model, b_f, gamma, b_0) for b_f in stack])
+        if math.isnan(entry):
+            assert np.isnan(read).all() and not np.isnan(diagonal).any()
+        else:
+            assert read.tolist() == [dense_transition(um, model, b_f, rho, b_0)
+                                     for b_f in stack]
+            assert (read != diagonal).any()
+        assert dyn.transition_probability(stack, gamma, b_0, u, model).tolist() == \
+            diagonal.tolist()
+
+    @pytest.mark.parametrize("maker", [fock.thermal_state, fock.photon_added_state,
+                                       fock.photon_subtracted_state])
+    def test_diagonal_reads_are_never_negative(self, model_and_unitary, maker):
+        # the unclamped probabilities, as conditional_photon_number returns them
+        model, u = model_and_unitary
+        stack = np.arange(model.battery.dim)
+        for beta, sector in product((0.05, 0.9, 6.0), (0, 1)):
+            gamma = maker(beta, model.system_mode(sector), tail_tol=1.0)
+            b_0 = model.battery.basis_index(model.battery.ladder_dim // 2, sector)
+            for args in ((stack, gamma, b_0), (b_0, gamma, stack)):
+                prob = dyn.conditional_photon_number(*args, u, model, "N+1")[1]
+                assert not np.signbit(prob).any() and not np.isnan(prob).any()
 
 
 def fraction_partition(model):

@@ -47,6 +47,17 @@ class TestPartitionAndOccupation:
                 series_mean_occupation(chi), rel=1e-10)
         assert cf.mean_occupation(25.0) < 1e-21
 
+    def test_mean_occupation_past_the_overflow_of_exp(self):
+        # e^(2 chi) overflows past chi = 354.9; 1/(e^(2 chi) - 1) rounds to
+        # e^(-2 chi) there, a subnormal and then 0
+        for chi in (354.9, 355.0, 372.0, 400.0, 1e4):
+            with pytest.raises(OverflowError):
+                math.expm1(2.0 * chi)
+            assert cf.mean_occupation(chi) == math.exp(-2.0 * chi)
+        assert cf.mean_occupation(354.89) == 1.0 / math.expm1(2.0 * 354.89)
+        assert 0.0 < cf.mean_occupation(355.0) < cf.mean_occupation(354.89)
+        assert cf.mean_occupation(math.inf) == 0.0
+
     def test_mean_occupation_high_temperature_divergence(self):
         chi = 1e-5
         assert cf.mean_occupation(chi) * 2 * chi == pytest.approx(1.0, abs=1e-4)
@@ -191,13 +202,16 @@ class TestCachedParams:
             assert cf.delta_F(params) == (cf._log_partition(params.chi_i)
                                           - cf._log_partition(params.chi_f)) / params.beta
 
-    def test_values_are_computed_on_first_read(self):
-        # chi_f = 400: e^(2 chi_f) overflows, so only a read of nbar_f raises
+    def test_values_are_computed_on_first_read(self, monkeypatch):
+        # chi_f = 400: nbar_f is computed once, at its first read
+        chis = []
+        monkeypatch.setattr(cf, "mean_occupation",
+                            lambda chi: chis.append(chi) or math.exp(-2.0 * chi))
         params = cf.ScenarioParams(100.0, 1.0, 8.0)
         assert math.isfinite(cf.delta_F(params))
-        assert "nbar_f" not in vars(params)
-        with pytest.raises(OverflowError):
-            params.nbar_f
+        assert "nbar_f" not in vars(params) and chis == []
+        assert params.nbar_f == params.nbar_f == math.exp(-800.0)
+        assert chis == [params.chi_f] and vars(params)["nbar_f"] == 0.0
         with pytest.raises(AttributeError, match="nbar"):
             params.nbar
 

@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 import warnings
 import weakref
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qflux import cli
 from qflux import closedform as cf
+from qflux import fock
 from qflux import scenarios as sc
 from qflux.errors import BudgetExceededError, ConfigError
 
@@ -484,6 +486,34 @@ class TestCrooksDropCounts:
             assert got == counts
 
 
+class TestTailMass:
+    """The photon-state suites record the largest tail mass that truncating
+    their prepared system states dropped; the other suites record none."""
+
+    @pytest.mark.parametrize("kind, signs, chis", [
+        ("crooks-added", (+1,), (0.1, 2.0)),
+        ("crooks-subtracted", (-1,), (0.1, 2.0)),
+        ("jarzynski", (+1, -1), (0.25, 0.5)),
+    ])
+    def test_largest_tail_mass_of_the_prepared_states(self, kind, signs, chis):
+        cfg = sc.default_config(kind, seed=2024, chi_grid=chis)
+        frequencies = (sc._CROOKS_FREQUENCIES if kind != "jarzynski"
+                       else [(Fraction(cfg.omega_i), Fraction(cfg.omega_f))])
+        makers = {+1: fock.photon_added_state, -1: fock.photon_subtracted_state}
+        expected = max(makers[sign](2.0 * chi / float(omega_i),
+                                    fock.OscillatorMode(omega, cfg.system_cutoff),
+                                    tail_tol=1.0).tail_mass
+                       for omega_i, omega_f in frequencies for omega in (omega_i, omega_f)
+                       for chi in chis for sign in signs)
+        assert 0.0 < expected < 1.0
+        assert sc.run_scenario(cfg).provenance["max_tail_mass"] == expected
+
+    def test_binomial_suites_record_none(self):
+        cfg = sc.default_config("crooks-binomial-align", seed=2024, chi_grid=(0.5,),
+                                n_grid=(2,), p_grid=(0.2, 0.5))
+        assert "max_tail_mass" not in sc.run_scenario(cfg).provenance
+
+
 class TestBinomialDropCounts:
     """Every candidate (chi, pair) of a crooks-binomial suite is either a
     case or counted as below the probability floor."""
@@ -857,7 +887,7 @@ class TestCli:
     @pytest.mark.parametrize("kind", ["figure2", "figure4", "sweep"])
     def test_runs_that_never_read_an_overflowing_nbar(self, tmp_path, kind):
         # chi_f = 8 chi = 400: e^(2 chi_f) overflows, but these kinds never
-        # read nbar_f (figure3 does, and exits 3: test_overflow_exit_three)
+        # read nbar_f (figure3 does: test_figure3_reads_nbar_past_its_overflow)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"omega_f": 8, "chi_grid": [50.0]}))
         assert cli.main([kind, "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -906,14 +936,24 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fields", [{"chi_grid": [50], "omega_f": 40},
-                                        {"w_values": [1389]}])
+    @pytest.mark.parametrize("fields", [{"w_values": [1389]}])
     def test_overflow_exit_three(self, tmp_path, capsys, fields):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(fields))
         code = cli.main(["figure3", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 3
         assert "OverflowError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [{"omega_f": 8, "chi_grid": [50]},
+                                        {"chi_grid": [50], "omega_f": 40}])
+    def test_figure3_reads_nbar_past_its_overflow(self, tmp_path, fields):
+        # chi_f = 400 and 2000: e^(2 chi_f) overflows, and nbar_f is e^(-2 chi_f)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        assert cli.main(["figure3", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "figure3.csv").read_text().splitlines()[1:]
+        cells = [float(cell) for row in rows for cell in row.split(",") if cell]
+        assert rows and all(map(math.isfinite, cells))
 
 
 _NUMBERS = st.one_of(st.floats(), st.integers(-10 ** 4, 10 ** 4),
