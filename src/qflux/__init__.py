@@ -15,7 +15,7 @@ from .errors import (BudgetExceededError, ConfigError, DegenerateMapError,
                      UndefinedRatioError, WindowError)
 from .fock import (DensityState, HilbertSpace, OperatorMatrix, OscillatorMode,
                    PureState, binomial_state, coherent_state, expectation,
-                   hamiltonian, identity, ladder_operators, min_cutoff_for_tail,
+                   identity, ladder_operators, min_cutoff_for_tail,
                    number_operator, photon_added_state, photon_subtracted_state,
                    state_fidelity, tensor, thermal_state, trace)
 from .gibbs import (EffectivePotentialValue, MeasurementOperator,

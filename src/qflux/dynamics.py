@@ -6,6 +6,8 @@ single time-independent joint Hamiltonian realizes the frequency quench.
 Energies are exact: every joint energy is an integer multiple of one rational
 unit, so ``levels[k] * energy_unit`` is the energy of joint index k and
 degeneracy is decided by integer equality, never by floating-point comparison.
+Every Hamiltonian is diagonal and handed out as its energies: floats in
+``system_mode(s).energies`` and ``battery.energies``, integers in ``levels``.
 
 Basis layout (row-major): full index k = (n * L + w) * 2 + s for system level
 n, battery ladder level w, switch sector s (0 = initial, 1 = final). The
@@ -36,8 +38,7 @@ import numpy.random
 
 from .errors import (DimensionError, DomainError, IncommensurateError,
                      UndefinedRatioError, WindowError)
-from .fock import (DensityState, HilbertSpace, OperatorMatrix, OscillatorMode, PureState,
-                   hamiltonian)
+from .fock import DensityState, HilbertSpace, OperatorMatrix, OscillatorMode, PureState
 
 SECTOR_INITIAL = 0
 SECTOR_FINAL = 1
@@ -84,9 +85,10 @@ class SwitchedBattery:
     def ladder_space(self) -> HilbertSpace:
         return HilbertSpace(self.ladder_dim, "battery-ladder")
 
-    def hamiltonian(self) -> OperatorMatrix:
-        levels = float(self.spacing) * np.arange(self.ladder_dim, dtype=float)
-        return OperatorMatrix(self.space, np.kron(np.diag(levels), np.eye(2)))
+    @property
+    def energies(self) -> np.ndarray:
+        """H_B as its diagonal in the battery basis b = 2 w + s: delta * w."""
+        return np.repeat(float(self.spacing) * np.arange(self.ladder_dim, dtype=float), 2)
 
     def sector_projector(self, sector: int) -> OperatorMatrix:
         if sector not in (SECTOR_INITIAL, SECTOR_FINAL):
@@ -134,24 +136,12 @@ class JointModel:
     def dim(self) -> int:
         return self.system_cutoff * self.battery.dim
 
-    @property
-    def system_space(self) -> HilbertSpace:
-        return HilbertSpace(self.system_cutoff, "system")
-
-    @property
-    def space(self) -> HilbertSpace:
-        return HilbertSpace(self.dim, "system*battery",
-                            (self.system_cutoff, self.battery.ladder_dim, 2))
-
     def index(self, n: int, level: int, sector: int) -> int:
         return (n * self.battery.ladder_dim + level) * 2 + sector
 
     def system_mode(self, sector: int) -> OscillatorMode:
         omega = self.omega_i if sector == SECTOR_INITIAL else self.omega_f
         return OscillatorMode(omega, self.system_cutoff)
-
-    def system_hamiltonian(self, sector: int) -> OperatorMatrix:
-        return hamiltonian(self.system_mode(sector))
 
 
 def build_joint_model(omega_i: RationalLike, omega_f: RationalLike,

@@ -1,8 +1,9 @@
 """Truncated single-mode Fock spaces: operators and the state families used throughout.
 
 Everything is dense and expressed in the number (energy) eigenbasis, with
-hbar = k_B = 1. Values are immutable after construction and safe to share
-between concurrently evaluated scenarios.
+hbar = k_B = 1; a mode's Hamiltonian is diagonal there and is kept as its
+energy vector, ``OscillatorMode.energies``. Values are immutable after
+construction and safe to share between concurrently evaluated scenarios.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ class OscillatorMode:
     @property
     def space(self) -> HilbertSpace:
         return HilbertSpace(self.cutoff, "system")
+
+    @property
+    def energies(self) -> np.ndarray:
+        """The Hamiltonian as its diagonal: omega (n + 1/2) for n = 0..cutoff-1."""
+        return float(self.omega) * (np.arange(self.cutoff, dtype=float) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -177,12 +183,6 @@ def ladder_operators(mode: OscillatorMode) -> tuple[OperatorMatrix, OperatorMatr
 
 def number_operator(mode: OscillatorMode) -> OperatorMatrix:
     return OperatorMatrix(mode.space, np.diag(np.arange(mode.cutoff, dtype=float)))
-
-
-def hamiltonian(mode: OscillatorMode) -> OperatorMatrix:
-    """diag(omega * (n + 1/2)) for n = 0..cutoff-1."""
-    n = np.arange(mode.cutoff, dtype=float)
-    return OperatorMatrix(mode.space, np.diag(float(mode.omega) * (n + 0.5)))
 
 
 def identity(space: HilbertSpace) -> OperatorMatrix:

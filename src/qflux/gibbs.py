@@ -2,8 +2,9 @@
 
 Houses the energy-basis time reversal, the rescaling map and its inverse, the
 effective potential, and the generalized free-energy / work differences built
-from it. All Hamiltonians are required to be diagonal (the package works in
-the energy eigenbasis throughout); beta below 1e-6 is rejected because the
+from it. The package works in the energy eigenbasis throughout, so every
+Hamiltonian is diagonal and is passed as its 1-D real vector of energies, such
+as ``OscillatorMode.energies``; beta below 1e-6 is rejected because the
 effective potential degenerates there.
 """
 
@@ -75,12 +76,15 @@ def _as_matrix(op) -> np.ndarray:
     return op.matrix if hasattr(op, "matrix") else np.asarray(op, dtype=complex)
 
 
-def _diagonal_energies(h) -> np.ndarray:
-    m = _as_matrix(h)
-    off = m - np.diag(np.diag(m))
-    if np.abs(off).max() > 1e-12 * max(1.0, np.abs(m).max()):
-        raise DomainError("Hamiltonian must be diagonal in the energy basis")
-    return np.real(np.diag(m))
+def _energies(h) -> np.ndarray:
+    """``h`` checked as an energy vector: 1-D, real and finite."""
+    energies = np.asarray(h)
+    if energies.ndim != 1 or energies.dtype.kind not in "iuf":
+        raise DimensionError(f"H must be a 1-D real energy vector, got "
+                             f"{energies.dtype} of shape {energies.shape}")
+    if not np.isfinite(energies).all():
+        raise ValueError("energies must be finite")
+    return energies
 
 
 def _check_beta(beta: float) -> float:
@@ -104,7 +108,7 @@ def gibbs_map(x, h, beta: float) -> DensityState:
     only a genuinely vanishing Tr[exp(-beta H) X] raises DegenerateMapError.
     """
     beta = _check_beta(beta)
-    energies = _diagonal_energies(h)
+    energies = _energies(h)
     xm = _as_matrix(x)
     if xm.shape[0] != energies.size:
         raise DimensionError(f"dim mismatch {xm.shape[0]} vs {energies.size}")
@@ -129,7 +133,7 @@ def gibbs_map_inverse(rho, h, beta: float) -> MeasurementOperator:
     underflow floor dominate the recovered operator with truncation noise.
     """
     beta = _check_beta(beta)
-    energies = _diagonal_energies(h)
+    energies = _energies(h)
     rm = _as_matrix(rho)
     if rm.shape[0] != energies.size:
         raise DimensionError(f"dim mismatch {rm.shape[0]} vs {energies.size}")
@@ -156,7 +160,7 @@ def effective_potential(beta: float, h, x) -> EffectivePotentialValue:
     taken as a max-shifted sum of exponentials so chi up to ~50 stays finite.
     """
     beta = _check_beta(beta)
-    energies = _diagonal_energies(h)
+    energies = _energies(h)
     xm = _as_matrix(x)
     if xm.shape[0] != energies.size:
         raise DimensionError(f"dim mismatch {xm.shape[0]} vs {energies.size}")

@@ -36,6 +36,8 @@ MAX_DENOMINATOR = 64
 ENV_MAX_DIM = "QFLUX_MAX_DIM"
 #: the chi range the closed forms are written for; chi_grid must lie in it
 CHI_RANGE = (1e-6, 50.0)
+#: the most bytes a sampled U's padded block layout, 16 n_blocks s_max^2, may take
+MAX_LAYOUT_BYTES = 1 << 30
 
 
 def _max_dim_cap() -> int:
@@ -65,6 +67,15 @@ def _parse_rational(value) -> Fraction:
             f"rational {frac} has denominator {frac.denominator} > {MAX_DENOMINATOR}"
         )
     return frac
+
+
+def _check_layout(blocks: Sequence[np.ndarray]) -> None:
+    """ConfigError, before any sampling, when a unitary on ``blocks`` would
+    pad them past ``MAX_LAYOUT_BYTES``."""
+    size = 16 * len(blocks) * max(idx.size for idx in blocks) ** 2
+    if size > MAX_LAYOUT_BYTES:
+        raise ConfigError(f"the unitary's padded block layout would take {size / 2 ** 30:.1f} "
+                          f"GiB, past the {MAX_LAYOUT_BYTES / 2 ** 30:g} GiB cap")
 
 
 def _is_integer(value) -> bool:
@@ -462,11 +473,12 @@ def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
         battery = dyn.SwitchedBattery(ladder, dyn.battery_spacing_for(omega_i, omega_f))
         model = dyn.build_joint_model(omega_i, omega_f, ds, battery)
         blocks = dyn.spectral_blocks(model)
+        _check_layout(blocks)
         u = dyn.sample_conserving_unitary(blocks, int(rng.integers(2 ** 32)))
 
-        h_i = model.system_hamiltonian(dyn.SECTOR_INITIAL).matrix
-        h_f = model.system_hamiltonian(dyn.SECTOR_FINAL).matrix
-        h_b = battery.hamiltonian().matrix
+        h_i = model.system_mode(dyn.SECTOR_INITIAL).energies
+        h_f = model.system_mode(dyn.SECTOR_FINAL).energies
+        h_b = battery.energies
         x_s_i = _random_system_operator(rng, ds, int(rng.integers(7)))
         x_s_f = _random_system_operator(rng, ds, int(rng.integers(7)))
         lad_i = _random_ladder_operator(rng, ladder, int(rng.integers(4)))
@@ -519,6 +531,7 @@ def _dynamics_scan(config: ScenarioConfig, report: VerificationReport,
         battery = dyn.SwitchedBattery(config.ladder_dim, spacing)
         model = dyn.build_joint_model(omega_i, omega_f, config.system_cutoff, battery)
         blocks = dyn.spectral_blocks(model)
+        _check_layout(blocks)
         scale = float(battery.spacing if by_spacing else omega_i)
         for point, chi in enumerate(chis):
             key = (suite, pair * len(chis) + point)   # the flat grid index
@@ -609,7 +622,7 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
             config, report, ("below_floor",), [(Fraction(1), Fraction(1))],
             config.chi_grid or (0.1, 0.5, 1.0), by_spacing=True):
         battery, spacing = model.battery, float(model.battery.spacing)
-        h_b = battery.hamiltonian().matrix
+        h_b = battery.energies
         gamma = np.array([fock.thermal_state(beta, model.system_mode(dyn.SECTOR_INITIAL),
                                              tail_tol=1.0).matrix] * 2)
         # each Gibbs map made once per chi; the projectors are rebuilt on use, so

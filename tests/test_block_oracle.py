@@ -880,7 +880,7 @@ class TestMemory:
         beta = 2.0 * chi / spacing
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 13)
         gamma = fock.thermal_state(beta, model.system_mode(0), tail_tol=1.0)
-        h_b = battery.hamiltonian().matrix
+        h_b = battery.energies
         x_b_i = _binomial_battery_projector(battery, n, p_i, dyn.SECTOR_INITIAL)
         x_b_f = _binomial_battery_projector(battery, n, p_f, dyn.SECTOR_FINAL)
         rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta)

@@ -75,8 +75,8 @@ class TestFreeEnergyPieces:
     def test_delta_f_matches_effective_potential_route(self):
         beta, w_i, w_f, cutoff = 1.5, 1.0, 2.5, 80
         params = cf.ScenarioParams(beta, w_i, w_f)
-        h_i = fock.hamiltonian(fock.OscillatorMode(w_i, cutoff))
-        h_f = fock.hamiltonian(fock.OscillatorMode(w_f, cutoff))
+        h_i = fock.OscillatorMode(w_i, cutoff).energies
+        h_f = fock.OscillatorMode(w_f, cutoff).energies
         eye = fock.identity(fock.HilbertSpace(cutoff, "s"))
         brute = gibbs.gen_free_energy_diff(beta, h_i, eye, h_f, eye)
         assert cf.delta_F(params) == pytest.approx(brute, abs=1e-12)
@@ -238,7 +238,7 @@ class TestBinomialFormulas:
     def test_p_tilde_matches_gibbs_map(self):
         beta, omega, n, p = 1.3, 1.0, 4, 0.45
         space = fock.HilbertSpace(12, "b")
-        h = fock.hamiltonian(fock.OscillatorMode(omega, 12))
+        h = fock.OscillatorMode(omega, 12).energies
         mapped = gibbs.gibbs_map(fock.binomial_state(n, p, space).projector(), h, beta)
         target = fock.binomial_state(n, cf.p_tilde(p, beta, omega), space)
         assert fock.state_fidelity(target, mapped) > 1 - 1e-13
@@ -250,14 +250,15 @@ class TestBinomialFormulas:
         mode = fock.OscillatorMode(1.7, 9)
         state = fock.binomial_state(5, 0.3, space)
         assert cf.binomial_energy(5, 0.3, 1.7) == pytest.approx(
-            fock.expectation(fock.hamiltonian(mode), state), abs=1e-12)
+            fock.expectation(fock.OperatorMatrix(mode.space, np.diag(mode.energies)), state),
+            abs=1e-12)
 
     def test_binomial_eff_potential(self):
         assert cf.binomial_eff_potential(1, 1.0, 2.0, 1.0) == pytest.approx(1.5)
         assert cf.binomial_eff_potential(6, 0.0, 2.0, 1.0) == pytest.approx(0.5)
         beta, omega, n, p = 1.9, 1.2, 6, 0.35
         space = fock.HilbertSpace(14, "b")
-        h = fock.hamiltonian(fock.OscillatorMode(omega, 14))
+        h = fock.OscillatorMode(omega, 14).energies
         brute = gibbs.effective_potential(
             beta, h, fock.binomial_state(n, p, space).projector()).value
         assert cf.binomial_eff_potential(n, p, beta, omega) == pytest.approx(
@@ -287,7 +288,7 @@ class TestWorkFlows:
         beta, omega, n = 1.4, 1.0, 6
         p_i, p_f = 0.25, 0.7
         space = fock.HilbertSpace(10, "b")
-        h = fock.hamiltonian(fock.OscillatorMode(omega, 10))
+        h = fock.OscillatorMode(omega, 10).energies
         offset = omega / 2.0   # ladder Hamiltonian carries the zero-point shift
         e_i = gibbs.effective_potential(
             beta, h, fock.binomial_state(n, p_i, space).projector()).value
@@ -319,7 +320,7 @@ class TestWorkFlows:
         beta, omega, p = 0.9, 1.0, 0.55
         n_i, n_f = 3, 8
         space = fock.HilbertSpace(12, "b")
-        h = fock.hamiltonian(fock.OscillatorMode(omega, 12))
+        h = fock.OscillatorMode(omega, 12).energies
         e_i = gibbs.effective_potential(
             beta, h, fock.binomial_state(n_i, p, space).projector()).value
         e_f = gibbs.effective_potential(
@@ -480,8 +481,7 @@ class TestOracleEquivalenceGrid:
             omega = 2.0 * chi / beta
             cutoff = max(fock.min_cutoff_for_tail(beta, omega, 1e-14, 2000), 12) + 40
             mode = fock.OscillatorMode(omega, cutoff)
-            h = fock.hamiltonian(mode)
-            z_brute = float(np.sum(np.exp(-beta * np.diag(h.matrix).real)))
+            z_brute = float(np.sum(np.exp(-beta * mode.energies)))
             assert cf.partition_fn(chi) == pytest.approx(z_brute, rel=1e-10)
             n_brute = fock.expectation(fock.number_operator(mode),
                                        fock.thermal_state(beta, mode, 1e-12))

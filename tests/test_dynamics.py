@@ -69,17 +69,18 @@ class TestBuildJointModel:
         assert model.dim == 5 * 24
 
     def test_eq3_assembly(self):
-        # H = 1 x H_B + H_i x P_i + H_f x P_f reproduces the stored diagonal
+        # H = 1 x H_B + H_i x P_i + H_f x P_f reproduces the stored diagonal;
+        # every term is diagonal, so its Kronecker products are the vectors'
         model = small_model(1, Fraction(3, 2), 3, 5)
         battery = model.battery
-        h_b = battery.hamiltonian().matrix
-        p_i = battery.sector_projector(dyn.SECTOR_INITIAL).matrix
-        p_f = battery.sector_projector(dyn.SECTOR_FINAL).matrix
-        h_i = model.system_hamiltonian(dyn.SECTOR_INITIAL).matrix
-        h_f = model.system_hamiltonian(dyn.SECTOR_FINAL).matrix
-        eye_s = np.eye(3)
+        h_b = battery.energies
+        p_i = np.diag(battery.sector_projector(dyn.SECTOR_INITIAL).matrix).real
+        p_f = np.diag(battery.sector_projector(dyn.SECTOR_FINAL).matrix).real
+        h_i = model.system_mode(dyn.SECTOR_INITIAL).energies
+        h_f = model.system_mode(dyn.SECTOR_FINAL).energies
+        eye_s = np.ones(3)
         assembled = (np.kron(eye_s, h_b) + np.kron(h_i, p_i) + np.kron(h_f, p_f))
-        stored = np.diag(model.levels * float(model.energy_unit))
+        stored = model.levels * float(model.energy_unit)
         assert np.abs(assembled - stored).max() == 0.0
 
     @pytest.mark.parametrize("omega_f", [Fraction(3, 2), Fraction(1, 3)])
@@ -87,9 +88,9 @@ class TestBuildJointModel:
         model = small_model(1, omega_f, 4, 6)
         for sector in (dyn.SECTOR_INITIAL, dyn.SECTOR_FINAL):
             omega = float(model.omega_i if sector == dyn.SECTOR_INITIAL else omega_f)
-            h = model.system_hamiltonian(sector)
-            assert h.space == fock.HilbertSpace(4, "system")
-            assert np.array_equal(h.matrix, np.diag(omega * (np.arange(4.0) + 0.5)))
+            mode = model.system_mode(sector)
+            assert mode.space == fock.HilbertSpace(4, "system")
+            assert np.array_equal(mode.energies, omega * (np.arange(4.0) + 0.5))
 
     def test_projectors_partition_battery(self):
         battery = dyn.SwitchedBattery(7, Fraction(1, 3))
@@ -244,9 +245,9 @@ class TestQQuantity:
         model = small_model(1, Fraction(3, 2), 5, 14)
         beta = 1.1
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 77)
-        h_i = model.system_hamiltonian(0).matrix
-        h_f = model.system_hamiltonian(1).matrix
-        h_b = model.battery.hamiltonian().matrix
+        h_i = model.system_mode(0).energies
+        h_f = model.system_mode(1).energies
+        h_b = model.battery.energies
         x_s_i = np.diag(np.arange(5, dtype=complex))          # N
         x_s_f = np.diag(np.arange(1, 6, dtype=complex))       # N + 1
         lad = fock.binomial_state(3, 0.4, model.battery.ladder_space)
@@ -292,8 +293,8 @@ class TestTransitionProbability:
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 31)
         gamma_i = fock.thermal_state(beta, model.system_mode(0), tail_tol=1.0)
         gamma_f = fock.thermal_state(beta, model.system_mode(1), tail_tol=1.0)
-        h_i = model.system_hamiltonian(0).matrix
-        h_f = model.system_hamiltonian(1).matrix
+        h_i = model.system_mode(0).energies
+        h_f = model.system_mode(1).energies
         eye = np.eye(model.system_cutoff, dtype=complex)
         delta_f = gibbs.gen_free_energy_diff(beta, h_i, eye, h_f, eye)
         w0 = 8
@@ -342,7 +343,7 @@ class TestConditionalPhotonNumber:
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 13)
         n0 = 3
         shell = np.zeros(8, dtype=complex); shell[n0] = 1.0
-        state = fock.PureState(model.system_space, shell)
+        state = fock.PureState(model.system_mode(0).space, shell)
         w0 = 10
         b_i = model.battery.basis_index(w0, 0)
         found = 0
@@ -366,8 +367,8 @@ class TestConditionalPhotonNumber:
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 55)
         gamma_i = fock.photon_added_state(beta, model.system_mode(0), tail_tol=1.0)
         gamma_f = fock.photon_added_state(beta, model.system_mode(1), tail_tol=1.0)
-        h_i = model.system_hamiltonian(0).matrix
-        h_f = model.system_hamiltonian(1).matrix
+        h_i = model.system_mode(0).energies
+        h_f = model.system_mode(1).energies
         number = np.diag(np.arange(8, dtype=complex))
         d_f_tilde = gibbs.gen_free_energy_diff(beta, h_i, number, h_f, number)
         w0 = 10
@@ -540,7 +541,7 @@ class TestBinomialBatteryCrooks:
         chi_b = beta * float(spacing) / 2.0
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 41)
         gamma = fock.thermal_state(beta, model.system_mode(0), tail_tol=1.0)
-        h_b = battery.hamiltonian().matrix
+        h_b = battery.energies
         n, p_i, p_f = 5, 0.3, 0.8
 
         def projector(nn, pp, sector):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qflux import dynamics as dyn, fock, gibbs
-from qflux.errors import (DegenerateMapError, DomainError, GibbsOverflowError)
+from qflux.errors import (DegenerateMapError, DimensionError, DomainError,
+                          GibbsOverflowError)
 from qflux.scenarios import _binomial_battery_projector
 
 
@@ -16,7 +17,7 @@ def mode():
 
 @pytest.fixture
 def h(mode):
-    return fock.hamiltonian(mode)
+    return mode.energies
 
 
 class TestTimeReversal:
@@ -70,12 +71,12 @@ class TestGibbsMap:
     def test_binomial_battery_projector_maps_c_ordered(self):
         # a C-ordered map, bit for bit the entries (w_b x_ba) w_a / Tr
         battery = dyn.SwitchedBattery(32, dyn.battery_spacing_for(1, 1))
-        h_b = battery.hamiltonian().matrix
+        h_b = battery.energies
         for sector in (dyn.SECTOR_INITIAL, dyn.SECTOR_FINAL):
             x = _binomial_battery_projector(battery, 6, 0.4, sector)
             mapped = gibbs.gibbs_map(x, h_b, 0.7).matrix
             assert mapped.flags.c_contiguous
-            w = np.exp(-0.7 * (np.diag(h_b).real - np.diag(h_b).real.min()) / 2.0)
+            w = np.exp(-0.7 * (h_b - h_b.min()) / 2.0)
             old = (w[:, None] * x * w[None, :]).T
             assert np.array_equal(mapped, old / np.trace(old).real)
 
@@ -147,7 +148,7 @@ class TestEffectivePotential:
     def test_identity_gives_free_energy(self, mode, h):
         beta = 1.7
         value = gibbs.effective_potential(beta, h, fock.identity(mode.space)).value
-        z_direct = np.sum(np.exp(-beta * np.diag(h.matrix).real))
+        z_direct = np.sum(np.exp(-beta * h))
         assert value == pytest.approx(-math.log(z_direct) / beta, abs=1e-12)
 
     def test_binomial_closed_form(self, mode, h):
@@ -156,7 +157,7 @@ class TestEffectivePotential:
         state = fock.binomial_state(n, p, mode.space)
         value = gibbs.effective_potential(beta, h, state.projector()).value
         weights = np.abs(state.amplitudes) ** 2
-        oracle = -math.log(np.sum(weights * np.exp(-beta * np.diag(h.matrix).real))) / beta
+        oracle = -math.log(np.sum(weights * np.exp(-beta * h))) / beta
         assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_extreme_chi_no_overflow(self, mode, h):
@@ -171,7 +172,7 @@ class TestEffectivePotential:
         mode = fock.OscillatorMode(1.0, 64)
         proj = np.zeros((64, 64), dtype=complex)
         proj[40, 40] = 1.0
-        assert gibbs.effective_potential(100.0, fock.hamiltonian(mode), proj).value == 40.5
+        assert gibbs.effective_potential(100.0, mode.energies, proj).value == 40.5
 
     def test_bounds_for_unit_weight_operators(self, mode, h):
         rng = np.random.default_rng(8)
@@ -180,10 +181,9 @@ class TestEffectivePotential:
             v /= np.linalg.norm(v)
             proj = np.outer(v, v.conj())
             ep = gibbs.effective_potential(1.1, h, proj)
-            energies = np.diag(h.matrix).real
             support = np.abs(v) ** 2 > 1e-14
-            assert energies[support].min() - 1e-10 <= ep.value
-            assert ep.value <= energies[support].max() + 1e-10
+            assert h[support].min() - 1e-10 <= ep.value
+            assert ep.value <= h[support].max() + 1e-10
 
     def test_scaled_operator_shifts_by_log_weight(self, mode, h):
         proj = np.zeros((40, 40), dtype=complex)
@@ -195,13 +195,13 @@ class TestEffectivePotential:
     def test_unitary_invariance_on_degenerate_block(self):
         # H with an exactly degenerate pair; any block unitary commutes
         space = fock.HilbertSpace(4, "s")
-        h = fock.OperatorMatrix(space, np.diag([0.5, 1.5, 1.5, 3.0]).astype(complex))
+        h = np.array([0.5, 1.5, 1.5, 3.0])
         rng = np.random.default_rng(5)
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         q, _ = np.linalg.qr(g)
         u = np.eye(4, dtype=complex)
         u[1:3, 1:3] = q
-        assert np.abs(u @ h.matrix - h.matrix @ u).max() < 1e-12
+        assert np.abs(u @ np.diag(h) - np.diag(h) @ u).max() < 1e-12
         rho = fock.binomial_state(3, 0.5, space).projector().matrix
         rotated = u @ rho @ u.conj().T
         e1 = gibbs.effective_potential(1.3, h, rho).value
@@ -211,6 +211,39 @@ class TestEffectivePotential:
     def test_float_conversion(self, mode, h):
         ep = gibbs.effective_potential(1.0, h, fock.identity(mode.space))
         assert float(ep) == ep.value
+
+
+_ENTRY_POINTS = {
+    "gibbs_map": lambda h, x: gibbs.gibbs_map(x, h, 1.0),
+    "gibbs_map_inverse": lambda h, x: gibbs.gibbs_map_inverse(x, h, 1.0),
+    "effective_potential": lambda h, x: gibbs.effective_potential(1.0, h, x),
+    "gen_free_energy_diff": lambda h, x: gibbs.gen_free_energy_diff(1.0, h, x, h, x),
+    "gen_work_diff": lambda h, x: gibbs.gen_work_diff(1.0, h, x, x),
+}
+
+
+class TestEnergyVectorCheck:
+    """Every gibbs entry point takes H as its 1-D real, finite energy vector."""
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    @pytest.mark.parametrize("form,error,match", [
+        ("matrix", DimensionError, "1-D real energy vector"),
+        ("operator", DimensionError, "1-D real energy vector"),
+        ("complex", DimensionError, "1-D real energy vector"),
+        ("short", DimensionError, "dim mismatch"),
+        ("nan", ValueError, "finite"), ("inf", ValueError, "finite")])
+    def test_rejects(self, entry, form, error, match):
+        mode = fock.OscillatorMode(1.0, 4)
+        e = mode.energies
+        h = {"matrix": np.diag(e),
+             "operator": fock.OperatorMatrix(mode.space, np.diag(e)),
+             "complex": e.astype(complex),
+             "short": e[:3],
+             "nan": np.array([0.5, np.nan, 2.5, 3.5]),
+             "inf": np.array([0.5, 1.5, np.inf, 3.5])}[form]
+        x = fock.thermal_state(1.0, mode, tail_tol=1.0)
+        with pytest.raises(error, match=match):
+            _ENTRY_POINTS[entry](h, x)
 
 
 class TestRescaledWeightMonotonicity:
@@ -227,11 +260,11 @@ class TestGeneralizedDifferences:
         beta = 2.0
         mode_i = fock.OscillatorMode(1.0, 40)
         mode_f = fock.OscillatorMode(1.5, 40)
-        h_i, h_f = fock.hamiltonian(mode_i), fock.hamiltonian(mode_f)
+        h_i, h_f = mode_i.energies, mode_f.energies
         diff = gibbs.gen_free_energy_diff(beta, h_i, fock.identity(mode_i.space),
                                           h_f, fock.identity(mode_f.space))
-        z_i = np.sum(np.exp(-beta * np.diag(h_i.matrix).real))
-        z_f = np.sum(np.exp(-beta * np.diag(h_f.matrix).real))
+        z_i = np.sum(np.exp(-beta * h_i))
+        z_f = np.sum(np.exp(-beta * h_f))
         assert diff == pytest.approx(math.log(z_i / z_f) / beta, abs=1e-12)
 
     @pytest.mark.parametrize("offset,sign", [(0, +1), (1, -1)])
@@ -240,7 +273,7 @@ class TestGeneralizedDifferences:
         beta, w_i, w_f, cutoff = 2.0, 1.0, 1.5, 60
         mode_i = fock.OscillatorMode(w_i, cutoff)
         mode_f = fock.OscillatorMode(w_f, cutoff)
-        h_i, h_f = fock.hamiltonian(mode_i), fock.hamiltonian(mode_f)
+        h_i, h_f = mode_i.energies, mode_f.energies
         x_i = np.diag(np.arange(offset, cutoff + offset, dtype=complex))
         diff = gibbs.gen_free_energy_diff(beta, h_i, x_i, h_f, x_i)
         def log_z(w):
@@ -250,15 +283,14 @@ class TestGeneralizedDifferences:
         assert diff == pytest.approx(expected, abs=1e-12)
 
     def test_work_diff_between_eigenstates(self):
-        space = fock.HilbertSpace(10, "b")
-        h_b = fock.OperatorMatrix(space, np.diag(0.5 * np.arange(10)).astype(complex))
+        h_b = 0.5 * np.arange(10)
         proj = lambda k: np.diag(np.eye(10)[k]).astype(complex)
         work = gibbs.gen_work_diff(1.1, h_b, proj(7), proj(3))
         assert work == pytest.approx(0.5 * (7 - 3), abs=1e-12)
 
     def test_work_diff_equal_operators_vanishes(self):
         space = fock.HilbertSpace(6, "b")
-        h_b = fock.OperatorMatrix(space, np.diag(np.arange(6.0)).astype(complex))
+        h_b = np.arange(6.0)
         x = fock.binomial_state(4, 0.3, space).projector()
         assert gibbs.gen_work_diff(0.7, h_b, x, x) == pytest.approx(0.0, abs=1e-13)
 
@@ -267,7 +299,7 @@ class TestGeneralizedDifferences:
         beta, omega, n = 1.2, 1.0, 5
         p_i, p_f = 0.2, 0.65
         space = fock.HilbertSpace(9, "b")
-        h_b = fock.hamiltonian(fock.OscillatorMode(omega, 9))
+        h_b = fock.OscillatorMode(omega, 9).energies
         flow = gibbs.gen_work_diff(beta, h_b,
                                    fock.binomial_state(n, p_i, space).projector(),
                                    fock.binomial_state(n, p_f, space).projector())

@@ -869,6 +869,41 @@ class TestCli:
             with pytest.raises(ConfigError, match=r"translation reach 17\)"):
                 sc.run_scenario(cfg)
 
+    def test_padded_layout_budget_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # 400 x 4000, 1 -> 2 passes the window check (reach 1597) but pads
+        # U to 5597 blocks of 800 x 800: 53.4 GiB, refused before any draw
+        def unsampled(*args, **kwargs):
+            raise AssertionError("_sample ran before the layout budget")
+        monkeypatch.setattr(sc.dyn, "_sample", unsampled)
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"system_cutoff": 400, "ladder_dim": 4000,
+                                   "chi_grid": [0.25]}))
+        code = cli.main(["jarzynski", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: the unitary's padded block layout would take 53.4 GiB, "
+            "past the 1 GiB cap"]
+
+    @pytest.mark.parametrize("kind", ["global-ft", "crooks-added"])
+    def test_every_sampling_suite_budgets_its_layout(self, monkeypatch, kind):
+        def unsampled(*args, **kwargs):
+            raise AssertionError("_sample ran before the layout budget")
+        monkeypatch.setattr(sc.dyn, "_sample", unsampled)
+        monkeypatch.setattr(sc, "MAX_LAYOUT_BYTES", 16)   # below any model's layout
+        with pytest.raises(ConfigError, match="padded block layout"):
+            sc.run_scenario(sc.default_config(kind))
+
+    @pytest.mark.parametrize("cap, fits", [(128, True), (127, False)])
+    def test_layout_budget_is_inclusive(self, monkeypatch, cap, fits):
+        # two blocks of at most 2 indices pad to 16 * 2 * 2**2 = 128 bytes
+        monkeypatch.setattr(sc, "MAX_LAYOUT_BYTES", cap)
+        blocks = [np.arange(2), np.arange(2, 3)]
+        if fits:
+            sc._check_layout(blocks)
+        else:
+            with pytest.raises(ConfigError):
+                sc._check_layout(blocks)
+
     def test_tolerance_override_forces_failure(self, tmp_path, capsys):
         code = cli.main(["figure2", "--out", str(tmp_path),
                          "--tolerance", "0"])
