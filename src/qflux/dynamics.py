@@ -17,7 +17,8 @@ A conserving unitary is block-diagonal over the degenerate eigenspaces of
 the joint Hamiltonian and is stored as those blocks only, zero-padded to the
 largest block. Transition reads and work distributions gather U's entries
 from them; Q, for one term or a stack of terms, pairs them with entries read
-from the system and battery factors of X and rho. No d x d array is formed.
+from the system and battery factors of X and rho, on the pairs of blocks
+where both X and rho have a nonzero entry. No d x d array is formed.
 A sampled unitary holds each block's Gaussian draw until a read first needs
 that block, and exponentiates it then: the transition, photon-number and
 work reads and Q touch only their own blocks, while ``matrices``,
@@ -424,37 +425,10 @@ def sample_translation_invariant_unitary(model: JointModel,
 # measured quantities
 # ---------------------------------------------------------------------------
 
-#: complex entries per gathered array in one chunk of block pairs: bounds
-#: memory; of 2**12 ... 2**16, 2**13 ran fastest at d = 1152 on 2 cores
+#: complex entries per gathered array in one chunk of block pairs, and indices per
+#: scatter into the pair masks (one system entry's, if more): bounds memory; of
+#: 2**12 ... 2**16, 2**13 ran fastest at d = 1152 on 2 cores
 _PAIR_CHUNK = 1 << 13
-
-
-def _energy_offsets(f_s: np.ndarray, f_b: np.ndarray, model: JointModel) -> np.ndarray:
-    """Every ``levels[i] - levels[j]`` over the nonzero entries (i, j) of
-    f_s (x) f_b, ascending: per sector pair (s, t) with a nonempty battery
-    block, the sums of a system difference set and a ladder one."""
-    levels = model.levels.reshape(model.system_cutoff, model.battery.ladder_dim, 2)
-    system, ladder = levels[:, 0, :], levels[0, :, 0] - levels[0, 0, 0]
-    n_i, n_j = np.nonzero(f_s)
-    sums = [np.empty(0, dtype=levels.dtype)]
-    for s, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        w_i, w_j = np.nonzero(f_b[s::2, t::2])
-        if w_i.size:
-            sums.append(np.add.outer(np.unique(system[n_i, s] - system[n_j, t]),
-                                     np.unique(ladder[w_i] - ladder[w_j])).ravel())
-    return np.unique(np.concatenate(sums))
-
-
-def _block_pairs(energy: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of blocks (k, l) with ``energy[k] - energy[l]`` in ``offsets``."""
-    order = np.argsort(energy, kind="stable")
-    ranked = energy[order]
-    target = np.add.outer(ranked, offsets)
-    lo = np.searchsorted(ranked, target, side="left").ravel()
-    count = np.searchsorted(ranked, target, side="right").ravel() - lo
-    first = np.repeat(np.cumsum(count) - count, count)
-    k = order[np.repeat(lo, count) + np.arange(first.size) - first]
-    return k, np.repeat(np.repeat(order, offsets.size), count)
 
 
 def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> Union[float, np.ndarray]:
@@ -464,14 +438,15 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> Union[float, 
 
     ``x`` and ``rho`` are the factor pairs ``(system, battery)``, each an
     array or an ``OperatorMatrix``. Q sums Tr[X_lk U_k rho_kl U_l^dag] over
-    the pairs of energy blocks (k, l) with E_k - E_l an energy offset of rho
-    and E_l - E_k one of X, where k holds a nonzero row of rho and column of
-    X and l the converse; a stack visits the union of its terms' pairs, and
-    a pair outside a term's own adds exact zeros to it. The pairs run widest
-    first in chunks of at most ``_PAIR_CHUNK`` entries per array, each padded
-    to its widest block (U's zero padding adds exact zeros for finite
-    factors); per chunk, U's slices and the flat indices from which each term
-    ``take``s X_lk and rho_kl are made once (README, "How a unitary is stored")."""
+    the pairs of U's blocks (k, l) where X_lk and rho_kl both hold a nonzero
+    entry, read off the factors' nonzero entries through ``u.block``; a stack
+    visits the union of its terms' pairs, and a pair outside a term's own
+    adds exact zeros to it. The pairs run widest first, in (l, k) order
+    within a width, in chunks of at most ``_PAIR_CHUNK`` entries per array,
+    each padded to its widest block (U's zero padding adds exact zeros for
+    finite factors); per chunk, U's slices and the flat indices from which
+    each term ``take``s X_lk and rho_kl are made once (README, "How a
+    unitary is stored")."""
     factors = [np.ascontiguousarray(f.matrix if hasattr(f, "matrix") else f, dtype=complex)
                for f in (*x, *rho)]
     single = all(f.ndim == 2 for f in factors)
@@ -482,17 +457,21 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> Union[float, 
         raise DimensionError(f"factors {x_s.shape, x_b.shape}, {rho_s.shape, rho_b.shape} "
                              f"and U of dim {u.dim} do not fit the model")
 
-    def holds(f_s, f_b, axis):   # per term and block: a nonzero row (-1) or column (-2)
-        return np.array([np.bincount(u.block, np.outer(a, b).ravel()) > 0
-                         for a, b in zip(f_s.any(axis), f_b.any(axis))])
+    def touched(f_s, f_b):   # blocks (row, column) of each nonzero entry of f_s (x) f_b
+        (n_r, n_c), (b_r, b_c) = np.nonzero(f_s), np.nonzero(f_b)
+        mask = np.zeros((u.size.size,) * 2, dtype=bool)
+        step = max(1, _PAIR_CHUNK // max(1, b_r.size))   # system entries per scatter
+        for at in range(0, n_r.size, step):
+            mask[u.block[(n_r[at:at + step, None] * bdim + b_r).ravel()],
+                 u.block[(n_c[at:at + step, None] * bdim + b_c).ravel()]] = True
+        return mask
 
-    k, l = _block_pairs(model.levels[u.indices[:, 0]], np.unique(np.concatenate(
-        [np.intersect1d(_energy_offsets(*r, model), -_energy_offsets(*f, model))
-         for r, f in zip(zip(rho_s, rho_b), zip(x_s, x_b))])))
-    keep = ((holds(rho_s, rho_b, -1) & holds(x_s, x_b, -2))[:, k]
-            & (holds(rho_s, rho_b, -2) & holds(x_s, x_b, -1))[:, l]).any(axis=0)
+    visit = np.zeros((u.size.size,) * 2, dtype=bool)
+    for t in range(terms[0]):
+        visit |= touched(x_s[t], x_b[t]) & touched(rho_s[t], rho_b[t]).T
+    l, k = np.nonzero(visit)
     width = np.maximum(u.size[k], u.size[l])
-    order = np.flatnonzero(keep)[np.argsort(-width[keep], kind="stable")]
+    order = np.argsort(-width, kind="stable")
     k, l, width = k[order], l[order], width[order]
     stack = u._read(np.concatenate((k, l)))
     n, b = np.divmod(u.indices, bdim)

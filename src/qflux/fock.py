@@ -348,14 +348,7 @@ def tensor(a, b):
     """Kronecker product preserving the operand kind (operator, density, pure)."""
     if isinstance(a, OperatorMatrix) and isinstance(b, OperatorMatrix):
         cls = type(a) if type(a) is type(b) else OperatorMatrix
-        space = _product_space(a.space, b.space)
-        mat = np.kron(a.matrix, b.matrix)
-        if cls is OperatorMatrix:
-            return OperatorMatrix(space, mat)
-        try:
-            return cls(space, mat)
-        except TypeError:
-            return OperatorMatrix(space, mat)
+        return cls(_product_space(a.space, b.space), np.kron(a.matrix, b.matrix))
     if isinstance(a, DensityState) and isinstance(b, DensityState):
         return DensityState(_product_space(a.space, b.space),
                             np.kron(a.matrix, b.matrix),

@@ -456,12 +456,14 @@ def _random_ladder_operator(rng: np.random.Generator, ladder: int,
 def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
     """Random-scenario verification of the global forward/reverse equality:
     ln Q_F - ln Q_R = beta (dW_tilde - dF_tilde), with effective potentials
-    evaluated on the same truncated spaces as the dynamics."""
+    evaluated on the same truncated spaces as the dynamics. Draws with Q_F or
+    Q_R at or below 1e-12 are counted in ``provenance["dropped"]``."""
     if config.system_cutoff < 4 or config.ladder_dim < 8:   # the ranges drawn below
         raise ConfigError("global-ft needs system_cutoff >= 4 and ladder_dim >= 8, "
                           f"got ({config.system_cutoff}, {config.ladder_dim})")
     evaluated = 0
     attempt = 0
+    report.provenance["dropped"] = {"below_floor": 0}
     while evaluated < config.cases:
         rng = np.random.default_rng([config.seed, attempt])
         attempt += 1
@@ -495,6 +497,7 @@ def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
                                   (np.array((rho_s_i, rho_s_f)), np.array((rho_b_i, rho_b_f))),
                                   u, model).tolist()
         if q_f <= 1e-12 or q_r <= 1e-12:
+            report.provenance["dropped"]["below_floor"] += 1
             continue
         d_f_tilde = gibbs.gen_free_energy_diff(beta, h_i, x_s_i, h_f, x_s_f)
         d_w_tilde = gibbs.gen_work_diff(beta, h_b, x_b_i, x_b_f)

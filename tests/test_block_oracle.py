@@ -26,7 +26,8 @@ from qflux import closedform as cf
 from qflux import dynamics as dyn
 from qflux import fock, gibbs
 from qflux.errors import DimensionError, IncommensurateError, UndefinedRatioError
-from qflux.scenarios import (_FT_FREQUENCIES, _binomial_battery_projector, default_config,
+from qflux.scenarios import (_FT_FREQUENCIES, _binomial_battery_projector,
+                             _random_ladder_operator, _random_system_operator, default_config,
                              run_scenario)
 
 
@@ -262,6 +263,22 @@ def product_q(x, rho, u):
     return dense_q(np.kron(*x), np.kron(*rho), dense(u))
 
 
+def block_support(f, u):
+    """Which (row, column) pairs of U's blocks hold a nonzero entry of the
+    dense operator f: a block-membership matrix on both sides of f != 0."""
+    member = np.zeros((u.size.size, u.dim))
+    for b, (idx, s) in enumerate(zip(u.indices, u.size)):
+        member[b, idx[:s]] = 1.0
+    return member @ (f != 0) @ member.T > 0
+
+
+def oracle_pairs(x, rho, u):
+    """The (l, k) pairs of U's blocks where the dense X = np.kron(*x) and
+    rho = np.kron(*rho) both hold a nonzero entry, in X_lk and in rho_kl."""
+    l, k = np.nonzero(block_support(np.kron(*x), u) & block_support(np.kron(*rho), u).T)
+    return set(zip(l.tolist(), k.tolist()))
+
+
 def switch_coherent(ladder_op):
     """A battery factor with a full 2 x 2 switch part: all four sector pairs."""
     return np.kron(ladder_op, np.array([[1.0, 0.6], [0.6, 0.5]], dtype=complex))
@@ -364,6 +381,54 @@ class TestPairSelection:
         assert dyn.q_quantity(x, rho, u, model) == 0.0
         assert abs(product_q(x, rho, u)) <= 1e-12
 
+    def test_visits_exactly_the_nonzero_pairs(self, model_and_unitary, monkeypatch):
+        # Q asks U once for the blocks of its pairs, every k and then every
+        # l, so the (l, k) pairs it visits read back from that call. They are
+        # the oracle's pairs for single terms, for stacks (the union of their
+        # terms' pairs), for global-ft's operator zoo, where a selection by
+        # energy offsets kept extra pairs, for a rho that is not Hermitian,
+        # and for a term with no pair at all
+        model, u = model_and_unitary
+        asked, real = [], dyn.ConservingUnitary._read
+        monkeypatch.setattr(dyn.ConservingUnitary, "_read",
+                            lambda self, blocks=None: asked.append(blocks) or real(self, blocks))
+        eye_s, eye_b = (np.eye(d, dtype=complex) for d in (model.system_cutoff, model.battery.dim))
+        x_s = np.zeros_like(eye_s)
+        x_s[0, 1] = x_s[1, 0] = 1.0
+        none = ((x_s, eye_b), (eye_s, eye_b))
+        on = _binomial_battery_projector(model.battery, 3, 0.4, dyn.SECTOR_INITIAL)
+        lowering = np.diag(np.sqrt(np.arange(1, model.system_cutoff)), 1).astype(complex)
+        terms = shared_terms(model) + sector_terms(model) + [((eye_s, on), (eye_s, on)),
+                                                             ((eye_s, on), (lowering, on))]
+        cases = ([[term] for term in terms + zoo_terms(model) + [none]]
+                 + [terms[:3], terms[3:5]])
+        strict = False
+        for case in cases:
+            asked.clear()
+            dyn.q_quantity(*stacked(case), u, model)
+            want = set().union(*(oracle_pairs(x, rho, u) for x, rho in case))
+            assert len(asked) == 1
+            k, l = np.split(asked[0], 2)
+            assert set(zip(l.tolist(), k.tolist())) == want and l.size == len(want)
+            strict |= 0 < len(want) < u.size.size ** 2
+        assert oracle_pairs(*none, u) == set()
+        assert strict
+
+
+def zoo_terms(model):
+    """global-ft's operator zoo as (x, rho) terms: every pair of a system
+    family and a ladder family for X, in the final sector, against a rho
+    drawn from the same families, in the initial sector."""
+    rng = np.random.default_rng(1)
+    cutoff, ladder = model.system_cutoff, model.battery.ladder_dim
+
+    def factors(system, lad, sector):
+        switch = np.diag([1.0 - sector, float(sector)]).astype(complex)
+        return (_random_system_operator(rng, cutoff, system),
+                np.kron(_random_ladder_operator(rng, ladder, lad), switch))
+    return [(factors(system, lad, 1), factors(int(rng.integers(7)), int(rng.integers(4)), 0))
+            for system, lad in product(range(7), range(4))]
+
 
 def shared_terms(model):
     """Three (x, rho) terms with one pair set: the binomial suites' forward
@@ -399,14 +464,12 @@ def stacked(terms):
                  for i in (0, 1))
 
 
-def single_calls(terms, u, model, monkeypatch):
-    """One Q call per term, and whether the terms' offset sets all agree."""
-    offsets, real = [], dyn._block_pairs
-    monkeypatch.setattr(dyn, "_block_pairs",
-                        lambda energy, off: offsets.append(off) or real(energy, off))
+def single_calls(terms, u, model):
+    """One Q call per term, and whether the terms' pair sets, from the dense
+    oracle, all agree."""
     singles = [dyn.q_quantity(x, rho, u, model) for x, rho in terms]
-    monkeypatch.setattr(dyn, "_block_pairs", real)
-    return singles, all(np.array_equal(off, offsets[0]) for off in offsets)
+    pairs = [oracle_pairs(x, rho, u) for x, rho in terms]
+    return singles, all(p == pairs[0] for p in pairs)
 
 
 class TestStackedQ:
@@ -415,22 +478,20 @@ class TestStackedQ:
     chunks, so their sums may round differently."""
 
     @pytest.mark.parametrize("size", [2, 3])
-    def test_shared_pairs_give_the_single_calls_bits(self, model_and_unitary, monkeypatch,
-                                                     size):
+    def test_shared_pairs_give_the_single_calls_bits(self, model_and_unitary, size):
         model, u = model_and_unitary
         terms = shared_terms(model)[:size]
-        singles, shared = single_calls(terms, u, model, monkeypatch)
+        singles, shared = single_calls(terms, u, model)
         assert shared
         got = dyn.q_quantity(*stacked(terms), u, model)
         assert isinstance(got, np.ndarray) and got.shape == (size,)
         assert got.tobytes() == np.array(singles).tobytes()
 
     @pytest.mark.parametrize("size", [2, 3])
-    def test_different_pairs_match_the_single_calls(self, model_and_unitary, monkeypatch,
-                                                    size):
+    def test_different_pairs_match_the_single_calls(self, model_and_unitary, size):
         model, u = model_and_unitary
         terms = sector_terms(model)[-size:]
-        singles, shared = single_calls(terms, u, model, monkeypatch)
+        singles, shared = single_calls(terms, u, model)
         assert not shared
         got = dyn.q_quantity(*stacked(terms), u, model)
         assert got.shape == (size,)
@@ -460,48 +521,6 @@ class TestStackedQ:
                   "empty": ((x_s[:0], x_b[:0]), (rho_s[:0], rho_b[:0]))}[shape]
         with pytest.raises(DimensionError):
             dyn.q_quantity(x, rho, u, model)
-
-
-class TestEnergyOffsets:
-    """``_energy_offsets`` against every level difference over the nonzero
-    entries of the dense f_s (x) f_b."""
-
-    @staticmethod
-    def factors(model):
-        rng = np.random.default_rng(12)
-        cutoff, ladder = model.system_cutoff, model.battery.ladder_dim
-        lad = random_factor(rng, ladder)
-        system = {"dense": random_factor(rng, cutoff),
-                  "raising": np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex),
-                  "zero": np.zeros((cutoff, cutoff), dtype=complex)}
-        battery = {"dense": random_factor(rng, 2 * ladder),
-                   "initial-sector": np.kron(lad, np.diag([1.0, 0.0])),
-                   "final-sector": np.kron(lad, np.diag([0.0, 1.0])),
-                   "cross-sector": np.kron(lad, np.array([[0.0, 1.0], [0.0, 0.0]])),
-                   "zero": np.zeros((2 * ladder, 2 * ladder), dtype=complex)}
-        return system, battery
-
-    @pytest.mark.parametrize("name", ["ratio-2", "ratio-3/2", "object"])
-    def test_match_the_dense_differences(self, name):
-        model = make_model(**OBJECT_MODEL) if name == "object" else MODELS[name]()
-        system, battery = self.factors(model)
-        for f_s, f_b in product(system.values(), battery.values()):
-            i, j = np.nonzero(np.kron(f_s, f_b))
-            ref = np.unique(model.levels[i] - model.levels[j])
-            got = dyn._energy_offsets(f_s, f_b, model)
-            assert got.dtype == ref.dtype == model.levels.dtype
-            assert got.tolist() == ref.tolist()
-
-    def test_empty_sector_pairs_are_skipped(self, monkeypatch):
-        # a battery factor in one sector, as global-ft's: its two difference
-        # sets and the merge, not two sets for each of the four sector pairs
-        model = MODELS["ratio-3/2"]()
-        system, battery = self.factors(model)
-        calls, real = [], np.unique
-        monkeypatch.setattr(dyn.np, "unique",
-                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
-        dyn._energy_offsets(system["dense"], battery["initial-sector"], model)
-        assert len(calls) == 3
 
 
 class TestReadsEqualDense:
@@ -868,6 +887,28 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 2 ** 20
+
+    def test_pair_masks_scatter_in_chunks(self):
+        # X = a dense system factor (x) a diagonal battery one has 262,144
+        # nonzero entries, scattered at most _PAIR_CHUNK indices at a time;
+        # one scatter of all of them peaked at 6.1 MiB. rho on one joint
+        # index leaves one pair to evaluate
+        battery = dyn.SwitchedBattery(128, dyn.battery_spacing_for(1, 1))
+        model = dyn.build_joint_model(1, 1, 32, battery)
+        u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 13)
+        rng = np.random.default_rng(0)
+        x = (random_factor(rng, model.system_cutoff),
+             np.diag(rng.uniform(0.1, 1.0, model.battery.dim)).astype(complex))
+        rho = tuple(np.zeros((d, d), dtype=complex) for d in (model.system_cutoff, battery.dim))
+        rho[0][0, 0] = rho[1][0, 0] = 1.0
+        tracemalloc.start()
+        try:
+            q = dyn.q_quantity(x, rho, u, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20
+        assert q > 0.0
 
     def test_binomial_align_at_d_8192(self):
         # dense X and rho would take 1 GiB each here; the Q calls, the block

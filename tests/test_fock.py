@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qflux import fock
 from qflux.errors import DimensionError, TruncationError
+from qflux.gibbs import MeasurementOperator
 
 
 def geometric_mean_occupation(beta, omega, terms=4000):
@@ -278,6 +279,11 @@ class TestAlgebraPlumbing:
         prod = fock.tensor(a, b)
         assert prod.space.dim == 12
         assert np.allclose(prod.matrix, np.eye(12))
+
+    def test_tensor_keeps_a_shared_operator_kind(self):
+        a, b = (MeasurementOperator(fock.HilbertSpace(d, "s"), np.eye(d)) for d in (2, 3))
+        assert type(fock.tensor(a, b)) is MeasurementOperator
+        assert type(fock.tensor(a, fock.identity(b.space))) is fock.OperatorMatrix
 
     def test_trace_of_product_state(self):
         mode = fock.OscillatorMode(1.0, 12)

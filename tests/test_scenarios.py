@@ -247,6 +247,13 @@ class TestReports:
         assert not report.summary["all_passed"]
         assert not report.all_passed
 
+    def test_global_ft_counts_every_dropped_attempt(self):
+        # each attempt is a case or a draw with Q_F or Q_R at or below 1e-12
+        report = sc.run_scenario(sc.default_config("global-ft", cases=10, seed=2024))
+        dropped, attempts = report.provenance["dropped"], report.provenance["attempts"]
+        assert set(dropped) == {"below_floor"} and dropped["below_floor"] >= 1
+        assert report.summary["cases"] + dropped["below_floor"] == attempts
+
 
 def _dumps(payload) -> str:
     """The layout every report and verify.json must reproduce byte for byte."""
