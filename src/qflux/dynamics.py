@@ -16,9 +16,13 @@ battery's own basis index is b = 2 w + s.
 A conserving unitary is block-diagonal over the degenerate eigenspaces of
 the joint Hamiltonian and is stored as those blocks only, zero-padded to the
 largest block. Transition reads and work distributions gather U's entries
-from them; Q, for one term or a stack of terms, pairs them with entries read
-from the system and battery factors of X and rho, on the pairs of blocks
-where both X and rho have a nonzero entry. No d x d array is formed.
+from them. Q, for one term or a stack of terms, takes X and rho as their
+system and battery factors, and a battery factor in one of two forms. Given
+both battery factors as the vectors psi and phi of rank-one projectors, Q
+reads the system-sized reduced U, <psi| U |phi>, summed over the single
+blocks where psi and phi both have support. Given matrices, Q pairs U's
+blocks with entries read from the factors, on the pairs of blocks where
+both X and rho have a nonzero entry. No d x d array is formed.
 A sampled unitary holds each block's Gaussian draw until a read first needs
 that block, and exponentiates it then: the transition, photon-number and
 work reads and Q touch only their own blocks, while ``matrices``,
@@ -425,9 +429,10 @@ def sample_translation_invariant_unitary(model: JointModel,
 # measured quantities
 # ---------------------------------------------------------------------------
 
-#: complex entries per gathered array in one chunk of block pairs, and indices per
-#: scatter into the pair masks (one system entry's, if more): bounds memory; of
-#: 2**12 ... 2**16, 2**13 ran fastest at d = 1152 on 2 cores
+#: complex entries per gathered array in one chunk of block pairs (of blocks, in
+#: the reduced read), and indices per scatter into the pair masks (one system
+#: entry's, if more): bounds memory; of 2**12 ... 2**16, 2**13 ran fastest at
+#: d = 1152 on 2 cores
 _PAIR_CHUNK = 1 << 13
 
 
@@ -436,27 +441,82 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> Union[float, 
     clamped to zero when within -1e-14 of it: a float, or for four stacks of
     T factors, one per term, the length-T array of the terms' Q.
 
-    ``x`` and ``rho`` are the factor pairs ``(system, battery)``, each an
-    array or an ``OperatorMatrix``. Q sums Tr[X_lk U_k rho_kl U_l^dag] over
-    the pairs of U's blocks (k, l) where X_lk and rho_kl both hold a nonzero
-    entry, read off the factors' nonzero entries through ``u.block``; a stack
-    visits the union of its terms' pairs, and a pair outside a term's own
-    adds exact zeros to it. The pairs run widest first, in (l, k) order
-    within a width, in chunks of at most ``_PAIR_CHUNK`` entries per array,
-    each padded to its widest block (U's zero padding adds exact zeros for
-    finite factors); per chunk, U's slices and the flat indices from which
-    each term ``take``s X_lk and rho_kl are made once (README, "How a
-    unitary is stored")."""
-    factors = [np.ascontiguousarray(f.matrix if hasattr(f, "matrix") else f, dtype=complex)
-               for f in (*x, *rho)]
-    single = all(f.ndim == 2 for f in factors)
+    ``x`` and ``rho`` are the factor pairs ``(system, battery)``: a system
+    factor is an array or an ``OperatorMatrix``; a battery factor is a
+    matrix too, or the vector v of the rank-one |v><v| (a ``PureState``, or
+    an array with one dimension fewer than its system factor), and both take
+    the same form. The form picks the read: vectors psi and phi give the
+    reduced read Tr[x_s A rho_s A^dag] with A = <psi| U |phi>
+    (``_reduced_read``), matrices a sum over pairs of U's blocks
+    (``_pair_read``). Either read exponentiates only the blocks it visits
+    and forms no d x d array (README, "How a unitary is stored")."""
+    factors = [np.ascontiguousarray(
+        f.amplitudes if isinstance(f, PureState) else getattr(f, "matrix", f), dtype=complex)
+        for f in (*x, *rho)]
+    single = factors[0].ndim == 2
     x_s, x_b, rho_s, rho_b = (f[None] if single else f for f in factors)
     terms, ds, bdim = x_s.shape[:1], model.system_cutoff, model.battery.dim
+    vectors = x_b.ndim == 2
+    battery = terms + ((bdim,) if vectors else (bdim, bdim))
     if (terms == (0,) or {x_s.shape, rho_s.shape} != {terms + (ds, ds)} or u.dim != model.dim
-            or {x_b.shape, rho_b.shape} != {terms + (bdim, bdim)}):
+            or {x_b.shape, rho_b.shape} != {battery}):
         raise DimensionError(f"factors {x_s.shape, x_b.shape}, {rho_s.shape, rho_b.shape} "
                              f"and U of dim {u.dim} do not fit the model")
+    total = (_reduced_read if vectors else _pair_read)(x_s, x_b, rho_s, rho_b, u, ds, bdim)
+    q = np.where((-1e-14 <= total.real) & (total.real < 0.0), 0.0, total.real)
+    return float(q[0]) if single else q
 
+
+def _reduced_read(x_s, psi, rho_s, phi, u: ConservingUnitary, ds: int, bdim: int) -> np.ndarray:
+    """Tr[x_s A_t rho_s A_t^dag] per term t, for the reduced U
+    A_t = <psi_t| U |phi_t>, unclamped.
+
+    A block of U adds to A_t only if it holds some (n, b) with psi_t[b] != 0
+    and some (n', b') with phi_t[b'] != 0; a stack visits the union of its
+    terms' blocks, and a block outside a term's own adds exact zeros to it.
+    The blocks run widest first in chunks of at most ``_PAIR_CHUNK``
+    entries, each padded to its widest block; per chunk, each term weighs
+    U's rows by conj(psi[b]) and its columns by phi[b'] and scatters the
+    products onto (n, n') with ``bincount``."""
+    system = np.arange(ds)[:, None] * bdim
+
+    def support(v):   # blocks holding an index (n, b) with v[b] != 0
+        held = np.zeros(u.size.size, dtype=bool)
+        held[u.block[(system + np.flatnonzero(v)).ravel()]] = True
+        return held
+
+    visit = np.zeros(u.size.size, dtype=bool)
+    for t in range(len(psi)):
+        visit |= support(psi[t]) & support(phi[t])
+    k = np.flatnonzero(visit)
+    k = k[np.argsort(-u.size[k], kind="stable")]
+    stack = u._read(k)
+    n, b = np.divmod(u.indices, bdim)
+    reduced, at = np.zeros((len(psi), ds * ds), dtype=complex), 0
+    while at < k.size:   # sizes descend: a chunk's first block is its widest
+        w = u.size[k[at]]
+        chunk = k[at:at + max(1, _PAIR_CHUNK // w ** 2)]
+        n_c, b_c, u_c = n[chunk, :w], b[chunk, :w], stack[chunk, :w, :w]
+        flat = (n_c[:, :, None] * ds + n_c[:, None, :]).ravel()
+        for t in range(len(psi)):
+            weighted = (psi[t].conj()[b_c][:, :, None] * u_c * phi[t][b_c][:, None, :]).ravel()
+            reduced[t].real += np.bincount(flat, weighted.real, ds * ds)
+            reduced[t].imag += np.bincount(flat, weighted.imag, ds * ds)
+        at += chunk.size
+    reduced = reduced.reshape(-1, ds, ds)
+    return np.einsum('tij,tij->t', x_s @ reduced @ rho_s, reduced.conj())
+
+
+def _pair_read(x_s, x_b, rho_s, rho_b, u: ConservingUnitary, ds: int, bdim: int) -> np.ndarray:
+    """Tr[X U rho U^dag] per term, unclamped, over the pairs of U's blocks
+    (k, l) where X_lk and rho_kl both hold a nonzero entry, read off the
+    factors' nonzero entries through ``u.block``; a stack visits the union
+    of its terms' pairs, and a pair outside a term's own adds exact zeros to
+    it. The pairs run widest first, in (l, k) order within a width, in
+    chunks of at most ``_PAIR_CHUNK`` entries per array, each padded to its
+    widest block (U's zero padding adds exact zeros for finite factors); per
+    chunk, U's slices and the flat indices from which each term ``take``s
+    X_lk and rho_kl are made once."""
     def touched(f_s, f_b):   # blocks (row, column) of each nonzero entry of f_s (x) f_b
         (n_r, n_c), (b_r, b_c) = np.nonzero(f_s), np.nonzero(f_b)
         mask = np.zeros((u.size.size,) * 2, dtype=bool)
@@ -467,7 +527,7 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> Union[float, 
         return mask
 
     visit = np.zeros((u.size.size,) * 2, dtype=bool)
-    for t in range(terms[0]):
+    for t in range(len(x_s)):
         visit |= touched(x_s[t], x_b[t]) & touched(rho_s[t], rho_b[t]).T
     l, k = np.nonzero(visit)
     width = np.maximum(u.size[k], u.size[l])
@@ -475,7 +535,7 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> Union[float, 
     k, l, width = k[order], l[order], width[order]
     stack = u._read(np.concatenate((k, l)))
     n, b = np.divmod(u.indices, bdim)
-    total, at = np.zeros(terms, dtype=complex), 0
+    total, at = np.zeros(len(x_s), dtype=complex), 0
     while at < k.size:   # widths descend: a chunk's first pair is its widest
         w = width[at]
         stop = at + max(1, _PAIR_CHUNK // w ** 2)
@@ -488,8 +548,7 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> Union[float, 
             x_lk_t = x_s[t].take(s_lk) * x_b[t].take(b_lk)
             total[t] += np.einsum('pab,pab->', x_lk_t, u_k @ rho_kl @ u_l_dag)
         at = stop
-    q = np.where((-1e-14 <= total.real) & (total.real < 0.0), 0.0, total.real)
-    return float(q[0]) if single else q
+    return total
 
 
 def _system_density(system_state, model: JointModel) -> np.ndarray:

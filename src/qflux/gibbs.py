@@ -5,7 +5,9 @@ effective potential, and the generalized free-energy / work differences built
 from it. The package works in the energy eigenbasis throughout, so every
 Hamiltonian is diagonal and is passed as its 1-D real vector of energies, such
 as ``OscillatorMode.energies``; beta below 1e-6 is rejected because the
-effective potential degenerates there.
+effective potential degenerates there. A rank-one X = |v><v| may be passed
+as the ``PureState`` v: the map then returns a ``PureState`` and the
+effective potential reads the weights |v|^2, with no d x d array.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMapError, DimensionError, DomainError, GibbsOverflowError
-from .fock import DensityState, HilbertSpace, OperatorMatrix
+from .fock import DensityState, HilbertSpace, OperatorMatrix, PureState
 
 BETA_MIN = 1e-6
 #: support weight threshold, relative to the largest diagonal entry
@@ -100,27 +102,38 @@ def time_reversal(op):
     return np.asarray(op).T
 
 
-def gibbs_map(x, h, beta: float) -> DensityState:
+def gibbs_map(x, h, beta: float):
     """Map a measurement operator to its prepared state:
     T(exp(-beta H/2) X exp(-beta H/2)), normalized to unit trace.
 
-    The exponentials are shifted by the ground energy before normalization, so
-    only a genuinely vanishing Tr[exp(-beta H) X] raises DegenerateMapError.
+    A ``PureState`` psi stands for X = |psi><psi| and maps to the
+    ``PureState`` phi = conj(w psi) / ||w psi||, w = exp(-beta H/2): that
+    state is positive by construction, so nothing is diagonalized. Any other
+    X maps to a ``DensityState``, checked as one. The exponentials are
+    shifted by the ground energy before normalization, so only a genuinely
+    vanishing Tr[exp(-beta H) X] raises DegenerateMapError.
     """
     beta = _check_beta(beta)
     energies = _energies(h)
-    xm = _as_matrix(x)
+    pure = isinstance(x, PureState)
+    xm = x.amplitudes if pure else _as_matrix(x)
     if xm.shape[0] != energies.size:
         raise DimensionError(f"dim mismatch {xm.shape[0]} vs {energies.size}")
     w = np.exp(-beta * (energies - energies.min()) / 2.0)
-    mapped = np.multiply(xm.T, w[None, :], order="C")   # (w_b x_ba) w_a, C-ordered
-    mapped *= w[:, None]
-    norm = np.trace(mapped).real
+    if pure:
+        mapped = w * xm
+        norm = np.vdot(mapped, mapped).real
+    else:
+        mapped = np.multiply(xm.T, w[None, :], order="C")   # (w_b x_ba) w_a, C-ordered
+        mapped *= w[:, None]
+        norm = np.trace(mapped).real
     if not norm > MIN_NORMALIZER:
         raise DegenerateMapError(
             f"Tr[exp(-beta H) X] vanished (shifted normalizer {norm:.3e})"
         )
     space = x.space if hasattr(x, "space") else HilbertSpace(xm.shape[0], "mapped")
+    if pure:
+        return PureState(space, mapped.conj() / np.sqrt(norm))
     return DensityState(space, mapped / norm)
 
 
@@ -156,15 +169,18 @@ def gibbs_map_inverse(rho, h, beta: float) -> MeasurementOperator:
 def effective_potential(beta: float, h, x) -> EffectivePotentialValue:
     """Effective potential -(1/beta) ln Tr[exp(-beta H) X].
 
-    Only the diagonal of X contributes against a diagonal H; the log-trace is
+    Only the diagonal of X contributes against a diagonal H: for a
+    ``PureState`` v, X = |v><v|, its weights are |v|^2. The log-trace is
     taken as a max-shifted sum of exponentials so chi up to ~50 stays finite.
     """
     beta = _check_beta(beta)
     energies = _energies(h)
-    xm = _as_matrix(x)
-    if xm.shape[0] != energies.size:
-        raise DimensionError(f"dim mismatch {xm.shape[0]} vs {energies.size}")
-    weights = np.clip(np.real(np.diag(xm)), 0.0, None)
+    if isinstance(x, PureState):   # the diagonal of |v><v|, entry by entry
+        weights = (x.amplitudes * x.amplitudes.conj()).real
+    else:
+        weights = np.clip(np.real(np.diag(_as_matrix(x))), 0.0, None)
+    if weights.size != energies.size:
+        raise DimensionError(f"dim mismatch {weights.size} vs {energies.size}")
     total = weights.sum()
     if not total > 0:
         raise DegenerateMapError("X carries no weight on any energy level")

@@ -433,24 +433,37 @@ def _random_system_operator(rng: np.random.Generator, dim: int, family: int) -> 
     return st.projector().matrix
 
 
-def _random_ladder_operator(rng: np.random.Generator, ladder: int,
-                            family: int) -> np.ndarray:
-    """Measurement operator on the bare battery ladder."""
+def _random_ladder_operator(rng: np.random.Generator, ladder: int, family: int):
+    """Measurement operator on the bare battery ladder: a ``PureState`` for
+    the rank-one families 0-2 (a level, a binomial and a coherent state),
+    a positive diagonal matrix for family 3."""
     space = fock.HilbertSpace(ladder, "ladder")
     if family == 0:
-        proj = np.zeros((ladder, ladder), dtype=complex)
-        w = int(rng.integers(ladder))
-        proj[w, w] = 1.0
-        return proj
+        return fock.PureState(space, np.arange(ladder) == int(rng.integers(ladder)))
     if family == 1:
         n = int(rng.integers(1, min(ladder, 10)))
         p = float(rng.uniform(0.1, 0.9))
-        return fock.binomial_state(n, p, space).projector().matrix
+        return fock.binomial_state(n, p, space)
     if family == 2:
         alpha = float(rng.uniform(0.3, 1.2))
-        st = fock.coherent_state(alpha, space, tail_tol=0.5)
-        return st.projector().matrix
+        return fock.coherent_state(alpha, space, tail_tol=0.5)
     return np.diag(rng.uniform(0.05, 1.0, size=ladder).astype(complex))
+
+
+def _on_sector(battery: dyn.SwitchedBattery, ladder, sector: int):
+    """A ladder state (``PureState``) or operator (matrix) on one switch
+    sector of ``battery``, at the battery indices b = 2 w + sector."""
+    if isinstance(ladder, fock.PureState):
+        return fock.PureState(battery.space, _on_sector(battery, ladder.amplitudes, sector))
+    placed = np.zeros((battery.dim,) * ladder.ndim, dtype=complex)
+    placed[(slice(sector, None, 2),) * ladder.ndim] = ladder
+    return placed
+
+
+def _factor(op) -> np.ndarray:
+    """The array ``q_quantity`` reads for ``op``: a ``PureState``'s vector, a
+    matrix otherwise."""
+    return op.amplitudes if isinstance(op, fock.PureState) else getattr(op, "matrix", op)
 
 
 def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
@@ -483,19 +496,22 @@ def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
         h_b = battery.energies
         x_s_i = _random_system_operator(rng, ds, int(rng.integers(7)))
         x_s_f = _random_system_operator(rng, ds, int(rng.integers(7)))
-        lad_i = _random_ladder_operator(rng, ladder, int(rng.integers(4)))
-        lad_f = _random_ladder_operator(rng, ladder, int(rng.integers(4)))
-        x_b_i = np.kron(lad_i, np.diag([1.0, 0.0]).astype(complex))
-        x_b_f = np.kron(lad_f, np.diag([0.0, 1.0]).astype(complex))
+        lads = [_random_ladder_operator(rng, ladder, int(rng.integers(4))) for _ in range(2)]
+        if not all(isinstance(lad, fock.PureState) for lad in lads):   # as matrices
+            lads = [lad.projector().matrix if isinstance(lad, fock.PureState) else lad
+                    for lad in lads]
+        x_b_i, x_b_f = (_on_sector(battery, lad, sector)
+                        for lad, sector in zip(lads, (dyn.SECTOR_INITIAL, dyn.SECTOR_FINAL)))
 
         rho_s_i = gibbs.gibbs_map(x_s_i, h_i, beta).matrix
         rho_s_f = gibbs.gibbs_map(x_s_f, h_f, beta).matrix
-        rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta).matrix
-        rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta).matrix
+        rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta)
+        rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta)
 
-        q_f, q_r = dyn.q_quantity((np.array((x_s_f, x_s_i)), np.array((x_b_f, x_b_i))),
-                                  (np.array((rho_s_i, rho_s_f)), np.array((rho_b_i, rho_b_f))),
-                                  u, model).tolist()
+        q_f, q_r = dyn.q_quantity(
+            (np.array((x_s_f, x_s_i)), np.array((_factor(x_b_f), _factor(x_b_i)))),
+            (np.array((rho_s_i, rho_s_f)), np.array((_factor(rho_b_i), _factor(rho_b_f)))),
+            u, model).tolist()
         if q_f <= 1e-12 or q_r <= 1e-12:
             report.provenance["dropped"]["below_floor"] += 1
             continue
@@ -596,21 +612,19 @@ def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
         del u   # else it stays alive while the next U is built beside it
 
 
-def _binomial_ladder_projector(battery: dyn.SwitchedBattery, n: int, p: float) -> np.ndarray:
-    return fock.binomial_state(n, p, battery.ladder_space).projector().matrix
-
-
-def _binomial_battery_projector(battery: dyn.SwitchedBattery, n: int, p: float, sector: int,
-                                ladder=_binomial_ladder_projector) -> np.ndarray:
-    """The ``ladder`` projector, built afresh by default, on one switch sector."""
-    return np.kron(ladder(battery, n, p), np.diag(np.eye(2, dtype=complex)[sector]))
+def _binomial_battery_state(battery: dyn.SwitchedBattery, n: int, p: float, sector: int,
+                            ladder=fock.binomial_state) -> fock.PureState:
+    """The binomial state |n, p> of the ladder, made by ``ladder`` (built
+    afresh by default), on one switch sector."""
+    return _on_sector(battery, ladder(n, p, battery.ladder_space), sector)
 
 
 def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
                          regime: str) -> None:
     """Battery-coherence Crooks check: thermal system, binomial battery
-    projectors, measured ratio against exp(beta (q(chi) W_q - dF)). Pairs
-    with a probability at or below 1e-12 are counted in ``provenance["dropped"]``."""
+    projectors read as their vectors, measured ratio against
+    exp(beta (q(chi) W_q - dF)). Pairs with a probability at or below 1e-12
+    are counted in ``provenance["dropped"]``."""
     p_grid = config.p_grid or (0.2, 0.5, 0.8)
     n_grid = config.n_grid or (2, 4, 6)
     if regime == "align":
@@ -620,7 +634,7 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
         pairs = [(n_i, p, n_f, p) for n_i in n_grid for n_f in n_grid
                  if n_i != n_f for p in p_grid]
     eye_s = np.array([np.eye(config.system_cutoff, dtype=complex)] * 2)   # forward, reverse
-    ladder = cache(_binomial_ladder_projector)   # each binomial state built once per scan
+    ladder = cache(fock.binomial_state)   # each binomial state built once per scan
     for model, chi_b, beta, u in _dynamics_scan(
             config, report, ("below_floor",), [(Fraction(1), Fraction(1))],
             config.chi_grid or (0.1, 0.5, 1.0), by_spacing=True):
@@ -628,18 +642,17 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
         h_b = battery.energies
         gamma = np.array([fock.thermal_state(beta, model.system_mode(dyn.SECTOR_INITIAL),
                                              tail_tol=1.0).matrix] * 2)
-        # each Gibbs map made once per chi; the projectors are rebuilt on use, so
-        # the maps take the place of the full projectors in memory
-        prepared = cache(lambda *key: gibbs.gibbs_map(
-            _binomial_battery_projector(battery, *key, ladder), h_b, beta).matrix)
+        # the battery factors as the vectors of their rank-one projectors, each
+        # state and each Gibbs map made once per chi
+        state = cache(lambda *key: _binomial_battery_state(battery, *key, ladder))
+        prepared = cache(lambda *key: gibbs.gibbs_map(state(*key), h_b, beta).amplitudes)
         inputs, predicted = [], []
         for n_i, p_i, n_f, p_f in pairs:
-            x_b_i = _binomial_battery_projector(battery, n_i, p_i, dyn.SECTOR_INITIAL, ladder)
-            x_b_f = _binomial_battery_projector(battery, n_f, p_f, dyn.SECTOR_FINAL, ladder)
-            rho_b_i = prepared(n_i, p_i, dyn.SECTOR_INITIAL)
-            rho_b_f = prepared(n_f, p_f, dyn.SECTOR_FINAL)
-            p_fwd, p_rev = dyn.q_quantity((eye_s, np.array((x_b_f, x_b_i))),
-                                          (gamma, np.array((rho_b_i, rho_b_f))), u, model).tolist()
+            x_b = (state(n_f, p_f, dyn.SECTOR_FINAL).amplitudes,
+                   state(n_i, p_i, dyn.SECTOR_INITIAL).amplitudes)
+            rho_b = (prepared(n_i, p_i, dyn.SECTOR_INITIAL), prepared(n_f, p_f, dyn.SECTOR_FINAL))
+            p_fwd, p_rev = dyn.q_quantity((eye_s, np.array(x_b)), (gamma, np.array(rho_b)),
+                                          u, model).tolist()
             if p_fwd <= 1e-12 or p_rev <= 1e-12:
                 report.provenance["dropped"]["below_floor"] += 1
                 continue
@@ -655,7 +668,7 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
         _record(report, [f"chi{chi_b}-n{c['n_i']}-{c['n_f']}-p{c['p_i']}-{c['p_f']}"
                          for c in inputs], inputs, [c["P_F"] / c["P_R"] for c in inputs],
                 predicted)
-        del u, prepared   # the maps go with this chi's U
+        del u, state, prepared   # the vectors go with this chi's U
 
 
 def run_jarzynski(config: ScenarioConfig, report: VerificationReport) -> None:

@@ -26,9 +26,8 @@ from qflux import closedform as cf
 from qflux import dynamics as dyn
 from qflux import fock, gibbs
 from qflux.errors import DimensionError, IncommensurateError, UndefinedRatioError
-from qflux.scenarios import (_FT_FREQUENCIES, _binomial_battery_projector,
-                             _random_ladder_operator, _random_system_operator, default_config,
-                             run_scenario)
+from qflux.scenarios import (_FT_FREQUENCIES, _binomial_battery_state, _random_ladder_operator,
+                             _random_system_operator, default_config, run_scenario)
 
 
 def make_model(omega_i, omega_f, cutoff, ladder, spacing=None, **kwargs):
@@ -90,6 +89,18 @@ def dense_work(um, model, rho, level, sector):
         return per_b.reshape(model.battery.ladder_dim, 2).sum(axis=1)
     per_row = np.einsum('rn,nm,rm->r', amp.conj(), rho, amp).real
     return per_row.reshape(model.system_cutoff, model.battery.ladder_dim, 2).sum(axis=(0, 2))
+
+
+def battery_projector(battery, n, p, sector):
+    """The binomial suites' battery factor |n, p><n, p| on one switch
+    sector, as a matrix."""
+    return _binomial_battery_state(battery, n, p, sector).projector().matrix
+
+
+def ladder_matrix(op):
+    """A ladder operator from ``_random_ladder_operator`` as a matrix: a
+    state as its projector."""
+    return op.projector().matrix if isinstance(op, fock.PureState) else op
 
 
 def random_operator(rng, d):
@@ -251,6 +262,29 @@ class TestSamplerAgainstReference:
         assert not u.matrices.flags.writeable
         assert sum(counted) == wide   # the rest, each once
 
+    def test_reduced_read_exponentiates_only_its_blocks(self, monkeypatch):
+        # a binomial suite's Q on vectors at 8 x 24: the blocks that hold an
+        # index of psi's support and one of phi's, of the model's 60 blocks
+        # of two or more indices
+        model = make_model(1, Fraction(3, 2), 8, 24)
+        counted, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(dyn.np.linalg, "eigh", lambda a: counted.append(len(a)) or eigh(a))
+        u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 7)
+        psi, phi = (_binomial_battery_state(model.battery, 3, p, sector).amplitudes
+                    for p, sector in ((0.4, 1), (0.6, 0)))
+        gamma = fock.thermal_state(1.0, model.system_mode(0), tail_tol=1.0)
+        assert dyn.q_quantity((np.eye(8), psi), (gamma, phi), u, model) > 0.0
+        member = blocks_holding(psi, u) & blocks_holding(phi, u)
+        wide = int((u.size > 1).sum())
+        assert sum(counted) == (u.size[member] > 1).sum() and 0 < sum(counted) < wide == 60
+        assert not u.matrices.flags.writeable
+        assert sum(counted) == wide   # the rest, each once
+
+
+def blocks_holding(v, u):
+    """Which of U's blocks hold a joint index (n, b) with v[b] != 0."""
+    return np.array([(v[idx[:s] % v.size] != 0).any() for idx, s in zip(u.indices, u.size)])
+
 
 def random_factor(rng, d):
     """A random positive matrix with no zero entry: every energy coherence."""
@@ -396,7 +430,7 @@ class TestPairSelection:
         x_s = np.zeros_like(eye_s)
         x_s[0, 1] = x_s[1, 0] = 1.0
         none = ((x_s, eye_b), (eye_s, eye_b))
-        on = _binomial_battery_projector(model.battery, 3, 0.4, dyn.SECTOR_INITIAL)
+        on = battery_projector(model.battery, 3, 0.4, dyn.SECTOR_INITIAL)
         lowering = np.diag(np.sqrt(np.arange(1, model.system_cutoff)), 1).astype(complex)
         terms = shared_terms(model) + sector_terms(model) + [((eye_s, on), (eye_s, on)),
                                                              ((eye_s, on), (lowering, on))]
@@ -425,7 +459,7 @@ def zoo_terms(model):
     def factors(system, lad, sector):
         switch = np.diag([1.0 - sector, float(sector)]).astype(complex)
         return (_random_system_operator(rng, cutoff, system),
-                np.kron(_random_ladder_operator(rng, ladder, lad), switch))
+                np.kron(ladder_matrix(_random_ladder_operator(rng, ladder, lad)), switch))
     return [(factors(system, lad, 1), factors(int(rng.integers(7)), int(rng.integers(4)), 0))
             for system, lad in product(range(7), range(4))]
 
@@ -434,7 +468,7 @@ def shared_terms(model):
     """Three (x, rho) terms with one pair set: the binomial suites' forward
     and reverse terms, and a forward term at other weights. A binomial state
     at 0 < p < 1 spans the same levels for every p."""
-    on = partial(_binomial_battery_projector, model.battery, 3)   # (p, sector)
+    on = partial(battery_projector, model.battery, 3)   # (p, sector)
     eye = np.eye(model.system_cutoff, dtype=complex)
     gamma = fock.thermal_state(0.8, model.system_mode(0), tail_tol=1.0).matrix
     return [((eye, on(0.4, 1)), (gamma, on(0.2, 0))), ((eye, on(0.2, 0)), (gamma, on(0.4, 1))),
@@ -447,7 +481,7 @@ def sector_terms(model):
     one of dense factors, which visits every pair."""
     rng = np.random.default_rng(9)
     cutoff = model.system_cutoff
-    on = [_binomial_battery_projector(model.battery, 3, 0.4, sector) for sector in (0, 1)]
+    on = [battery_projector(model.battery, 3, 0.4, sector) for sector in (0, 1)]
     raising = (np.diag(np.arange(cutoff, dtype=complex))
                + np.diag(np.sqrt(np.arange(1, cutoff)), 1))
     rho_s = random_factor(rng, cutoff) / cutoff
@@ -470,6 +504,97 @@ def single_calls(terms, u, model):
     singles = [dyn.q_quantity(x, rho, u, model) for x, rho in terms]
     pairs = [oracle_pairs(x, rho, u) for x, rho in terms]
     return singles, all(p == pairs[0] for p in pairs)
+
+
+def random_vector(rng, held):
+    """A unit vector of complex amplitudes, nonzero where ``held``."""
+    v = np.where(held, rng.normal(size=held.size) + 1j * rng.normal(size=held.size), 0.0)
+    return v / np.linalg.norm(v)
+
+
+def projector_of(v):
+    """|v><v| for a vector, or a stack of them, as a matrix."""
+    return v[..., :, None] * v[..., None, :].conj()
+
+
+class TestReducedRead:
+    """Q on battery factors given as vectors, read through the reduced U,
+    against the same factors as projectors on the pair path. The system
+    factors are dense: positive, or not Hermitian (N + a^dag as X, or its
+    transpose plus i as rho) beside a positive one. Two random non-Hermitian
+    factors are left out: their Re Q cancels, and any two sums of it differ
+    relatively more."""
+
+    def terms(self, model, rng):
+        cutoff, bdim = model.system_cutoff, model.battery.dim
+        raising = (np.diag(np.arange(cutoff, dtype=complex))
+                   + np.diag(np.sqrt(np.arange(1, cutoff)), 1))
+        positive = [random_factor(rng, cutoff) / cutoff for _ in range(3)]
+        systems = [(positive[0], positive[1]), (raising, positive[2]),
+                   (positive[2], raising.T + 1j * np.eye(cutoff))]
+        # supports: full; half of the levels each, drawn apart; three shared levels
+        few = rng.permutation(bdim) < 3
+        supports = [(np.ones(bdim, dtype=bool),) * 2,
+                    tuple(rng.permutation(bdim) < bdim // 2 for _ in range(2)), (few, few)]
+        return [((x_s, random_vector(rng, held_x)), (rho_s, random_vector(rng, held_rho)))
+                for (x_s, rho_s), (held_x, held_rho) in zip(systems, supports)]
+
+    def test_vectors_match_their_projectors(self, model_and_unitary):
+        model, u = model_and_unitary
+        terms = self.terms(model, np.random.default_rng(12))
+        singles = []
+        for (x_s, psi), (rho_s, phi) in terms:
+            got = dyn.q_quantity((x_s, psi), (rho_s, phi), u, model)
+            ref = dyn.q_quantity((x_s, projector_of(psi)), (rho_s, projector_of(phi)), u, model)
+            assert type(got) is float and ref != 0.0
+            assert abs(got - ref) <= 1e-14 * abs(ref)
+            singles.append(got)
+        (x_s, psi), (rho_s, phi) = stacked(terms)
+        got = dyn.q_quantity((x_s, psi), (rho_s, phi), u, model)
+        ref = dyn.q_quantity((x_s, projector_of(psi)), (rho_s, projector_of(phi)), u, model)
+        assert got.shape == (3,)
+        for q, r in zip(got.tolist(), ref.tolist()):
+            assert abs(q - r) <= 1e-14 * abs(r)
+        # a term's blocks outside another's add exact zeros: each term keeps
+        # the bits of its single call
+        assert got.tolist() == singles
+
+    def test_states_and_operators_as_factors(self, model_and_unitary):
+        # a PureState is read as its vector, an OperatorMatrix as its matrix
+        model, u = model_and_unitary
+        (x_s, psi), (rho_s, phi) = self.terms(model, np.random.default_rng(4))[0]
+        space = model.battery.space
+        state = dyn.q_quantity((x_s, fock.PureState(space, psi)),
+                               (fock.OperatorMatrix(model.system_mode(0).space, rho_s),
+                                fock.PureState(space, phi)), u, model)
+        assert state == dyn.q_quantity((x_s, psi), (rho_s, phi), u, model)
+
+    def test_disjoint_supports_give_exact_zero(self, model_and_unitary):
+        # psi on the two lowest ladder levels, phi on the two highest: more
+        # levels apart than any system gap spans, so no block holds both
+        model, u = model_and_unitary
+        psi, phi = np.zeros((2, model.battery.dim), dtype=complex)
+        psi[:4], phi[-4:] = 0.5, 0.5j
+        assert not (blocks_holding(psi, u) & blocks_holding(phi, u)).any()
+        rng = np.random.default_rng(3)
+        x_s, rho_s = (random_factor(rng, model.system_cutoff) for _ in range(2))
+        assert dyn.q_quantity((x_s, psi), (rho_s, phi), u, model) == 0.0
+        assert abs(product_q((x_s, projector_of(psi)), (rho_s, projector_of(phi)), u)) <= 1e-12
+
+    @pytest.mark.parametrize("shapes", ["short-psi", "long-phi", "stacked-short",
+                                        "vector-beside-matrix", "matrix-beside-vector"])
+    def test_vector_of_wrong_length_or_beside_a_matrix(self, shapes):
+        model = MODELS["ratio-2"]()
+        u = SAMPLERS["conserving"](model, 23)
+        cutoff, bdim = model.system_cutoff, model.battery.dim
+        eye, v = np.eye(cutoff, dtype=complex), np.full(bdim, bdim ** -0.5, dtype=complex)
+        x, rho = {"short-psi": ((eye, v[:-1]), (eye, v)),
+                  "long-phi": ((eye, v), (eye, np.append(v, 0.0))),
+                  "stacked-short": ((eye[None], v[None, :-1]), (eye[None], v[None, :-1])),
+                  "vector-beside-matrix": ((eye, v), (eye, projector_of(v))),
+                  "matrix-beside-vector": ((eye, projector_of(v)), (eye, v))}[shapes]
+        with pytest.raises(DimensionError):
+            dyn.q_quantity(x, rho, u, model)
 
 
 class TestStackedQ:
@@ -922,8 +1047,8 @@ class TestMemory:
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 13)
         gamma = fock.thermal_state(beta, model.system_mode(0), tail_tol=1.0)
         h_b = battery.energies
-        x_b_i = _binomial_battery_projector(battery, n, p_i, dyn.SECTOR_INITIAL)
-        x_b_f = _binomial_battery_projector(battery, n, p_f, dyn.SECTOR_FINAL)
+        x_b_i = battery_projector(battery, n, p_i, dyn.SECTOR_INITIAL)
+        x_b_f = battery_projector(battery, n, p_f, dyn.SECTOR_FINAL)
         rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta)
         rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta)
         eye_s = np.eye(model.system_cutoff, dtype=complex)

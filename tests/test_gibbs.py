@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qflux import dynamics as dyn, fock, gibbs
 from qflux.errors import (DegenerateMapError, DimensionError, DomainError,
                           GibbsOverflowError)
-from qflux.scenarios import _binomial_battery_projector
+from qflux.scenarios import _binomial_battery_state
 
 
 @pytest.fixture
@@ -73,7 +73,7 @@ class TestGibbsMap:
         battery = dyn.SwitchedBattery(32, dyn.battery_spacing_for(1, 1))
         h_b = battery.energies
         for sector in (dyn.SECTOR_INITIAL, dyn.SECTOR_FINAL):
-            x = _binomial_battery_projector(battery, 6, 0.4, sector)
+            x = _binomial_battery_state(battery, 6, 0.4, sector).projector().matrix
             mapped = gibbs.gibbs_map(x, h_b, 0.7).matrix
             assert mapped.flags.c_contiguous
             w = np.exp(-0.7 * (h_b - h_b.min()) / 2.0)
@@ -87,6 +87,66 @@ class TestGibbsMap:
     def test_beta_floor(self, mode, h):
         with pytest.raises(DomainError):
             gibbs.gibbs_map(fock.identity(mode.space), h, 0.0)
+
+
+def battery_states():
+    """Rank-one battery operators as states: the binomial suites' |n, p> on
+    either switch sector, a binomial ladder state with phases, and a
+    coherent one."""
+    battery = dyn.SwitchedBattery(32, dyn.battery_spacing_for(1, 1))
+    space = battery.ladder_space
+    phased = fock.binomial_state(5, 0.35, space, phases=np.linspace(0.0, 2.5, 6))
+    return battery.energies, [
+        _binomial_battery_state(battery, 6, 0.4, dyn.SECTOR_INITIAL),
+        _binomial_battery_state(battery, 6, 0.4, dyn.SECTOR_FINAL),
+        fock.PureState(battery.space, np.repeat(phased.amplitudes, 2) / math.sqrt(2.0)),
+        fock.PureState(battery.space,
+                       np.kron(fock.coherent_state(1.1 + 0.4j, space, tail_tol=0.5).amplitudes,
+                               [0.6, 0.8j]))]
+
+
+class TestPureStates:
+    """A rank-one X given as its state: mapped as a vector, read as |v|^2."""
+
+    @pytest.mark.parametrize("beta", [0.05, 0.7, 6.0])
+    def test_map_matches_the_projector_map_without_eigvalsh(self, monkeypatch, beta):
+        h_b, states = battery_states()
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        for state in states:
+            mapped = gibbs.gibbs_map(state, h_b, beta)
+            assert isinstance(mapped, fock.PureState) and mapped.space == state.space
+            assert calls == []
+            dense = gibbs.gibbs_map(state.projector(), h_b, beta).matrix
+            assert len(calls) == 1   # the projector's map checks its spectrum
+            calls.clear()
+            assert np.abs(mapped.projector().matrix - dense).max() <= 1e-14
+
+    def test_vanishing_map_raises(self):
+        # all weight past the double floor of the shifted exponentials
+        h = np.array([0.0, 1e4])
+        with pytest.raises(DegenerateMapError):
+            gibbs.gibbs_map(fock.PureState(fock.HilbertSpace(2), [0.0, 1.0]), h, 1.0)
+
+    @pytest.mark.parametrize("x", [np.diag([1.0, -0.5, 0.25]),
+                                   np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])],
+                             ids=["diagonal", "dense"])
+    def test_a_matrix_that_is_not_positive_still_raises(self, x):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            gibbs.gibbs_map(x.astype(complex), np.array([0.5, 1.5, 2.5]), 0.3)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.7, 6.0])
+    def test_potentials_and_work_equal_the_projectors(self, beta):
+        h_b, states = battery_states()
+        for state in states:
+            pure = gibbs.effective_potential(beta, h_b, state)
+            dense = gibbs.effective_potential(beta, h_b, state.projector())
+            assert (pure.e_min, pure.e_max) == (dense.e_min, dense.e_max)
+            assert pure.value == pytest.approx(dense.value, rel=1e-14, abs=1e-14)
+            assert pure.weight_sum == pytest.approx(dense.weight_sum, rel=1e-14)
+        for x_i, x_f in zip(states, states[1:]):
+            assert gibbs.gen_work_diff(beta, h_b, x_i, x_f) == pytest.approx(
+                gibbs.gen_work_diff(beta, h_b, x_i.projector(), x_f.projector()), abs=1e-14)
 
 
 class TestGibbsMapInverse:
@@ -222,28 +282,43 @@ _ENTRY_POINTS = {
 }
 
 
+_FORMS = pytest.mark.parametrize("form,error,match", [
+    ("matrix", DimensionError, "1-D real energy vector"),
+    ("operator", DimensionError, "1-D real energy vector"),
+    ("complex", DimensionError, "1-D real energy vector"),
+    ("short", DimensionError, "dim mismatch"),
+    ("nan", ValueError, "finite"), ("inf", ValueError, "finite")])
+
+
+def _energy_form(form, mode):
+    e = mode.energies
+    return {"matrix": np.diag(e),
+            "operator": fock.OperatorMatrix(mode.space, np.diag(e)),
+            "complex": e.astype(complex),
+            "short": e[:3],
+            "nan": np.array([0.5, np.nan, 2.5, 3.5]),
+            "inf": np.array([0.5, 1.5, np.inf, 3.5])}[form]
+
+
 class TestEnergyVectorCheck:
     """Every gibbs entry point takes H as its 1-D real, finite energy vector."""
 
     @pytest.mark.parametrize("entry", _ENTRY_POINTS)
-    @pytest.mark.parametrize("form,error,match", [
-        ("matrix", DimensionError, "1-D real energy vector"),
-        ("operator", DimensionError, "1-D real energy vector"),
-        ("complex", DimensionError, "1-D real energy vector"),
-        ("short", DimensionError, "dim mismatch"),
-        ("nan", ValueError, "finite"), ("inf", ValueError, "finite")])
+    @_FORMS
     def test_rejects(self, entry, form, error, match):
         mode = fock.OscillatorMode(1.0, 4)
-        e = mode.energies
-        h = {"matrix": np.diag(e),
-             "operator": fock.OperatorMatrix(mode.space, np.diag(e)),
-             "complex": e.astype(complex),
-             "short": e[:3],
-             "nan": np.array([0.5, np.nan, 2.5, 3.5]),
-             "inf": np.array([0.5, 1.5, np.inf, 3.5])}[form]
         x = fock.thermal_state(1.0, mode, tail_tol=1.0)
         with pytest.raises(error, match=match):
-            _ENTRY_POINTS[entry](h, x)
+            _ENTRY_POINTS[entry](_energy_form(form, mode), x)
+
+    # gibbs_map_inverse maps a state back to an operator: it takes no PureState
+    @pytest.mark.parametrize("entry", [e for e in _ENTRY_POINTS if e != "gibbs_map_inverse"])
+    @_FORMS
+    def test_rejects_beside_a_pure_state(self, entry, form, error, match):
+        mode = fock.OscillatorMode(1.0, 4)
+        x = fock.binomial_state(2, 0.5, mode.space)
+        with pytest.raises(error, match=match):
+            _ENTRY_POINTS[entry](_energy_form(form, mode), x)
 
 
 class TestRescaledWeightMonotonicity:

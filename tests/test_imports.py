@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import qflux.cli
 from qflux import dynamics as dyn, fock, gibbs
-from qflux.scenarios import _binomial_battery_projector
+from qflux.scenarios import _binomial_battery_state
 
 loaded = set(sys.modules)
 scipy = sorted(m for m in loaded if m == "scipy" or m.startswith("scipy."))
@@ -29,13 +29,14 @@ battery = dyn.SwitchedBattery(12, dyn.battery_spacing_for(1, Fraction(3, 2)))
 model = dyn.build_joint_model(1, Fraction(3, 2), 4, battery)
 u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 7)
 h_b = battery.energies
-x_b = _binomial_battery_projector(battery, 3, 0.4, dyn.SECTOR_FINAL)
-rho_b = gibbs.gibbs_map(_binomial_battery_projector(battery, 3, 0.6, dyn.SECTOR_INITIAL),
-                        h_b, 1.0)
+x_b = _binomial_battery_state(battery, 3, 0.4, dyn.SECTOR_FINAL)
+rho_b = gibbs.gibbs_map(_binomial_battery_state(battery, 3, 0.6, dyn.SECTOR_INITIAL), h_b, 1.0)
 gamma = fock.thermal_state(1.0, model.system_mode(0), tail_tol=1.0)
 x_s = fock.identity(model.system_mode(0).space)
-dyn.q_quantity((x_s, x_b), (gamma, rho_b), u, model)
+dyn.q_quantity((x_s, x_b), (gamma, rho_b), u, model)   # the reduced read
+dyn.q_quantity((x_s, x_b.projector()), (gamma, rho_b.projector()), u, model)   # the pair read
 gibbs.effective_potential(1.0, h_b, x_b)
+gibbs.effective_potential(1.0, h_b, x_b.projector())
 
 print(json.dumps({"scipy": scipy, "new": sorted(set(sys.modules) - loaded)}))
 """

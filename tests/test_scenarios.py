@@ -571,6 +571,25 @@ class TestBinomialProjectors:
         assert len(mapped) == 54
 
 
+class TestBinomialLargeLadder:
+    def test_ladder_4096_runs_inside_the_contract(self):
+        # a schema-valid config: at 4 x 4096 (d = 32,768; U's padded layout
+        # 4.0 MiB in 4,102 blocks of at most 8) a dense battery factor would
+        # hold 8192^2 complex entries, 1 GiB, at any chi point. The run ends
+        # with a report, every pair a case or a drop, inside 32 MiB traced
+        config = sc.default_config("crooks-binomial-align", system_cutoff=4, ladder_dim=4096,
+                                   chi_grid=(0.5,))
+        tracemalloc.start()
+        try:
+            report = sc.run_scenario(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
+        assert len(report.columns["key"]) + report.provenance["dropped"]["below_floor"] == 18
+        assert report.all_passed
+
+
 class TestJarzynskiDropCounts:
     """Every forward work value of a jarzynski scan is either averaged or
     counted under one drop reason."""
