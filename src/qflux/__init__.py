@@ -15,12 +15,12 @@ from .errors import (BudgetExceededError, ConfigError, DegenerateMapError,
                      UndefinedRatioError, WindowError)
 from .fock import (DensityState, HilbertSpace, OperatorMatrix, OscillatorMode,
                    PureState, binomial_state, coherent_state, expectation,
-                   identity, ladder_operators, min_cutoff_for_tail,
+                   identity, min_cutoff_for_tail,
                    number_operator, photon_added_state, photon_subtracted_state,
                    state_fidelity, tensor, thermal_state, trace)
 from .gibbs import (EffectivePotentialValue, MeasurementOperator,
                     effective_potential, gen_free_energy_diff, gen_work_diff,
-                    gibbs_map, gibbs_map_inverse, time_reversal)
+                    gibbs_map, gibbs_map_inverse)
 from .dynamics import (ConservingUnitary, JointModel,
                        SwitchedBattery, battery_spacing_for, build_joint_model,
                        conditional_photon_number, q_quantity,

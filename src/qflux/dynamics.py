@@ -17,12 +17,11 @@ A conserving unitary is block-diagonal over the degenerate eigenspaces of
 the joint Hamiltonian and is stored as those blocks only, zero-padded to the
 largest block. Transition reads and work distributions gather U's entries
 from them. Q, for one term or a stack of terms, takes X and rho as their
-system and battery factors, and a battery factor in one of two forms. Given
-both battery factors as the vectors psi and phi of rank-one projectors, Q
-reads the system-sized reduced U, <psi| U |phi>, summed over the single
-blocks where psi and phi both have support. Given matrices, Q pairs U's
-blocks with entries read from the factors, on the pairs of blocks where
-both X and rho have a nonzero entry. No d x d array is formed.
+system and battery factors, each battery factor a vector (the v of a
+rank-one |v><v|) or a diagonal. It reads every term one way: as system-sized
+reduced U's <v_i| U |w_j>, one per pair of labels, a vector's one label or
+a diagonal's basis vectors, scattered from the blocks that hold both. No
+d x d array is formed.
 A sampled unitary holds each block's Gaussian draw until a read first needs
 that block, and exponentiates it then: the transition, photon-number and
 work reads and Q touch only their own blocks, while ``matrices``,
@@ -43,7 +42,7 @@ import numpy.random
 
 from .errors import (DimensionError, DomainError, IncommensurateError,
                      UndefinedRatioError, WindowError)
-from .fock import DensityState, HilbertSpace, OperatorMatrix, OscillatorMode, PureState
+from .fock import DensityState, HilbertSpace, OscillatorMode, PureState
 
 SECTOR_INITIAL = 0
 SECTOR_FINAL = 1
@@ -95,24 +94,12 @@ class SwitchedBattery:
         """H_B as its diagonal in the battery basis b = 2 w + s: delta * w."""
         return np.repeat(float(self.spacing) * np.arange(self.ladder_dim, dtype=float), 2)
 
-    def sector_projector(self, sector: int) -> OperatorMatrix:
-        if sector not in (SECTOR_INITIAL, SECTOR_FINAL):
-            raise DomainError(f"sector must be 0 or 1, got {sector}")
-        sw = np.zeros((2, 2))
-        sw[sector, sector] = 1.0
-        return OperatorMatrix(self.space, np.kron(np.eye(self.ladder_dim), sw))
-
     def basis_index(self, level: int, sector: int) -> int:
         if not 0 <= level < self.ladder_dim:
             raise DimensionError(f"battery level {level} outside 0..{self.ladder_dim - 1}")
         if sector not in (SECTOR_INITIAL, SECTOR_FINAL):
             raise DomainError(f"sector must be 0 or 1, got {sector}")
         return 2 * level + sector
-
-    def basis_state(self, level: int, sector: int) -> PureState:
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.basis_index(level, sector)] = 1.0
-        return PureState(self.space, v)
 
 
 def battery_spacing_for(omega_i: RationalLike, omega_f: RationalLike) -> Fraction:
@@ -222,7 +209,7 @@ class ConservingUnitary:
     A unitary from ``_sample`` keeps the Gaussian draws of its blocks of two
     or more indices, and leaves a translation-invariant copy empty, until a
     read first needs that block: ``entries`` exponentiates the blocks it
-    gathers from, ``q_quantity`` those of its block pairs, and ``matrices``,
+    gathers from, ``q_quantity`` those it scatters from, and ``matrices``,
     ``blocks``, ``matrix`` and ``assert_valid`` every block, so no caller
     sees a pending block. Each block comes out the same whichever read
     exponentiates it first.
@@ -429,125 +416,143 @@ def sample_translation_invariant_unitary(model: JointModel,
 # measured quantities
 # ---------------------------------------------------------------------------
 
-#: complex entries per gathered array in one chunk of block pairs (of blocks, in
-#: the reduced read), and indices per scatter into the pair masks (one system
-#: entry's, if more): bounds memory; of 2**12 ... 2**16, 2**13 ran fastest at
-#: d = 1152 on 2 cores
+#: complex entries per chunk: of the label pairs' A (cutoff**2 each), and of
+#: the U rows gathered from one chunk of blocks; bounds memory; of 2**12 ...
+#: 2**16, 2**13 ran fastest at d = 1152 on 2 cores
 _PAIR_CHUNK = 1 << 13
+
+
+def _array(f) -> np.ndarray:
+    """The complex array a factor stands for: a ``PureState``'s vector, an
+    operator's matrix, or the array itself."""
+    return np.ascontiguousarray(
+        f.amplitudes if isinstance(f, PureState) else getattr(f, "matrix", f), dtype=complex)
+
+
+def _battery_side(f, bdim: int, conj: bool):
+    """A battery factor as (coefficients, labels, weights) over the battery
+    basis: a vector v is one label of weight 1 with coefficients v (conj v
+    if ``conj``); a diagonal matrix gives each nonzero entry a label of its
+    own, of coefficient 1 and the entry as weight. Raises DimensionError for
+    any other shape, and for a matrix with a nonzero (or NaN) entry off its
+    diagonal."""
+    f = _array(f)
+    if f.shape == (bdim,):
+        return f.conj() if conj else f, np.zeros(bdim, dtype=np.intp), np.ones(1)
+    if f.shape != (bdim, bdim) or np.count_nonzero(f) != np.count_nonzero(f.diagonal()):
+        raise DimensionError(f"a battery factor is a vector of {bdim} entries or a {bdim} x "
+                             f"{bdim} matrix that is 0 off its diagonal, got {f.shape}")
+    held = f.diagonal() != 0
+    label = np.zeros(bdim, dtype=np.intp)
+    label[held] = np.arange(np.count_nonzero(held))
+    return held.astype(complex), label, f.diagonal()[held]
 
 
 def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> Union[float, np.ndarray]:
     """Tr[X U rho U^dag] for X = x_s (x) x_b and rho = rho_s (x) rho_b,
-    clamped to zero when within -1e-14 of it: a float, or for four stacks of
-    T factors, one per term, the length-T array of the terms' Q.
+    clamped to zero when within -1e-14 of it: a float, or for stacks of T
+    terms, the length-T array of the terms' Q.
 
-    ``x`` and ``rho`` are the factor pairs ``(system, battery)``: a system
-    factor is an array or an ``OperatorMatrix``; a battery factor is a
-    matrix too, or the vector v of the rank-one |v><v| (a ``PureState``, or
-    an array with one dimension fewer than its system factor), and both take
-    the same form. The form picks the read: vectors psi and phi give the
-    reduced read Tr[x_s A rho_s A^dag] with A = <psi| U |phi>
-    (``_reduced_read``), matrices a sum over pairs of U's blocks
-    (``_pair_read``). Either read exponentiates only the blocks it visits
-    and forms no d x d array (README, "How a unitary is stored")."""
-    factors = [np.ascontiguousarray(
-        f.amplitudes if isinstance(f, PureState) else getattr(f, "matrix", f), dtype=complex)
-        for f in (*x, *rho)]
-    single = factors[0].ndim == 2
-    x_s, x_b, rho_s, rho_b = (f[None] if single else f for f in factors)
-    terms, ds, bdim = x_s.shape[:1], model.system_cutoff, model.battery.dim
-    vectors = x_b.ndim == 2
-    battery = terms + ((bdim,) if vectors else (bdim, bdim))
-    if (terms == (0,) or {x_s.shape, rho_s.shape} != {terms + (ds, ds)} or u.dim != model.dim
-            or {x_b.shape, rho_b.shape} != {battery}):
-        raise DimensionError(f"factors {x_s.shape, x_b.shape}, {rho_s.shape, rho_b.shape} "
-                             f"and U of dim {u.dim} do not fit the model")
-    total = (_reduced_read if vectors else _pair_read)(x_s, x_b, rho_s, rho_b, u, ds, bdim)
-    q = np.where((-1e-14 <= total.real) & (total.real < 0.0), 0.0, total.real)
+    ``x`` and ``rho`` are the factor pairs ``(system, battery)``. A system
+    factor is a (cutoff, cutoff) array or an ``OperatorMatrix``, or a
+    (T, cutoff, cutoff) stack. A battery factor is the vector v of a
+    rank-one |v><v| (a ``PureState`` or a 1-D array) or a diagonal matrix
+    (an array or an ``OperatorMatrix``, read through its diagonal once every
+    other entry is checked to be exactly 0); beside a stack it is a sequence
+    of T such factors, in either form each, such as a (T, 2L) or
+    (T, 2L, 2L) array. Any other battery factor raises DimensionError. Every
+    term is read by ``_reduced_read``, which exponentiates only the blocks
+    it visits and forms no d x d array (README, "How a unitary is stored")."""
+    x_s, rho_s = _array(x[0]), _array(rho[0])
+    single = x_s.ndim == 2
+    if single:
+        x_s, rho_s = x_s[None], rho_s[None]
+    x_b, rho_b = ([f] if single or isinstance(f, PureState) else list(f)
+                  for f in (x[1], rho[1]))
+    terms, ds, bdim = len(x_s), model.system_cutoff, model.battery.dim
+    if (terms == 0 or {x_s.shape, rho_s.shape} != {(terms, ds, ds)} or u.dim != model.dim
+            or {len(x_b), len(rho_b)} != {terms}):
+        raise DimensionError(f"system factors {x_s.shape} and {rho_s.shape}, {len(x_b)} and "
+                             f"{len(rho_b)} battery factors and U of dim {u.dim} do not fit "
+                             "the model")
+    sides = [(_battery_side(x_b[t], bdim, True), _battery_side(rho_b[t], bdim, False))
+             for t in range(terms)]
+    total = _reduced_read(x_s, rho_s, sides, u, ds, bdim)
+    q = np.where((-1e-14 <= total) & (total < 0.0), 0.0, total)
     return float(q[0]) if single else q
 
 
-def _reduced_read(x_s, psi, rho_s, phi, u: ConservingUnitary, ds: int, bdim: int) -> np.ndarray:
-    """Tr[x_s A_t rho_s A_t^dag] per term t, for the reduced U
-    A_t = <psi_t| U |phi_t>, unclamped.
+def _reduced_read(x_s, rho_s, sides, u: ConservingUnitary, ds: int, bdim: int) -> np.ndarray:
+    """sum_ij w_i w'_j Re Tr[x_s A_ij rho_s A_ij^dag] per term, unclamped,
+    for the reduced U A_ij = <v_i| U |v'_j> between the labels i of the
+    term's X side and j of its rho side (``_battery_side``): <v_i| sums
+    c[b] <b| over the battery indices b labelled i, |v'_j> sums c'[b'] |b'>.
 
-    A block of U adds to A_t only if it holds some (n, b) with psi_t[b] != 0
-    and some (n', b') with phi_t[b'] != 0; a stack visits the union of its
-    terms' blocks, and a block outside a term's own adds exact zeros to it.
-    The blocks run widest first in chunks of at most ``_PAIR_CHUNK``
-    entries, each padded to its widest block; per chunk, each term weighs
-    U's rows by conj(psi[b]) and its columns by phi[b'] and scatters the
-    products onto (n, n') with ``bincount``."""
+    The labels are numbered on from one term to the next. A label pair of a
+    term is read if some block of U holds a row (n, b) of label i and a
+    column (n', b') of label j, both of nonzero coefficient. The pairs run
+    term by term in (i, j) order, in chunks of at most ``_PAIR_CHUNK``
+    entries of A. Per chunk of pairs, the blocks holding a row and a column
+    of one of its pairs run widest first, in chunks of at most
+    ``_PAIR_CHUNK`` entries of gathered rows, each padded to its widest
+    block. A block holds every row of a vector's one label, and at most one
+    row of each diagonal label, at its (n, b). Each row of the chunk's
+    labels with a nonzero coefficient is gathered, weighed by it and its
+    columns by theirs, and the products are scattered onto (pair, n, n')
+    with ``bincount``."""
     system = np.arange(ds)[:, None] * bdim
-
-    def support(v):   # blocks holding an index (n, b) with v[b] != 0
-        held = np.zeros(u.size.size, dtype=bool)
-        held[u.block[(system + np.flatnonzero(v)).ravel()]] = True
-        return held
-
-    visit = np.zeros(u.size.size, dtype=bool)
-    for t in range(len(psi)):
-        visit |= support(psi[t]) & support(phi[t])
-    k = np.flatnonzero(visit)
-    k = k[np.argsort(-u.size[k], kind="stable")]
-    stack = u._read(k)
     n, b = np.divmod(u.indices, bdim)
-    reduced, at = np.zeros((len(psi), ds * ds), dtype=complex), 0
-    while at < k.size:   # sizes descend: a chunk's first block is its widest
-        w = u.size[k[at]]
-        chunk = k[at:at + max(1, _PAIR_CHUNK // w ** 2)]
-        n_c, b_c, u_c = n[chunk, :w], b[chunk, :w], stack[chunk, :w, :w]
-        flat = (n_c[:, :, None] * ds + n_c[:, None, :]).ravel()
-        for t in range(len(psi)):
-            weighted = (psi[t].conj()[b_c][:, :, None] * u_c * phi[t][b_c][:, None, :]).ravel()
-            reduced[t].real += np.bincount(flat, weighted.real, ds * ds)
-            reduced[t].imag += np.bincount(flat, weighted.imag, ds * ds)
-        at += chunk.size
-    reduced = reduced.reshape(-1, ds, ds)
-    return np.einsum('tij,tij->t', x_s @ reduced @ rho_s, reduced.conj())
+    held = np.arange(b.shape[1]) < u.size[:, None]   # the slots of each block's own indices
+    by_width = np.argsort(-u.size, kind="stable")
 
+    def side(factors):   # coefficients and labels (T, 2L), weights, terms, blocks per label
+        coef, label, weight = zip(*factors)
+        coef, count = np.array(coef), np.array([w.size for w in weight])
+        first = np.cumsum(count) - count   # each term's first label
+        label = np.array(label) + first[:, None]
+        member = np.zeros((count.sum(), u.size.size), dtype=bool)
+        t, b_t = np.nonzero(coef)
+        member[label[t, b_t], u.block[system + b_t]] = True
+        term = np.repeat(np.arange(count.size), count)
+        held_by_term = np.logical_or.reduceat(member, first)
+        return coef, label, np.concatenate(weight), term, member, held_by_term
 
-def _pair_read(x_s, x_b, rho_s, rho_b, u: ConservingUnitary, ds: int, bdim: int) -> np.ndarray:
-    """Tr[X U rho U^dag] per term, unclamped, over the pairs of U's blocks
-    (k, l) where X_lk and rho_kl both hold a nonzero entry, read off the
-    factors' nonzero entries through ``u.block``; a stack visits the union
-    of its terms' pairs, and a pair outside a term's own adds exact zeros to
-    it. The pairs run widest first, in (l, k) order within a width, in
-    chunks of at most ``_PAIR_CHUNK`` entries per array, each padded to its
-    widest block (U's zero padding adds exact zeros for finite factors); per
-    chunk, U's slices and the flat indices from which each term ``take``s
-    X_lk and rho_kl are made once."""
-    def touched(f_s, f_b):   # blocks (row, column) of each nonzero entry of f_s (x) f_b
-        (n_r, n_c), (b_r, b_c) = np.nonzero(f_s), np.nonzero(f_b)
-        mask = np.zeros((u.size.size,) * 2, dtype=bool)
-        step = max(1, _PAIR_CHUNK // max(1, b_r.size))   # system entries per scatter
-        for at in range(0, n_r.size, step):
-            mask[u.block[(n_r[at:at + step, None] * bdim + b_r).ravel()],
-                 u.block[(n_c[at:at + step, None] * bdim + b_c).ravel()]] = True
-        return mask
+    (cx, lx, wx, tx, rows, x_held), (cr, lr, wr, tr, cols, rho_held) = (
+        side(f) for f in zip(*sides))
+    stack = u._read(np.flatnonzero((x_held & rho_held).any(axis=0)))   # blocks of some pair
+    alone = np.bincount(tx)[tx] == 1   # a label alone on its side, as a vector's
 
-    visit = np.zeros((u.size.size,) * 2, dtype=bool)
-    for t in range(len(x_s)):
-        visit |= touched(x_s[t], x_b[t]) & touched(rho_s[t], rho_b[t]).T
-    l, k = np.nonzero(visit)
-    width = np.maximum(u.size[k], u.size[l])
-    order = np.argsort(-width, kind="stable")
-    k, l, width = k[order], l[order], width[order]
-    stack = u._read(np.concatenate((k, l)))
-    n, b = np.divmod(u.indices, bdim)
-    total, at = np.zeros(len(x_s), dtype=complex), 0
-    while at < k.size:   # widths descend: a chunk's first pair is its widest
-        w = width[at]
-        stop = at + max(1, _PAIR_CHUNK // w ** 2)
-        p_k, p_l = k[at:stop], l[at:stop]
-        n_k, b_k, n_l, b_l = n[p_k, :w, None], b[p_k, :w, None], n[p_l, None, :w], b[p_l, None, :w]
-        s_kl, b_kl, s_lk, b_lk = n_k * ds + n_l, b_k * bdim + b_l, n_l * ds + n_k, b_l * bdim + b_k
-        u_k, u_l_dag = stack[p_k, :w, :w], stack[p_l, :w, :w].conj().transpose(0, 2, 1)
-        for t in range(total.size):
-            rho_kl = rho_s[t].take(s_kl) * rho_b[t].take(b_kl)
-            x_lk_t = x_s[t].take(s_lk) * x_b[t].take(b_lk)
-            total[t] += np.einsum('pab,pab->', x_lk_t, u_k @ rho_kl @ u_l_dag)
-        at = stop
+    def reduced(i_c, j_c):   # the A of the label pairs (i_c, j_c), of one term's labels each
+        first, last = i_c[0], i_c[-1]   # the row labels, from first to last
+        pair = np.full((last - first + 1, wr.size), -1, dtype=np.intp)
+        pair[i_c - first, j_c] = np.arange(i_c.size)
+        k = by_width[(rows[i_c] & cols[j_c]).any(axis=0)[by_width]]
+        take, filled = (cx != 0) & (first <= lx) & (lx <= last), alone[i_c].any()
+        a, at = np.zeros(i_c.size * ds * ds, dtype=complex), 0
+        while at < k.size:   # sizes descend: a chunk's first block is its widest
+            w = u.size[k[at]]
+            per_block = w if filled else min(w, len(pair))   # rows of the labels per block
+            chunk = k[at:at + max(1, _PAIR_CHUNK // (w * per_block))]
+            n_c, b_c = n[chunk, :w], b[chunk, :w]
+            t, blk, slot = np.nonzero(take[:, b_c] & held[chunk, :w])
+            b_r, b_col, t_col = b_c[blk, slot], b_c[blk], t[:, None]
+            weighted = cx[t, b_r][:, None] * stack[chunk[blk], slot, :w] * cr[t_col, b_col]
+            p = pair[lx[t, b_r][:, None] - first, lr[t_col, b_col]]
+            keep = p >= 0
+            flat = ((p * ds + n_c[blk, slot][:, None]) * ds + n_c[blk])[keep]
+            a.real += np.bincount(flat, weighted.real[keep], a.size)
+            a.imag += np.bincount(flat, weighted.imag[keep], a.size)
+            at += chunk.size
+        return a.reshape(-1, ds, ds)
+
+    i, j = np.nonzero((rows @ cols.T) & (tx[:, None] == tr))
+    total, step = np.zeros(len(sides)), max(1, _PAIR_CHUNK // ds ** 2)
+    for lo in range(0, i.size, step):
+        i_c, j_c = i[lo:lo + step], j[lo:lo + step]
+        a, term = reduced(i_c, j_c), tx[i_c]
+        product = x_s[term] @ a @ rho_s[term]
+        traces = np.einsum('pij,pij->p', product, np.conjugate(a, out=a))
+        total += np.bincount(term, (wx[i_c] * wr[j_c] * traces).real, total.size)
     return total
 
 

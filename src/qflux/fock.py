@@ -169,18 +169,6 @@ class PureState:
 # operators
 # ---------------------------------------------------------------------------
 
-def ladder_operators(mode: OscillatorMode) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Return (a, a_dagger): a|n> = sqrt(n)|n-1>, truncated at the cutoff."""
-    if mode.cutoff < 2:
-        raise ValueError("ladder operators need cutoff >= 2")
-    d = mode.cutoff
-    a = np.zeros((d, d), dtype=complex)
-    root = np.sqrt(np.arange(1, d))
-    a[np.arange(d - 1), np.arange(1, d)] = root
-    space = mode.space
-    return OperatorMatrix(space, a), OperatorMatrix(space, a.conj().T)
-
-
 def number_operator(mode: OscillatorMode) -> OperatorMatrix:
     return OperatorMatrix(mode.space, np.diag(np.arange(mode.cutoff, dtype=float)))
 

@@ -1,13 +1,13 @@
 """Gibbs rescaling between measurement operators and prepared states.
 
-Houses the energy-basis time reversal, the rescaling map and its inverse, the
-effective potential, and the generalized free-energy / work differences built
-from it. The package works in the energy eigenbasis throughout, so every
-Hamiltonian is diagonal and is passed as its 1-D real vector of energies, such
-as ``OscillatorMode.energies``; beta below 1e-6 is rejected because the
-effective potential degenerates there. A rank-one X = |v><v| may be passed
-as the ``PureState`` v: the map then returns a ``PureState`` and the
-effective potential reads the weights |v|^2, with no d x d array.
+Houses the rescaling map and its inverse, the effective potential, and the
+generalized free-energy / work differences built from it. The package works
+in the energy eigenbasis throughout, so every Hamiltonian is diagonal and is
+passed as its 1-D real vector of energies, such as ``OscillatorMode.energies``;
+beta below 1e-6 is rejected because the effective potential degenerates there.
+A rank-one X = |v><v| may be passed as the ``PureState`` v: the map then
+returns a ``PureState`` and the effective potential reads the weights |v|^2,
+with no d x d array.
 """
 
 from __future__ import annotations
@@ -93,13 +93,6 @@ def _check_beta(beta: float) -> float:
     if beta < BETA_MIN:
         raise DomainError(f"beta must be >= {BETA_MIN}, got {beta}")
     return float(beta)
-
-
-def time_reversal(op):
-    """Entrywise transpose: the time-reversal operation in the energy basis."""
-    if isinstance(op, OperatorMatrix):
-        return type(op)(op.space, op.matrix.T)
-    return np.asarray(op).T
 
 
 def gibbs_map(x, h, beta: float):

@@ -460,12 +460,6 @@ def _on_sector(battery: dyn.SwitchedBattery, ladder, sector: int):
     return placed
 
 
-def _factor(op) -> np.ndarray:
-    """The array ``q_quantity`` reads for ``op``: a ``PureState``'s vector, a
-    matrix otherwise."""
-    return op.amplitudes if isinstance(op, fock.PureState) else getattr(op, "matrix", op)
-
-
 def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
     """Random-scenario verification of the global forward/reverse equality:
     ln Q_F - ln Q_R = beta (dW_tilde - dF_tilde), with effective potentials
@@ -497,9 +491,6 @@ def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
         x_s_i = _random_system_operator(rng, ds, int(rng.integers(7)))
         x_s_f = _random_system_operator(rng, ds, int(rng.integers(7)))
         lads = [_random_ladder_operator(rng, ladder, int(rng.integers(4))) for _ in range(2)]
-        if not all(isinstance(lad, fock.PureState) for lad in lads):   # as matrices
-            lads = [lad.projector().matrix if isinstance(lad, fock.PureState) else lad
-                    for lad in lads]
         x_b_i, x_b_f = (_on_sector(battery, lad, sector)
                         for lad, sector in zip(lads, (dyn.SECTOR_INITIAL, dyn.SECTOR_FINAL)))
 
@@ -508,10 +499,9 @@ def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
         rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta)
         rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta)
 
-        q_f, q_r = dyn.q_quantity(
-            (np.array((x_s_f, x_s_i)), np.array((_factor(x_b_f), _factor(x_b_i)))),
-            (np.array((rho_s_i, rho_s_f)), np.array((_factor(rho_b_i), _factor(rho_b_f)))),
-            u, model).tolist()
+        q_f, q_r = dyn.q_quantity((np.array((x_s_f, x_s_i)), (x_b_f, x_b_i)),
+                                  (np.array((rho_s_i, rho_s_f)), (rho_b_i, rho_b_f)),
+                                  u, model).tolist()
         if q_f <= 1e-12 or q_r <= 1e-12:
             report.provenance["dropped"]["below_floor"] += 1
             continue

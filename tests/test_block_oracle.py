@@ -26,8 +26,9 @@ from qflux import closedform as cf
 from qflux import dynamics as dyn
 from qflux import fock, gibbs
 from qflux.errors import DimensionError, IncommensurateError, UndefinedRatioError
-from qflux.scenarios import (_FT_FREQUENCIES, _binomial_battery_state, _random_ladder_operator,
-                             _random_system_operator, default_config, run_scenario)
+from qflux.scenarios import (_FT_FREQUENCIES, _binomial_battery_state, _on_sector,
+                             _random_ladder_operator, _random_system_operator, default_config,
+                             run_scenario)
 
 
 def make_model(omega_i, omega_f, cutoff, ladder, spacing=None, **kwargs):
@@ -89,18 +90,6 @@ def dense_work(um, model, rho, level, sector):
         return per_b.reshape(model.battery.ladder_dim, 2).sum(axis=1)
     per_row = np.einsum('rn,nm,rm->r', amp.conj(), rho, amp).real
     return per_row.reshape(model.system_cutoff, model.battery.ladder_dim, 2).sum(axis=(0, 2))
-
-
-def battery_projector(battery, n, p, sector):
-    """The binomial suites' battery factor |n, p><n, p| on one switch
-    sector, as a matrix."""
-    return _binomial_battery_state(battery, n, p, sector).projector().matrix
-
-
-def ladder_matrix(op):
-    """A ladder operator from ``_random_ladder_operator`` as a matrix: a
-    state as its projector."""
-    return op.projector().matrix if isinstance(op, fock.PureState) else op
 
 
 def random_operator(rng, d):
@@ -292,25 +281,54 @@ def random_factor(rng, d):
     return g @ g.conj().T
 
 
+def random_vector(rng, held):
+    """A unit vector of complex amplitudes, nonzero where ``held``."""
+    v = np.where(held, rng.normal(size=held.size) + 1j * rng.normal(size=held.size), 0.0)
+    return v / np.linalg.norm(v)
+
+
+def random_diagonal(rng, d):
+    """A diagonal battery factor: positive weights on about two thirds of
+    the levels, zero on the rest."""
+    return np.diag(np.where(rng.random(d) < 2 / 3, rng.uniform(0.1, 1.0, d), 0.0)).astype(complex)
+
+
+def battery_factor(rng, d, form):
+    """A random battery factor in one of Q's two forms: a vector on about
+    half of the levels, or a diagonal."""
+    return random_vector(rng, rng.random(d) < 0.5) if form == "vector" else random_diagonal(rng, d)
+
+
+#: the (X, rho) battery forms Q reads
+FORMS = [("vector", "vector"), ("vector", "diagonal"), ("diagonal", "vector"),
+         ("diagonal", "diagonal")]
+
+
+def projector_of(v):
+    """|v><v| for a vector, or a stack of them, as a matrix."""
+    return v[..., :, None] * v[..., None, :].conj()
+
+
+def battery_array(f):
+    """A battery factor as an array: a ``PureState``'s vector, an operator's
+    matrix."""
+    return f.amplitudes if isinstance(f, fock.PureState) else np.asarray(getattr(f, "matrix", f))
+
+
+def weights_of(f):
+    """A battery factor's weights on the battery basis: a vector's
+    amplitudes, a matrix's diagonal."""
+    v = battery_array(f)
+    return v if v.ndim == 1 else np.diag(v)
+
+
 def product_q(x, rho, u):
-    """The dense oracle on X = x_s (x) x_b and rho = rho_s (x) rho_b."""
-    return dense_q(np.kron(*x), np.kron(*rho), dense(u))
-
-
-def block_support(f, u):
-    """Which (row, column) pairs of U's blocks hold a nonzero entry of the
-    dense operator f: a block-membership matrix on both sides of f != 0."""
-    member = np.zeros((u.size.size, u.dim))
-    for b, (idx, s) in enumerate(zip(u.indices, u.size)):
-        member[b, idx[:s]] = 1.0
-    return member @ (f != 0) @ member.T > 0
-
-
-def oracle_pairs(x, rho, u):
-    """The (l, k) pairs of U's blocks where the dense X = np.kron(*x) and
-    rho = np.kron(*rho) both hold a nonzero entry, in X_lk and in rho_kl."""
-    l, k = np.nonzero(block_support(np.kron(*x), u) & block_support(np.kron(*rho), u).T)
-    return set(zip(l.tolist(), k.tolist()))
+    """The dense oracle on X = x_s (x) x_b and rho = rho_s (x) rho_b; a
+    battery vector is read as its projector."""
+    def operator(system, battery):
+        v = battery_array(battery)
+        return np.kron(system, projector_of(v) if v.ndim == 1 else v)
+    return dense_q(operator(*x), operator(*rho), dense(u))
 
 
 def switch_coherent(ladder_op):
@@ -323,69 +341,63 @@ OBJECT_MODEL = dict(omega_i=15625000000000000, omega_f=Fraction(1000000000000000
                     cutoff=8, ladder=16)
 
 
+def random_terms(rng, model, forms):
+    """Three (x, rho) terms of dense positive system factors (rho_S of unit
+    trace) and random battery factors of the given forms."""
+    cutoff, bdim = model.system_cutoff, model.battery.dim
+    terms = []
+    for _ in range(3):
+        x = (random_factor(rng, cutoff), battery_factor(rng, bdim, forms[0]))
+        rho_s = random_factor(rng, cutoff)
+        terms.append((x, (rho_s / np.trace(rho_s).real, battery_factor(rng, bdim, forms[1]))))
+    return terms
+
+
 class TestQAgainstDense:
-    def test_random_operators(self, model_and_unitary):
-        # dense factors hold every energy coherence, so every pair of blocks
-        # is visited
+    @pytest.mark.parametrize("forms", FORMS, ids="-".join)
+    def test_random_operators(self, model_and_unitary, forms):
+        # dense system factors hold every energy coherence; a diagonal
+        # battery factor reads one label pair per battery index pair
         model, u = model_and_unitary
-        rng = np.random.default_rng(5)
-        dims = (model.system_cutoff, model.battery.dim)
-        for _ in range(3):
-            x = tuple(random_factor(rng, d) for d in dims)
-            rho = tuple(f / np.trace(f).real for f in (random_factor(rng, d) for d in dims))
+        for x, rho in random_terms(np.random.default_rng(5), model, forms):
             ref = product_q(x, rho, u)
             assert abs(dyn.q_quantity(x, rho, u, model) - ref) <= 1e-12 * abs(ref)
 
     def test_product_operators(self, model_and_unitary):
-        # the shape the suites use: X_S (x) X_B and rho_S (x) rho_B; X_B
-        # reads both sectors, so Q > 0 for singleton blocks too
+        # the shape the suites use: X_S (x) X_B and rho_S (x) rho_B; X_B is
+        # the binomial weights on both sectors, so Q > 0 for singleton
+        # blocks too, and rho_B the binomial state on the initial sector
         model, u = model_and_unitary
         cutoff = model.system_cutoff
         x_s = np.diag(np.arange(cutoff, dtype=complex))
         rho_s = fock.photon_added_state(0.8, model.system_mode(0), tail_tol=1.0).matrix
-        lad = fock.binomial_state(3, 0.4, model.battery.ladder_space).projector().matrix
-        x_b = np.kron(lad, np.eye(2, dtype=complex))
-        rho_b = np.kron(lad, np.diag([1.0, 0.0]).astype(complex))
+        lad = fock.binomial_state(3, 0.4, model.battery.ladder_space).amplitudes
+        x_b = np.diag(np.repeat(np.abs(lad) ** 2, 2)).astype(complex)
+        rho_b = _binomial_battery_state(model.battery, 3, 0.4, dyn.SECTOR_INITIAL)
         ref = product_q((x_s, x_b), (rho_s, rho_b), u)
         assert ref > 0.0
         assert abs(dyn.q_quantity((x_s, x_b), (rho_s, rho_b), u, model) - ref) <= 1e-12 * ref
 
 
 class TestChunkBoundaries:
-    """Q with chunks of a few pairs of the widest blocks. Pairs run in
-    descending width, so chunks cross from one width to the next and pad
-    the narrower blocks to the chunk's first pair."""
+    """Q with chunks of a few of the widest blocks' rows and of a few label
+    pairs. Blocks run in descending width, so chunks cross from one width
+    to the next and pad the narrower blocks to the chunk's first; a
+    diagonal label's pairs spread over several chunks of pairs."""
 
+    @pytest.mark.parametrize("forms", FORMS, ids="-".join)
     @pytest.mark.parametrize("pairs", [2, 5])
-    def test_small_chunks_match_dense(self, model_and_unitary, monkeypatch, pairs):
+    def test_small_chunks_match_dense(self, model_and_unitary, monkeypatch, pairs, forms):
         model, u = model_and_unitary
         widest = max(idx.size for idx, _ in u.blocks)
         monkeypatch.setattr(dyn, "_PAIR_CHUNK", pairs * widest ** 2)
-        rng = np.random.default_rng(11)
-        dims = (model.system_cutoff, model.battery.dim)
-        x = tuple(random_factor(rng, d) for d in dims)
-        rho = tuple(f / np.trace(f).real for f in (random_factor(rng, d) for d in dims))
+        x, rho = random_terms(np.random.default_rng(11), model, forms)[0]
         ref = product_q(x, rho, u)
         assert abs(dyn.q_quantity(x, rho, u, model) - ref) <= 1e-12 * abs(ref)
 
 
 class TestPairSelection:
-    """The pairs of blocks Q visits, against the dense oracle."""
-
-    def test_switch_coherence(self, model_and_unitary):
-        # x_s = N + a has system offsets of one sign only and an empty first
-        # column; rho_s holds every system coherence
-        model, u = model_and_unitary
-        cutoff = model.system_cutoff
-        x_s = (np.diag(np.arange(cutoff, dtype=complex))
-               + np.diag(np.sqrt(np.arange(1, cutoff)), 1))
-        rho_s = random_factor(np.random.default_rng(6), cutoff)
-        rho_s /= np.trace(rho_s).real
-        lad = fock.binomial_state(3, 0.4, model.battery.ladder_space).projector().matrix
-        x, rho = (x_s, switch_coherent(lad)), (rho_s, switch_coherent(lad) / 1.5)
-        ref = product_q(x, rho, u)
-        assert abs(ref) > 1e-3
-        assert abs(dyn.q_quantity(x, rho, u, model) - ref) <= 1e-12 * abs(ref)
+    """The label pairs and the blocks Q visits, against the dense oracle."""
 
     def test_object_levels(self):
         model = make_model(**OBJECT_MODEL)
@@ -393,10 +405,9 @@ class TestPairSelection:
         assert max(b.size for b in dyn.spectral_blocks(model)) > 1
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 29)
         rng = np.random.default_rng(8)
-        lad = random_factor(rng, model.battery.ladder_dim)
-        cases = [tuple(random_factor(rng, d) for d in (model.system_cutoff, model.battery.dim))
-                 for _ in range(2)]
-        cases.append((random_factor(rng, model.system_cutoff), switch_coherent(lad)))
+        cases = [(random_factor(rng, model.system_cutoff),
+                  battery_factor(rng, model.battery.dim, form))
+                 for form in ("vector", "diagonal", "diagonal")]
         for x in cases:
             for rho in cases:
                 ref = product_q(x, rho, u)
@@ -415,60 +426,53 @@ class TestPairSelection:
         assert dyn.q_quantity(x, rho, u, model) == 0.0
         assert abs(product_q(x, rho, u)) <= 1e-12
 
-    def test_visits_exactly_the_nonzero_pairs(self, model_and_unitary, monkeypatch):
-        # Q asks U once for the blocks of its pairs, every k and then every
-        # l, so the (l, k) pairs it visits read back from that call. They are
-        # the oracle's pairs for single terms, for stacks (the union of their
-        # terms' pairs), for global-ft's operator zoo, where a selection by
-        # energy offsets kept extra pairs, for a rho that is not Hermitian,
-        # and for a term with no pair at all
+    def test_visits_exactly_the_blocks_of_its_pairs(self, model_and_unitary, monkeypatch):
+        # Q asks U for the blocks of each chunk of label pairs; together they
+        # are the blocks that hold a row (n, b) of X's battery support and a
+        # column (n', b') of rho's: for global-ft's operator zoo, the
+        # binomial suites' vectors, one-sided system factors, and a term of
+        # disjoint supports, which asks for none
         model, u = model_and_unitary
         asked, real = [], dyn.ConservingUnitary._read
         monkeypatch.setattr(dyn.ConservingUnitary, "_read",
                             lambda self, blocks=None: asked.append(blocks) or real(self, blocks))
-        eye_s, eye_b = (np.eye(d, dtype=complex) for d in (model.system_cutoff, model.battery.dim))
-        x_s = np.zeros_like(eye_s)
-        x_s[0, 1] = x_s[1, 0] = 1.0
-        none = ((x_s, eye_b), (eye_s, eye_b))
-        on = battery_projector(model.battery, 3, 0.4, dyn.SECTOR_INITIAL)
-        lowering = np.diag(np.sqrt(np.arange(1, model.system_cutoff)), 1).astype(complex)
-        terms = shared_terms(model) + sector_terms(model) + [((eye_s, on), (eye_s, on)),
-                                                             ((eye_s, on), (lowering, on))]
-        cases = ([[term] for term in terms + zoo_terms(model) + [none]]
-                 + [terms[:3], terms[3:5]])
+        eye = np.eye(model.system_cutoff, dtype=complex)
+        psi, phi = np.zeros((2, model.battery.dim), dtype=complex)
+        psi[:4], phi[-4:] = 0.5, 0.5j
         strict = False
-        for case in cases:
+        for x, rho in (zoo_terms(model) + shared_terms(model) + sector_terms(model)
+                       + [((eye, psi), (eye, phi))]):
             asked.clear()
-            dyn.q_quantity(*stacked(case), u, model)
-            want = set().union(*(oracle_pairs(x, rho, u) for x, rho in case))
-            assert len(asked) == 1
-            k, l = np.split(asked[0], 2)
-            assert set(zip(l.tolist(), k.tolist())) == want and l.size == len(want)
-            strict |= 0 < len(want) < u.size.size ** 2
-        assert oracle_pairs(*none, u) == set()
-        assert strict
+            dyn.q_quantity(x, rho, u, model)
+            want = blocks_holding(weights_of(x[1]), u) & blocks_holding(weights_of(rho[1]), u)
+            got = np.zeros(u.size.size, dtype=bool)
+            for blocks in asked:
+                got[blocks] = True
+            assert np.array_equal(got, want)
+            strict |= 0 < want.sum() < want.size
+        assert strict and not want.any()   # the disjoint supports, last, ask for no block
 
 
 def zoo_terms(model):
     """global-ft's operator zoo as (x, rho) terms: every pair of a system
     family and a ladder family for X, in the final sector, against a rho
-    drawn from the same families, in the initial sector."""
+    drawn from the same families, in the initial sector. A rank-one ladder
+    draw is a ``PureState``, family 3 a diagonal matrix."""
     rng = np.random.default_rng(1)
     cutoff, ladder = model.system_cutoff, model.battery.ladder_dim
 
     def factors(system, lad, sector):
-        switch = np.diag([1.0 - sector, float(sector)]).astype(complex)
         return (_random_system_operator(rng, cutoff, system),
-                np.kron(ladder_matrix(_random_ladder_operator(rng, ladder, lad)), switch))
+                _on_sector(model.battery, _random_ladder_operator(rng, ladder, lad), sector))
     return [(factors(system, lad, 1), factors(int(rng.integers(7)), int(rng.integers(4)), 0))
             for system, lad in product(range(7), range(4))]
 
 
 def shared_terms(model):
-    """Three (x, rho) terms with one pair set: the binomial suites' forward
-    and reverse terms, and a forward term at other weights. A binomial state
-    at 0 < p < 1 spans the same levels for every p."""
-    on = partial(battery_projector, model.battery, 3)   # (p, sector)
+    """Three (x, rho) terms with one block set: the binomial suites' forward
+    and reverse terms, as ``PureState``s, and a forward term at other
+    weights. A binomial state at 0 < p < 1 spans the same levels for every p."""
+    on = partial(_binomial_battery_state, model.battery, 3)   # (p, sector)
     eye = np.eye(model.system_cutoff, dtype=complex)
     gamma = fock.thermal_state(0.8, model.system_mode(0), tail_tol=1.0).matrix
     return [((eye, on(0.4, 1)), (gamma, on(0.2, 0))), ((eye, on(0.2, 0)), (gamma, on(0.4, 1))),
@@ -476,54 +480,41 @@ def shared_terms(model):
 
 
 def sector_terms(model):
-    """Three (x, rho) terms with different pair sets: forward and reverse on
-    opposite switch sectors, the reverse with the one-sided x_s = N + a, and
-    one of dense factors, which visits every pair."""
+    """Three (x, rho) terms with different block sets: forward and reverse
+    binomial vectors on opposite switch sectors, the reverse with the
+    one-sided x_s = N + a, and one of dense system factors beside random
+    diagonal battery factors."""
     rng = np.random.default_rng(9)
-    cutoff = model.system_cutoff
-    on = [battery_projector(model.battery, 3, 0.4, sector) for sector in (0, 1)]
+    cutoff, bdim = model.system_cutoff, model.battery.dim
+    on = [_binomial_battery_state(model.battery, 3, 0.4, sector).amplitudes for sector in (0, 1)]
     raising = (np.diag(np.arange(cutoff, dtype=complex))
                + np.diag(np.sqrt(np.arange(1, cutoff)), 1))
     rho_s = random_factor(rng, cutoff) / cutoff
-    dims = (cutoff, model.battery.dim)
     return [((np.eye(cutoff, dtype=complex), on[1]), (rho_s, on[0])),
             ((raising, on[0]), (rho_s, on[1])),
-            (tuple(random_factor(rng, d) for d in dims),
-             tuple(random_factor(rng, d) / d for d in dims))]
+            ((random_factor(rng, cutoff), random_diagonal(rng, bdim)),
+             (random_factor(rng, cutoff) / cutoff, random_diagonal(rng, bdim) / bdim))]
 
 
 def stacked(terms):
-    """The terms as one (x, rho) pair of factor stacks."""
-    return tuple(tuple(np.stack([term[i][j] for term in terms]) for j in (0, 1))
+    """The terms as one (x, rho) pair: a stack of system factors beside the
+    sequence of battery factors."""
+    return tuple((np.stack([term[i][0] for term in terms]), tuple(term[i][1] for term in terms))
                  for i in (0, 1))
 
 
 def single_calls(terms, u, model):
-    """One Q call per term, and whether the terms' pair sets, from the dense
-    oracle, all agree."""
-    singles = [dyn.q_quantity(x, rho, u, model) for x, rho in terms]
-    pairs = [oracle_pairs(x, rho, u) for x, rho in terms]
-    return singles, all(p == pairs[0] for p in pairs)
-
-
-def random_vector(rng, held):
-    """A unit vector of complex amplitudes, nonzero where ``held``."""
-    v = np.where(held, rng.normal(size=held.size) + 1j * rng.normal(size=held.size), 0.0)
-    return v / np.linalg.norm(v)
-
-
-def projector_of(v):
-    """|v><v| for a vector, or a stack of them, as a matrix."""
-    return v[..., :, None] * v[..., None, :].conj()
+    """One Q call per term."""
+    return [dyn.q_quantity(x, rho, u, model) for x, rho in terms]
 
 
 class TestReducedRead:
     """Q on battery factors given as vectors, read through the reduced U,
-    against the same factors as projectors on the pair path. The system
-    factors are dense: positive, or not Hermitian (N + a^dag as X, or its
-    transpose plus i as rho) beside a positive one. Two random non-Hermitian
-    factors are left out: their Re Q cancels, and any two sums of it differ
-    relatively more."""
+    against the dense oracle on their projectors. The system factors are
+    dense: positive, or not Hermitian (N + a^dag as X, or its transpose plus
+    i as rho) beside a positive one. Two random non-Hermitian factors are
+    left out: their Re Q cancels, and any two sums of it differ relatively
+    more."""
 
     def terms(self, model, rng):
         cutoff, bdim = model.system_cutoff, model.battery.dim
@@ -543,18 +534,13 @@ class TestReducedRead:
         model, u = model_and_unitary
         terms = self.terms(model, np.random.default_rng(12))
         singles = []
-        for (x_s, psi), (rho_s, phi) in terms:
-            got = dyn.q_quantity((x_s, psi), (rho_s, phi), u, model)
-            ref = dyn.q_quantity((x_s, projector_of(psi)), (rho_s, projector_of(phi)), u, model)
+        for x, rho in terms:
+            got, ref = dyn.q_quantity(x, rho, u, model), product_q(x, rho, u)
             assert type(got) is float and ref != 0.0
             assert abs(got - ref) <= 1e-14 * abs(ref)
             singles.append(got)
-        (x_s, psi), (rho_s, phi) = stacked(terms)
-        got = dyn.q_quantity((x_s, psi), (rho_s, phi), u, model)
-        ref = dyn.q_quantity((x_s, projector_of(psi)), (rho_s, projector_of(phi)), u, model)
+        got = dyn.q_quantity(*stacked(terms), u, model)
         assert got.shape == (3,)
-        for q, r in zip(got.tolist(), ref.tolist()):
-            assert abs(q - r) <= 1e-14 * abs(r)
         # a term's blocks outside another's add exact zeros: each term keeps
         # the bits of its single call
         assert got.tolist() == singles
@@ -579,26 +565,23 @@ class TestReducedRead:
         rng = np.random.default_rng(3)
         x_s, rho_s = (random_factor(rng, model.system_cutoff) for _ in range(2))
         assert dyn.q_quantity((x_s, psi), (rho_s, phi), u, model) == 0.0
-        assert abs(product_q((x_s, projector_of(psi)), (rho_s, projector_of(phi)), u)) <= 1e-12
+        assert abs(product_q((x_s, psi), (rho_s, phi), u)) <= 1e-12
 
-    @pytest.mark.parametrize("shapes", ["short-psi", "long-phi", "stacked-short",
-                                        "vector-beside-matrix", "matrix-beside-vector"])
-    def test_vector_of_wrong_length_or_beside_a_matrix(self, shapes):
+    @pytest.mark.parametrize("shapes", ["short-psi", "long-phi", "stacked-short"])
+    def test_vector_of_wrong_length(self, shapes):
         model = MODELS["ratio-2"]()
         u = SAMPLERS["conserving"](model, 23)
         cutoff, bdim = model.system_cutoff, model.battery.dim
         eye, v = np.eye(cutoff, dtype=complex), np.full(bdim, bdim ** -0.5, dtype=complex)
         x, rho = {"short-psi": ((eye, v[:-1]), (eye, v)),
                   "long-phi": ((eye, v), (eye, np.append(v, 0.0))),
-                  "stacked-short": ((eye[None], v[None, :-1]), (eye[None], v[None, :-1])),
-                  "vector-beside-matrix": ((eye, v), (eye, projector_of(v))),
-                  "matrix-beside-vector": ((eye, projector_of(v)), (eye, v))}[shapes]
+                  "stacked-short": ((eye[None], v[None, :-1]), (eye[None], v[None, :-1]))}[shapes]
         with pytest.raises(DimensionError):
             dyn.q_quantity(x, rho, u, model)
 
 
 class TestStackedQ:
-    """Q on stacks of factor pairs. Terms that share one pair set get the
+    """Q on stacks of factor pairs. Terms that visit one block set get the
     bits of one call each; terms with different sets share the union's
     chunks, so their sums may round differently."""
 
@@ -606,21 +589,17 @@ class TestStackedQ:
     def test_shared_pairs_give_the_single_calls_bits(self, model_and_unitary, size):
         model, u = model_and_unitary
         terms = shared_terms(model)[:size]
-        singles, shared = single_calls(terms, u, model)
-        assert shared
         got = dyn.q_quantity(*stacked(terms), u, model)
         assert isinstance(got, np.ndarray) and got.shape == (size,)
-        assert got.tobytes() == np.array(singles).tobytes()
+        assert got.tobytes() == np.array(single_calls(terms, u, model)).tobytes()
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_different_pairs_match_the_single_calls(self, model_and_unitary, size):
         model, u = model_and_unitary
         terms = sector_terms(model)[-size:]
-        singles, shared = single_calls(terms, u, model)
-        assert not shared
         got = dyn.q_quantity(*stacked(terms), u, model)
         assert got.shape == (size,)
-        for q, single in zip(got.tolist(), singles):
+        for q, single in zip(got.tolist(), single_calls(terms, u, model)):
             assert abs(q - single) <= 1e-13 * abs(single)
 
     def test_each_term_matches_dense(self, model_and_unitary):
@@ -644,6 +623,66 @@ class TestStackedQ:
         x, rho = {"unequal-length": ((x_s, x_b[:2]), (rho_s, rho_b)),
                   "mixed-2d": ((x_s, x_b), (rho_s[0], rho_b)),
                   "empty": ((x_s[:0], x_b[:0]), (rho_s[:0], rho_b[:0]))}[shape]
+        with pytest.raises(DimensionError):
+            dyn.q_quantity(x, rho, u, model)
+
+
+def mixed_terms(model, rng):
+    """A forward and a reverse term as global-ft draws them when one ladder
+    draw is rank-one and the other is not: X's battery factors are a
+    binomial ``PureState`` on the final sector and a positive diagonal on
+    the initial one, rho's their Gibbs maps, a ``PureState`` and a diagonal
+    ``DensityState``; so the forward term is vector x diagonal and the
+    reverse diagonal x vector. The system factors are dense and positive."""
+    battery, cutoff, h_b = model.battery, model.system_cutoff, model.battery.energies
+    lads = (_random_ladder_operator(rng, battery.ladder_dim, 1),
+            _random_ladder_operator(rng, battery.ladder_dim, 3))
+    x_b_f, x_b_i = (_on_sector(battery, lad, sector)
+                    for lad, sector in zip(lads, (dyn.SECTOR_FINAL, dyn.SECTOR_INITIAL)))
+    x_s_f, x_s_i, rho_s_i, rho_s_f = (random_factor(rng, cutoff) / cutoff for _ in range(4))
+    return [((x_s_f, x_b_f), (rho_s_i, gibbs.gibbs_map(x_b_i, h_b, 0.7))),
+            ((x_s_i, x_b_i), (rho_s_f, gibbs.gibbs_map(x_b_f, h_b, 0.7)))]
+
+
+class TestFactorForms:
+    """A stack whose terms take different battery forms, and the battery
+    factors Q rejects."""
+
+    def check_mixed_stack(self, model, u):
+        terms = mixed_terms(model, np.random.default_rng(17))
+        assert [battery_array(term[i][1]).ndim for term in terms for i in (0, 1)] == [1, 2, 2, 1]
+        got = dyn.q_quantity(*stacked(terms), u, model)
+        for q, single, (x, rho) in zip(got.tolist(), single_calls(terms, u, model), terms):
+            ref = product_q(x, rho, u)
+            assert abs(q - ref) <= 1e-12 * abs(ref)
+            assert abs(q - single) <= 1e-13 * abs(single)
+
+    def test_mixed_stack_matches_dense_and_single_calls(self, model_and_unitary):
+        self.check_mixed_stack(*model_and_unitary)
+
+    def test_mixed_stack_at_object_levels(self):
+        model = make_model(**OBJECT_MODEL)
+        assert model.levels.dtype == object
+        u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 29)
+        self.check_mixed_stack(model, u)
+
+    @pytest.mark.parametrize("case", ["binomial-projector", "switch-coherent",
+                                      "off-diagonal-nan", "short-battery-sequence",
+                                      "long-battery-sequence"])
+    def test_rejected_battery_factors(self, case):
+        model = MODELS["ratio-2"]()
+        u = SAMPLERS["conserving"](model, 23)
+        eye_s, eye_b = (np.eye(d, dtype=complex) for d in (model.system_cutoff, model.battery.dim))
+        state = _binomial_battery_state(model.battery, 3, 0.4, dyn.SECTOR_INITIAL)
+        nan = eye_b.copy()
+        nan[0, 1] = math.nan
+        weights = np.abs(fock.binomial_state(3, 0.4, model.battery.ladder_space).amplitudes) ** 2
+        stack = np.stack((eye_s, eye_s))
+        x, rho = {"binomial-projector": ((eye_s, state.projector()), (eye_s, state)),
+                  "switch-coherent": ((eye_s, switch_coherent(np.diag(weights))), (eye_s, eye_b)),
+                  "off-diagonal-nan": ((eye_s, eye_b), (eye_s, nan)),
+                  "short-battery-sequence": ((stack, (eye_b,)), (stack, (state, eye_b))),
+                  "long-battery-sequence": ((stack, (eye_b,) * 3), (stack, (state, eye_b)))}[case]
         with pytest.raises(DimensionError):
             dyn.q_quantity(x, rho, u, model)
 
@@ -1013,31 +1052,36 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 5 * 2 ** 20
 
-    def test_pair_masks_scatter_in_chunks(self):
-        # X = a dense system factor (x) a diagonal battery one has 262,144
-        # nonzero entries, scattered at most _PAIR_CHUNK indices at a time;
-        # one scatter of all of them peaked at 6.1 MiB. rho on one joint
-        # index leaves one pair to evaluate
+    def test_diagonal_factors_read_in_chunks(self):
+        # full diagonal battery factors on both sides link 24,320 label
+        # pairs, whose cutoff x cutoff reduced U's would take 380 MiB at
+        # once; they are read _PAIR_CHUNK entries at a time. With diagonal
+        # system factors, Q is sum_rc X_rr |U_rc|^2 rho_cc over U's blocks
         battery = dyn.SwitchedBattery(128, dyn.battery_spacing_for(1, 1))
         model = dyn.build_joint_model(1, 1, 32, battery)
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 13)
         rng = np.random.default_rng(0)
-        x = (random_factor(rng, model.system_cutoff),
-             np.diag(rng.uniform(0.1, 1.0, model.battery.dim)).astype(complex))
-        rho = tuple(np.zeros((d, d), dtype=complex) for d in (model.system_cutoff, battery.dim))
-        rho[0][0, 0] = rho[1][0, 0] = 1.0
+        x_s = np.diag(np.arange(1, model.system_cutoff + 1)).astype(complex)
+        rho_s = fock.thermal_state(0.5, model.system_mode(0), tail_tol=1.0).matrix
+        x_b, rho_b = (np.diag(rng.uniform(0.1, 1.0, battery.dim)).astype(complex)
+                      for _ in range(2))
         tracemalloc.start()
         try:
-            q = dyn.q_quantity(x, rho, u, model)
+            q = dyn.q_quantity((x_s, x_b), (rho_s, rho_b), u, model)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 2 ** 20
-        assert q > 0.0
+        x, rho = (np.kron(np.diag(s).real, np.diag(b).real)
+                  for s, b in ((x_s, x_b), (rho_s, rho_b)))
+        ref = sum(x[idx[:s]] @ (np.abs(mat[:s, :s]) ** 2) @ rho[idx[:s]]
+                  for idx, mat, s in zip(u.indices, u.matrices, u.size))
+        assert abs(q - ref) <= 1e-12 * ref
 
     def test_binomial_align_at_d_8192(self):
-        # dense X and rho would take 1 GiB each here; the Q calls, the block
-        # layout they build included, stay within 32 MiB
+        # dense X and rho would take 1 GiB each here; the Q calls on the
+        # binomial vectors, the block layout they build included, stay
+        # within 32 MiB
         battery = dyn.SwitchedBattery(128, dyn.battery_spacing_for(1, 1))
         model = dyn.build_joint_model(1, 1, 32, battery)
         assert model.dim == 8192
@@ -1047,13 +1091,13 @@ class TestMemory:
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 13)
         gamma = fock.thermal_state(beta, model.system_mode(0), tail_tol=1.0)
         h_b = battery.energies
-        x_b_i = battery_projector(battery, n, p_i, dyn.SECTOR_INITIAL)
-        x_b_f = battery_projector(battery, n, p_f, dyn.SECTOR_FINAL)
+        x_b_i = _binomial_battery_state(battery, n, p_i, dyn.SECTOR_INITIAL)
+        x_b_f = _binomial_battery_state(battery, n, p_f, dyn.SECTOR_FINAL)
         rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta)
         rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta)
         eye_s = np.eye(model.system_cutoff, dtype=complex)
-        stack = ((np.stack((eye_s, eye_s)), np.stack((x_b_f, x_b_i))),
-                 (np.stack((gamma.matrix,) * 2), np.stack((rho_b_i.matrix, rho_b_f.matrix))))
+        stack = ((np.stack((eye_s, eye_s)), (x_b_f, x_b_i)),
+                 (np.stack((gamma.matrix,) * 2), (rho_b_i, rho_b_f)))
         tracemalloc.start()
         try:
             p_fwd = dyn.q_quantity((eye_s, x_b_f), (gamma, rho_b_i), u, model)
@@ -1063,7 +1107,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2 ** 20
-        assert both.tolist() == [p_fwd, p_rev]   # one pair set: the same bits
+        assert both.tolist() == [p_fwd, p_rev]   # one block set: the same bits
         assert p_fwd > 1e-12 and p_rev > 1e-12
         predicted = math.exp(beta * cf.q_align(p_i, p_f, chi)
                              * cf.w_q_align(n, p_i, p_f, beta, spacing))

@@ -10,6 +10,7 @@ from qflux import dynamics as dyn
 from qflux import fock, gibbs
 from qflux.errors import (DimensionError, DomainError, IncommensurateError,
                           UndefinedRatioError, WindowError)
+from qflux.scenarios import _binomial_battery_state
 
 
 def small_model(omega_i=1, omega_f=2, cutoff=4, ladder=10):
@@ -74,8 +75,8 @@ class TestBuildJointModel:
         model = small_model(1, Fraction(3, 2), 3, 5)
         battery = model.battery
         h_b = battery.energies
-        p_i = np.diag(battery.sector_projector(dyn.SECTOR_INITIAL).matrix).real
-        p_f = np.diag(battery.sector_projector(dyn.SECTOR_FINAL).matrix).real
+        p_i, p_f = (np.tile(np.eye(2)[sector], battery.ladder_dim)   # b = 2 w + s
+                    for sector in (dyn.SECTOR_INITIAL, dyn.SECTOR_FINAL))
         h_i = model.system_mode(dyn.SECTOR_INITIAL).energies
         h_f = model.system_mode(dyn.SECTOR_FINAL).energies
         eye_s = np.ones(3)
@@ -91,13 +92,6 @@ class TestBuildJointModel:
             mode = model.system_mode(sector)
             assert mode.space == fock.HilbertSpace(4, "system")
             assert np.array_equal(mode.energies, omega * (np.arange(4.0) + 0.5))
-
-    def test_projectors_partition_battery(self):
-        battery = dyn.SwitchedBattery(7, Fraction(1, 3))
-        p_i = battery.sector_projector(0).matrix
-        p_f = battery.sector_projector(1).matrix
-        assert np.abs(p_i @ p_f).max() == 0.0
-        assert np.abs(p_i + p_f - np.eye(14)).max() == 0.0
 
 
 class TestSpectralBlocks:
@@ -219,7 +213,7 @@ class TestQQuantity:
         model = small_model(1, 1, 3, 6)
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 4)
         rho_s = fock.thermal_state(2.0, model.system_mode(0), 1e-1)
-        rho_b = model.battery.basis_state(2, 0).density()
+        rho_b = np.eye(model.battery.dim)[model.battery.basis_index(2, 0)]   # a vector
         eye = (np.eye(3, dtype=complex), np.eye(model.battery.dim, dtype=complex))
         assert dyn.q_quantity(eye, (rho_s, rho_b), u, model) == pytest.approx(1.0, abs=1e-12)
 
@@ -228,7 +222,7 @@ class TestQQuantity:
         u = identity_unitary(model)
         proj_s = np.zeros((3, 3), dtype=complex)
         proj_s[1, 1] = 1.0
-        proj_b = model.battery.basis_state(3, 0).density().matrix
+        proj_b = np.diag(np.eye(model.battery.dim)[model.battery.basis_index(3, 0)])
         assert dyn.q_quantity((proj_s, proj_b), (proj_s, proj_b), u, model) == \
             pytest.approx(1.0)
 
@@ -250,10 +244,9 @@ class TestQQuantity:
         h_b = model.battery.energies
         x_s_i = np.diag(np.arange(5, dtype=complex))          # N
         x_s_f = np.diag(np.arange(1, 6, dtype=complex))       # N + 1
-        lad = fock.binomial_state(3, 0.4, model.battery.ladder_space)
-        x_b_i = np.kron(lad.projector().matrix, np.diag([1.0, 0.0]))
-        proj7 = np.zeros((14, 14)); proj7[7, 7] = 1.0
-        x_b_f = np.kron(proj7, np.diag([0.0, 1.0]))
+        x_b_i = _binomial_battery_state(model.battery, 3, 0.4, dyn.SECTOR_INITIAL)   # a vector
+        level_7 = model.battery.basis_index(7, dyn.SECTOR_FINAL)
+        x_b_f = np.diag(np.eye(model.battery.dim)[level_7])   # a diagonal
         rho_f = (gibbs.gibbs_map(x_s_i, h_i, beta), gibbs.gibbs_map(x_b_i, h_b, beta))
         rho_r = (gibbs.gibbs_map(x_s_f, h_f, beta), gibbs.gibbs_map(x_b_f, h_b, beta))
         q_f = dyn.q_quantity((x_s_f, x_b_f), rho_f, u, model)
@@ -533,7 +526,8 @@ class TestWorkDistribution:
 class TestBinomialBatteryCrooks:
     def test_measured_ratio_matches_distortion_product(self):
         # thermal system with equal sector spectra (dF = 0), binomial battery
-        # projectors: measured ratio equals exp(beta q(chi) W_q) exactly
+        # projectors as their vectors: measured ratio equals exp(beta q(chi) W_q)
+        # exactly
         spacing = dyn.battery_spacing_for(1, 1)
         battery = dyn.SwitchedBattery(12, spacing)
         model = dyn.build_joint_model(1, 1, 4, battery)
@@ -544,16 +538,10 @@ class TestBinomialBatteryCrooks:
         h_b = battery.energies
         n, p_i, p_f = 5, 0.3, 0.8
 
-        def projector(nn, pp, sector):
-            lad = fock.binomial_state(nn, pp, battery.ladder_space)
-            sw = np.zeros((2, 2), dtype=complex)
-            sw[sector, sector] = 1.0
-            return np.kron(lad.projector().matrix, sw)
-
-        x_b_i = projector(n, p_i, 0)
-        x_b_f = projector(n, p_f, 1)
-        rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta).matrix
-        rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta).matrix
+        x_b_i = _binomial_battery_state(battery, n, p_i, dyn.SECTOR_INITIAL)
+        x_b_f = _binomial_battery_state(battery, n, p_f, dyn.SECTOR_FINAL)
+        rho_b_i = gibbs.gibbs_map(x_b_i, h_b, beta)
+        rho_b_f = gibbs.gibbs_map(x_b_f, h_b, beta)
         eye_s = np.eye(4, dtype=complex)
         p_fwd = dyn.q_quantity((eye_s, x_b_f), (gamma, rho_b_i), u, model)
         p_rev = dyn.q_quantity((eye_s, x_b_i), (gamma, rho_b_f), u, model)

@@ -16,38 +16,6 @@ def geometric_mean_occupation(beta, omega, terms=4000):
     return float((n * w).sum() / w.sum())
 
 
-class TestLadderOperators:
-    def test_lowering_action(self):
-        mode = fock.OscillatorMode(1.0, 3)
-        a, _ = fock.ladder_operators(mode)
-        e1 = np.array([0.0, 1.0, 0.0])
-        assert np.allclose(a.matrix @ e1, [1.0, 0.0, 0.0])
-
-    def test_vacuum_annihilation(self):
-        mode = fock.OscillatorMode(1.0, 3)
-        a, _ = fock.ladder_operators(mode)
-        assert np.allclose(a.matrix @ np.array([1.0, 0, 0]), 0.0)
-
-    def test_number_from_explicit_matrices(self):
-        # independent 4x4 matrices written out by hand
-        a_explicit = np.array([
-            [0, 1, 0, 0],
-            [0, 0, math.sqrt(2), 0],
-            [0, 0, 0, math.sqrt(3)],
-            [0, 0, 0, 0],
-        ], dtype=complex)
-        mode = fock.OscillatorMode(1.0, 4)
-        a, ad = fock.ladder_operators(mode)
-        assert np.allclose(a.matrix, a_explicit)
-        e2 = np.zeros(4); e2[2] = 1.0
-        assert np.allclose((ad.matrix @ a.matrix) @ e2, 2.0 * e2)
-
-    def test_dagger_is_conjugate_transpose(self):
-        mode = fock.OscillatorMode(1.0, 5)
-        a, ad = fock.ladder_operators(mode)
-        assert np.array_equal(ad.matrix, a.matrix.conj().T)
-
-
 class TestHamiltonian:
     def test_unit_frequency_two_levels(self):
         h = fock.OscillatorMode(1.0, 2).energies

@@ -20,24 +20,6 @@ def h(mode):
     return mode.energies
 
 
-class TestTimeReversal:
-    def test_diagonal_fixed(self, mode):
-        op = fock.number_operator(mode)
-        assert np.array_equal(gibbs.time_reversal(op).matrix, op.matrix)
-
-    def test_involution(self, mode):
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        op = fock.OperatorMatrix(fock.HilbertSpace(5, "s"), m)
-        assert np.array_equal(gibbs.time_reversal(gibbs.time_reversal(op)).matrix, m)
-
-    def test_basis_transposition(self):
-        m = np.zeros((2, 2), dtype=complex)
-        m[0, 1] = 1.0   # |0><1|
-        out = gibbs.time_reversal(fock.OperatorMatrix(fock.HilbertSpace(2, "s"), m))
-        assert out.matrix[1, 0] == 1.0 and out.matrix[0, 1] == 0.0
-
-
 class TestGibbsMap:
     def test_identity_gives_thermal(self, mode, h):
         beta = 1.4

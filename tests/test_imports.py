@@ -33,8 +33,9 @@ x_b = _binomial_battery_state(battery, 3, 0.4, dyn.SECTOR_FINAL)
 rho_b = gibbs.gibbs_map(_binomial_battery_state(battery, 3, 0.6, dyn.SECTOR_INITIAL), h_b, 1.0)
 gamma = fock.thermal_state(1.0, model.system_mode(0), tail_tol=1.0)
 x_s = fock.identity(model.system_mode(0).space)
-dyn.q_quantity((x_s, x_b), (gamma, rho_b), u, model)   # the reduced read
-dyn.q_quantity((x_s, x_b.projector()), (gamma, rho_b.projector()), u, model)   # the pair read
+eye_b = fock.identity(battery.space)
+dyn.q_quantity((x_s, x_b), (gamma, rho_b), u, model)   # vector battery factors
+dyn.q_quantity((x_s, eye_b), (gamma, gibbs.gibbs_map(eye_b, h_b, 1.0)), u, model)   # diagonal ones
 gibbs.effective_potential(1.0, h_b, x_b)
 gibbs.effective_potential(1.0, h_b, x_b.projector())
 
