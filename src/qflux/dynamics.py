@@ -21,11 +21,8 @@ system and battery factors, each battery factor a vector (the v of a
 rank-one |v><v|) or a diagonal. It reads every term one way: as system-sized
 reduced U's <v_i| U |w_j>, one per pair of labels, a vector's one label or
 a diagonal's basis vectors, scattered from the blocks that hold both. No
-d x d array is formed.
-A sampled unitary holds each block's Gaussian draw until a read first needs
-that block, and exponentiates it then: the transition, photon-number and
-work reads and Q touch only their own blocks, while ``matrices``,
-``blocks``, ``matrix`` and ``assert_valid`` exponentiate every block.
+d x d array is formed. A sampled unitary exponentiates each block's draw
+when a read first needs that block (``ConservingUnitary``).
 """
 
 from __future__ import annotations
@@ -33,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -166,24 +164,50 @@ def build_joint_model(omega_i: RationalLike, omega_f: RationalLike,
                       for s in (SECTOR_INITIAL, SECTOR_FINAL))
     crossings = int(initial @ final)
     if crossings < min_cross_degeneracies:
-        raise IncommensurateError(
-            f"only {crossings} cross-sector degeneracies (need "
-            f">= {min_cross_degeneracies}); frequencies "
-            f"{w_i}/{w_f} are effectively incommensurate at these cutoffs"
-        )
+        raise IncommensurateError(f"only {crossings} cross-sector degeneracies (need >= "
+                                  f"{min_cross_degeneracies}); frequencies {w_i}/{w_f} are "
+                                  "effectively incommensurate at these cutoffs")
     return JointModel(w_i, w_f, system_cutoff, battery, unit, levels)
 
 
-def spectral_blocks(model: JointModel) -> list[np.ndarray]:
-    """Partition the basis into degenerate blocks: one ascending array of
-    joint indices per eigenspace, in ascending energy.
-
-    Levels are exact integers, so a block is a run of equal levels after a
-    stable sort: a slice of the sorted order."""
+def spectral_blocks(model: JointModel) -> Partition:
+    """The basis as a ``Partition`` into degenerate blocks, one ascending
+    read-only array of joint indices per eigenspace, in ascending energy;
+    every unitary sampled on it shares its ``layout``. Levels are exact
+    integers, so a block is a run of equal levels after a stable sort: a
+    slice of the sorted order."""
     order = np.argsort(model.levels, kind="stable")
+    order.flags.writeable = False
     ranked = model.levels[order]
     edges = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), order.size]
-    return [order[start:stop] for start, stop in zip(edges[:-1], edges[1:])]
+    return Partition(order[start:stop] for start, stop in zip(edges[:-1], edges[1:]))
+
+
+class Partition(tuple):
+    """Blocks of joint indices, one array each, laid out once for every unitary
+    on them (``Partition(p)`` is ``p`` itself): ``layout`` is ``(size, held,
+    indices, block, slot)``, read-only, built on first use. Block b has the
+    joint indices ``indices[b, :size[b]]``, marked in ``held[b]``, and 0 past
+    them; joint index k sits at ``slot[k]`` in block ``block[k]``. The layout
+    raises DimensionError unless the blocks partition 0 ... d - 1."""
+
+    def __new__(cls, blocks: Sequence[np.ndarray]):
+        return blocks if isinstance(blocks, Partition) else super().__new__(cls, blocks)
+
+    @cached_property
+    def layout(self) -> tuple[np.ndarray, ...]:
+        size = np.array([len(idx) for idx in self])
+        order = np.concatenate(self)
+        if not np.array_equal(np.sort(order), np.arange(order.size)):
+            raise DimensionError("unitary blocks do not partition 0 ... d - 1")
+        held = np.arange(size.max()) < size[:, None]
+        indices = np.zeros(held.shape, dtype=np.intp)
+        indices[held] = order
+        block, slot = np.empty((2, order.size), dtype=np.intp)
+        block[order], slot[order] = np.nonzero(held)
+        for array in (size, held, indices, block, slot):
+            array.flags.writeable = False
+        return size, held, indices, block, slot
 
 
 class ConservingUnitary:
@@ -191,52 +215,43 @@ class ConservingUnitary:
 
     Built from ``blocks``, one array of joint indices per degenerate
     eigenspace, and ``matrices``, U on each block zero-padded to the largest
-    block size s_max: block b has ``size[b]`` joint indices
-    ``indices[b, :size[b]]`` and the matrix ``matrices[b, :size[b], :size[b]]``;
-    past ``size[b]`` the index is 0 and the rows and columns are exact zeros,
-    and every entry outside the blocks is zero. Joint index k sits at ``slot[k]``
-    in block ``block[k]``. ``matrices`` is kept, not copied; every array is
-    made read-only.
+    block size s_max: ``matrices[b, :size[b], :size[b]]``, exact zeros past it.
+    ``size``, ``indices``, ``block`` and ``slot`` are the blocks'
+    ``Partition.layout``, shared read-only by every unitary on it; ``matrices``
+    is kept, not copied, and made read-only. Raises DimensionError unless the
+    blocks partition 0 ... d - 1, ``matrices`` is ``(len(blocks), s_max,
+    s_max)`` and every entry past a block's size is exactly zero, as Q needs.
 
-    Raises DimensionError unless the blocks partition 0 ... d - 1,
-    ``matrices`` is ``(len(blocks), s_max, s_max)`` and every entry past a
-    block's size is exactly zero, as Q needs.
+    ``window``, set by the translation-invariant sampler, is the inclusive
+    battery-level range where transition probabilities depend only on level
+    differences.
 
-    ``window`` is set by the translation-invariant sampler: the inclusive
-    battery-level range over which transition probabilities depend only on
-    level differences.
-
-    A unitary from ``_sample`` keeps the Gaussian draws of its blocks of two
-    or more indices, and leaves a translation-invariant copy empty, until a
-    read first needs that block: ``entries`` exponentiates the blocks it
-    gathers from, ``q_quantity`` those it scatters from, and ``matrices``,
-    ``blocks``, ``matrix`` and ``assert_valid`` every block, so no caller
-    sees a pending block. Each block comes out the same whichever read
-    exponentiates it first.
+    A unitary from ``_sample`` keeps each block's Gaussian draw, and leaves a
+    translation-invariant copy empty, until a read first needs the block:
+    ``entries`` and ``q_quantity`` exponentiate the blocks they read, and
+    ``matrices``, ``blocks``, ``matrix`` and ``assert_valid`` every block, so
+    no caller sees a pending one. Each block comes out the same whichever
+    read exponentiates it first.
     """
 
     def __init__(self, blocks: Sequence[np.ndarray], matrices: np.ndarray,
                  window: Optional[tuple[int, int]] = None):
-        self.window = window
-        self.size = size = np.array([len(idx) for idx in blocks])
-        order = np.concatenate(blocks)
-        if not np.array_equal(np.sort(order), np.arange(order.size)):
-            raise DimensionError("unitary blocks do not partition 0 ... d - 1")
-        held = np.arange(size.max()) < size[:, None]
+        blocks = Partition(blocks)
+        held = blocks.layout[1]
         if np.shape(matrices) != held.shape + held.shape[1:]:
-            raise DimensionError(f"{np.shape(matrices)} matrices do not pad {size.size} "
+            raise DimensionError(f"{np.shape(matrices)} matrices do not pad {held.shape[0]} "
                                  f"blocks of up to {held.shape[1]} indices")
         nonzero = matrices != 0      # reduced per row and per column, never gathered
         if (nonzero.any(axis=2) & ~held).any() or (nonzero.any(axis=1) & ~held).any():
             raise DimensionError("unitary matrices are not zero past their block's size")
-        self._matrices = matrices
+        self._hold(blocks, matrices, window)
+
+    def _hold(self, blocks: Partition, matrices: np.ndarray, window) -> None:
+        """Keep ``matrices`` on the layout of ``blocks``, unchecked."""
+        self.window, self._matrices = window, matrices
         self._pending = self._source = None   # set by _sample: see _read
-        self.indices = np.zeros(held.shape, dtype=np.intp)
-        self.indices[held] = order
-        self.block, self.slot = np.empty((2, order.size), dtype=np.intp)
-        self.block[order], self.slot[order] = np.nonzero(held)
-        for array in (self.indices, matrices, size, self.block, self.slot):
-            array.flags.writeable = False
+        self.size, self._held, self.indices, self.block, self.slot = blocks.layout
+        matrices.flags.writeable = False
 
     def _read(self, blocks=None) -> np.ndarray:
         """The padded stack once ``blocks`` (every block if None) are final.
@@ -289,10 +304,9 @@ class ConservingUnitary:
         every access. An export for callers; qflux itself reads the padded arrays."""
         from scipy import sparse
 
-        rows = np.concatenate([np.repeat(idx, len(idx)) for idx, _ in self.blocks])
-        cols = np.concatenate([np.tile(idx, len(idx)) for idx, _ in self.blocks])
-        data = np.concatenate([np.ravel(mat) for _, mat in self.blocks])
-        return sparse.csr_array((data, (rows, cols)), shape=(self.dim, self.dim))
+        keep = self._held[:, :, None] & self._held[:, None, :]
+        rows, cols = np.broadcast_arrays(self.indices[:, :, None], self.indices[:, None, :])
+        return sparse.csr_array((self.matrices[keep], (rows[keep], cols[keep])), (self.dim,) * 2)
 
     def entries(self, rows, cols) -> np.ndarray:
         """U restricted to ``rows`` and ``cols`` as a dense array: one gather
@@ -332,43 +346,46 @@ class ConservingUnitary:
 _SAMPLE_CHUNK = 1 << 11
 
 
-def _sample(blocks: Sequence[np.ndarray], keys, seed: int,
+def _sample(blocks: Sequence[np.ndarray], source: np.ndarray, seed: int,
             window: Optional[tuple[int, int]] = None) -> ConservingUnitary:
     """A random symmetric unitary per block, drawn in block order from one
-    stream straight into the padded matrices: exp(2 pi i r) for a singleton,
-    at once, else exp(i K) for K a symmetrized Gaussian real matrix, left
-    pending with its draw until a read needs the block (``ConservingUnitary
-    ._read``). A block whose key (one per block, from ``keys``) came before
-    is drawn nowhere and left pending as a copy of the first block with that
-    key."""
+    stream straight into a zero-filled padded stack: exp(2 pi i r) for a
+    singleton, at once, else exp(i K) for K a symmetrized Gaussian real
+    matrix, left pending with its draw until a read needs the block
+    (``ConservingUnitary._read``). A block b with ``source[b] != b`` is drawn
+    nowhere and left pending as a copy of block ``source[b]``. The unitary
+    shares the layout of ``Partition(blocks)``; the stack is not scanned."""
+    blocks = Partition(blocks)
     rng = np.random.default_rng(seed)
-    size = np.array([idx.size for idx in blocks])
-    matrices = np.zeros((size.size, size.max(), size.max()), dtype=complex)
-    first: dict = {}
-    at = np.array([first.setdefault(key, b) for b, key in enumerate(keys)])
-    copy = at != np.arange(at.size)
+    size, held = blocks.layout[:2]
+    matrices = np.zeros(held.shape + held.shape[1:], dtype=complex)
+    copy = source != np.arange(source.size)
     fresh = np.flatnonzero(~copy)
     for b, s in zip(fresh.tolist(), size[fresh].tolist()):
         matrices[b, :s, :s] = rng.random() if s == 1 else rng.standard_normal((s, s))
     one = fresh[size[fresh] == 1]
     matrices[one, 0, 0] = np.exp(2j * np.pi * matrices[one, 0, 0].real)
-    u = ConservingUnitary(blocks, matrices, window)
-    u._pending, u._source = copy | (size > 1), at
+    u = ConservingUnitary.__new__(ConservingUnitary)
+    u._hold(blocks, matrices, window)
+    u._pending, u._source = copy | (size > 1), source
     return u
 
 
-def sample_conserving_unitary(blocks: Sequence[np.ndarray],
-                              seed: int) -> ConservingUnitary:
+def sample_conserving_unitary(blocks: Sequence[np.ndarray], seed: int) -> ConservingUnitary:
     """Draw an independent random symmetric unitary on every degenerate block
     (an index array from ``spectral_blocks``). Deterministic in (blocks, seed)."""
-    return _sample(blocks, range(len(blocks)), seed)
+    return _sample(blocks, np.arange(len(blocks)), seed)
 
 
-def _block_signature(model: JointModel, block: np.ndarray) -> bytes:
-    """Battery-translation-invariant fingerprint: the (system level, sector,
-    ladder level offset from the block minimum) of every member, as bytes."""
-    n, w, s = np.unravel_index(block, (model.system_cutoff, model.battery.ladder_dim, 2))
-    return np.stack([n, s, w - w.min()], axis=1).tobytes()
+def _translation_source(model: JointModel, blocks: Partition) -> np.ndarray:
+    """Per block, the first block it is a battery translate of: one ``np.unique``
+    over the keys k - 2 w_min = (n L + w - w_min) 2 + s of each block's joint
+    indices k, for w_min its lowest ladder level, and -1 past its size."""
+    held, indices, ladder = *blocks.layout[1:3], model.battery.ladder_dim
+    low = np.where(held, indices // 2 % ladder, ladder).min(axis=1)
+    keys = np.where(held, indices - 2 * low[:, None], -1)
+    _, first, at = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first[at.ravel()]
 
 
 def translation_reach(model: JointModel) -> int:
@@ -386,10 +403,8 @@ def reach_for(omega_i: RationalLike, omega_f: RationalLike, system_cutoff: int,
     return int(math.ceil(spread / Fraction(spacing)))
 
 
-def sample_translation_invariant_unitary(model: JointModel,
-                                         blocks: Sequence[np.ndarray],
-                                         window: tuple[int, int],
-                                         seed: int) -> ConservingUnitary:
+def sample_translation_invariant_unitary(model: JointModel, blocks: Sequence[np.ndarray],
+                                         window: tuple[int, int], seed: int) -> ConservingUnitary:
     """Like sample_conserving_unitary, but blocks that are battery translates
     of one another share one draw, so interior dynamics depend only on
     battery level differences.
@@ -404,12 +419,10 @@ def sample_translation_invariant_unitary(model: JointModel,
     if lo > hi:
         raise WindowError(f"empty window {window}")
     if lo < reach or hi > top - reach:
-        raise WindowError(
-            f"window {window} must lie within the interior "
-            f"[{reach}, {top - reach}] (reach {reach} on a {top + 1}-level ladder)"
-        )
-    return _sample(blocks, (_block_signature(model, idx) for idx in blocks), seed,
-                   window=(lo, hi))
+        raise WindowError(f"window {window} must lie within the interior [{reach}, "
+                          f"{top - reach}] (reach {reach} on a {top + 1}-level ladder)")
+    blocks = Partition(blocks)
+    return _sample(blocks, _translation_source(model, blocks), seed, window=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +515,7 @@ def _reduced_read(x_s, rho_s, sides, u: ConservingUnitary, ds: int, bdim: int) -
     with ``bincount``."""
     system = np.arange(ds)[:, None] * bdim
     n, b = np.divmod(u.indices, bdim)
-    held = np.arange(b.shape[1]) < u.size[:, None]   # the slots of each block's own indices
+    held = u._held   # the slots of each block's own indices
     by_width = np.argsort(-u.size, kind="stable")
 
     def side(factors):   # coefficients and labels (T, 2L), weights, terms, blocks per label
@@ -651,9 +664,8 @@ def conditional_photon_number(e_f_index, system_state, e_i_index,
     if np.ndim(e_f_index) or np.ndim(e_i_index):
         return np.divide(q_val, prob, out=np.full(prob.shape, np.nan), where=~undefined), prob
     if undefined[0]:
-        raise UndefinedRatioError(
-            f"transition probability {prob[0]:.3e} at or below floor {prob_floor:.1e}"
-        )
+        raise UndefinedRatioError(f"transition probability {prob[0]:.3e} at or below floor "
+                                  f"{prob_floor:.1e}")
     return float(q_val[0]) / float(prob[0]), float(prob[0])
 
 
@@ -673,13 +685,9 @@ def work_distribution(direction: str, system_state, reference_level: int,
     ladder = model.battery.ladder_dim
     if not 0 <= reference_level < ladder:
         raise WindowError(f"reference level {reference_level} outside the ladder")
-    if u.window is not None:
-        lo, hi = u.window
-        if not lo <= reference_level <= hi:
-            raise WindowError(
-                f"reference level {reference_level} outside the guaranteed "
-                f"window [{lo}, {hi}]"
-            )
+    if u.window is not None and not u.window[0] <= reference_level <= u.window[1]:
+        raise WindowError(f"reference level {reference_level} outside the guaranteed "
+                          f"window [{u.window[0]}, {u.window[1]}]")
     b_in = model.battery.basis_index(reference_level, sector)
     prob = _transition_read(np.arange(model.battery.dim), system_state, b_in, u, model)[2]
     per_level = prob.reshape(ladder, 2).sum(axis=1)

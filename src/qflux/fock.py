@@ -42,9 +42,7 @@ class HilbertSpace:
         if self.dim < 1:
             raise DimensionError(f"dim must be >= 1, got {self.dim}")
         if self.factors and math.prod(self.factors) != self.dim:
-            raise DimensionError(
-                f"factor dims {self.factors} do not multiply to {self.dim}"
-            )
+            raise DimensionError(f"factor dims {self.factors} do not multiply to {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -85,9 +83,7 @@ class OperatorMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"operator matrix must be square, got {m.shape}")
         if m.shape[0] != self.space.dim:
-            raise DimensionError(
-                f"matrix dim {m.shape[0]} != space dim {self.space.dim}"
-            )
+            raise DimensionError(f"matrix dim {m.shape[0]} != space dim {self.space.dim}")
         if not np.all(np.isfinite(m)):
             raise ValueError("operator entries must be finite")
         object.__setattr__(self, "matrix", m)
@@ -123,9 +119,7 @@ class DensityState:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.space.dim, self.space.dim):
-            raise DimensionError(
-                f"matrix shape {m.shape} incompatible with dim {self.space.dim}"
-            )
+            raise DimensionError(f"matrix shape {m.shape} incompatible with dim {self.space.dim}")
         if self.validate:
             _check_density(m)
         object.__setattr__(self, "matrix", m)
@@ -145,9 +139,7 @@ class PureState:
     def __post_init__(self):
         v = np.asarray(self.amplitudes, dtype=complex).ravel()
         if v.size != self.space.dim:
-            raise DimensionError(
-                f"amplitude count {v.size} != space dim {self.space.dim}"
-            )
+            raise DimensionError(f"amplitude count {v.size} != space dim {self.space.dim}")
         nrm = np.linalg.norm(v)
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {nrm} deviates from 1 beyond 1e-12")

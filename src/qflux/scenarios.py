@@ -589,7 +589,7 @@ def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
             if p_fwd <= 1e-10 or p_rev <= 1e-10:   # the probability floor
                 report.provenance["dropped"]["below_floor"] += 1
                 continue
-            work = float(battery.spacing * (w0 - w_meas))
+            work = battery.spacing.numerator * (w0 - w_meas) / battery.spacing.denominator
             try:
                 predicted.append(cf.crooks_rhs_pm(work, params, sign))
             except UndefinedRatioError:

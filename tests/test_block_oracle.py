@@ -96,11 +96,25 @@ def random_operator(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
-def translation_invariant(model, seed):
+def translation_invariant(model, seed, blocks=None):
     reach = dyn.translation_reach(model)
     top = model.battery.ladder_dim - 1
     return dyn.sample_translation_invariant_unitary(
-        model, dyn.spectral_blocks(model), (reach, top - reach), seed)
+        model, dyn.spectral_blocks(model) if blocks is None else blocks,
+        (reach, top - reach), seed)
+
+
+def block_signature(model, block):
+    """The reference key of one block: the (system level, sector, ladder
+    level offset from the block minimum) of every member, as bytes."""
+    n, w, s = np.unravel_index(block, (model.system_cutoff, model.battery.ladder_dim, 2))
+    return np.stack([n, s, w - w.min()], axis=1).tobytes()
+
+
+def first_of_key(keys):
+    """Per block, the first block with its key."""
+    first = {}
+    return np.array([first.setdefault(key, b) for b, key in enumerate(keys)])
 
 
 SAMPLERS = {
@@ -165,6 +179,18 @@ class TestExport:
         kept = dyn.ConservingUnitary(blocks, stack)
         assert kept.matrices is stack and not stack.flags.writeable
 
+    def test_constructor_shares_a_partitions_layout(self):
+        # a partition's index arrays are reused; a plain list is laid out anew
+        model = MODELS["ratio-3/2"]()
+        blocks = dyn.spectral_blocks(model)
+        u = dyn.sample_conserving_unitary(blocks, 5)
+        kept = dyn.ConservingUnitary(blocks, np.array(u.matrices))
+        own = dyn.ConservingUnitary(list(blocks), np.array(u.matrices))
+        for name in ("size", "indices", "block", "slot"):
+            assert getattr(kept, name) is getattr(u, name)
+            assert getattr(own, name) is not getattr(u, name)
+            assert np.array_equal(getattr(own, name), getattr(u, name))
+
     def test_singleton_model_has_only_singletons(self):
         model = MODELS["singletons"]()
         assert all(b.size == 1 for b in dyn.spectral_blocks(model))
@@ -194,7 +220,7 @@ class TestSamplerAgainstReference:
         monkeypatch.setattr(dyn, "_SAMPLE_CHUNK", chunk)
         model = MODELS[name]()
         blocks = dyn.spectral_blocks(model)
-        keys = [dyn._block_signature(model, idx) for idx in blocks]
+        keys = [block_signature(model, idx) for idx in blocks]
         assert len(set(keys)) < len(keys)   # translates copy an earlier draw
         got = translation_invariant(model, seed)
         ref = reference_unitary(blocks, keys, seed, got.window)
@@ -213,11 +239,11 @@ class TestSamplerAgainstReference:
         model = MODELS[name]()
         blocks = dyn.spectral_blocks(model)
         keys = (list(range(len(blocks))) if sampler == "conserving"
-                else [dyn._block_signature(model, idx) for idx in blocks])
+                else [block_signature(model, idx) for idx in blocks])
         got = SAMPLERS[sampler](model, seed)
         ref = reference_unitary(blocks, keys, seed, got.window)
         size = np.array([idx.size for idx in blocks])
-        source = np.array([keys.index(key) for key in keys])
+        source = first_of_key(keys)
         picks = [int(np.argmax(size)), 0, size.size // 2]
         if sampler == "translation-invariant":
             copies = np.flatnonzero((source != np.arange(size.size)) & (size > 1))
@@ -233,6 +259,53 @@ class TestSamplerAgainstReference:
         assert dyn.q_quantity(x, (gamma, rho_b), got, model) == \
             dyn.q_quantity(x, (gamma, rho_b), ref, model)
         assert got.matrices.tobytes() == ref.matrices.tobytes()
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_unitaries_on_one_partition_share_its_layout(self, sampler):
+        # the index arrays are built once per partition and shared read-only;
+        # each U keeps a stack of its own
+        model = MODELS["ratio-3/2"]()
+        blocks = dyn.spectral_blocks(model)
+        assert dyn.Partition(blocks) is blocks
+        assert not any(idx.flags.writeable for idx in blocks)
+        if sampler == "conserving":
+            u, v = (dyn.sample_conserving_unitary(blocks, seed) for seed in (5, 6))
+        else:
+            u, v = (translation_invariant(model, seed, blocks) for seed in (5, 6))
+        size, _, indices, block, slot = blocks.layout
+        for name, array in (("size", size), ("indices", indices), ("block", block),
+                            ("slot", slot)):
+            assert getattr(u, name) is getattr(v, name) is array
+            assert not array.flags.writeable
+        assert not np.shares_memory(u.matrices, v.matrices)
+        assert not u.matrices.flags.writeable and not v.matrices.flags.writeable
+        assert u.matrices.tobytes() != v.matrices.tobytes()
+
+    @pytest.mark.parametrize("name, sampler", [(m, s) for m in MODELS for s in SAMPLERS
+                                               if (m, s) != ("singletons",
+                                                             "translation-invariant")])
+    def test_unitaries_in_a_row_on_one_partition(self, name, sampler):
+        # several U's on one shared layout, each the reference's bits; the
+        # translation-invariant ones copy earlier draws
+        model = MODELS[name]()
+        blocks = dyn.spectral_blocks(model)
+        keys = (list(range(len(blocks))) if sampler == "conserving"
+                else [block_signature(model, idx) for idx in blocks])
+        assert sampler == "conserving" or len(set(keys)) < len(keys)
+        for seed in (3, 7, 2024, 3):
+            got = (dyn.sample_conserving_unitary(blocks, seed) if sampler == "conserving"
+                   else translation_invariant(model, seed, blocks))
+            assert np.array_equal(got._source, first_of_key(keys))
+            ref = reference_unitary(list(blocks), keys, seed, got.window)
+            assert got.indices is blocks.layout[2]
+            assert got.matrices.tobytes() == ref.matrices.tobytes()
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_translation_source_matches_the_block_signatures(self, name):
+        model = MODELS[name]()
+        blocks = dyn.spectral_blocks(model)
+        keys = [block_signature(model, idx) for idx in blocks]
+        assert np.array_equal(dyn._translation_source(model, blocks), first_of_key(keys))
 
     def test_transition_read_exponentiates_only_its_blocks(self, monkeypatch):
         # a crooks read at the suite defaults (8 x 24): the blocks of its
