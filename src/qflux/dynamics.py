@@ -256,10 +256,11 @@ class ConservingUnitary:
     def _read(self, blocks=None) -> np.ndarray:
         """The padded stack once ``blocks`` (every block if None) are final.
 
-        A pending block holds its Gaussian draw A, or is an empty copy of
-        block ``_source[b]``. Pending draws are replaced by exp(i K), K =
-        (A + A^T) / 2 diagonalized per block size in stacked chunks of at most
-        ``_SAMPLE_CHUNK`` entries; a copy is filled once its source is final."""
+        A pending block holds its s x s Gaussian draw A as the first s^2
+        float64s of its slot, or is an empty copy of block ``_source[b]``.
+        Pending draws are replaced by exp(i K), K = (A + A^T) / 2 diagonalized
+        per block size in stacked chunks of at most ``_SAMPLE_CHUNK`` entries,
+        into their zeroed slots; a copy is filled once its source is final."""
         if self._pending is None:
             return self._matrices
         need = np.flatnonzero(self._pending) if blocks is None else np.unique(blocks)
@@ -268,11 +269,13 @@ class ConservingUnitary:
         draws = np.unique(source[self._pending[source]])
         stack, size = self._matrices, self.size[draws]
         stack.flags.writeable = True
+        flat = stack.reshape(stack.shape[0], -1).view(np.float64)
         for s in set(size.tolist()):
             group, step = draws[size == s], max(1, _SAMPLE_CHUNK // s ** 2)
             for chunk in (group[lo:lo + step] for lo in range(0, group.size, step)):
-                a = stack[chunk, :s, :s].real
+                a = flat[chunk, :s * s].reshape(-1, s, s)
                 lam, vec = np.linalg.eigh((a + a.transpose(0, 2, 1)) / 2.0)
+                stack[chunk] = 0.0
                 stack[chunk, :s, :s] = (vec * np.exp(1j * lam)[:, None]) @ vec.transpose(0, 2, 1)
         copy = source != need
         stack[need[copy]] = stack[source[copy]]
@@ -351,7 +354,8 @@ def _sample(blocks: Sequence[np.ndarray], source: np.ndarray, seed: int,
     """A random symmetric unitary per block, drawn in block order from one
     stream straight into a zero-filled padded stack: exp(2 pi i r) for a
     singleton, at once, else exp(i K) for K a symmetrized Gaussian real
-    matrix, left pending with its draw until a read needs the block
+    matrix, its s^2 draws written in place as the first float64s of the
+    block's own slot and left pending until a read needs the block
     (``ConservingUnitary._read``). A block b with ``source[b] != b`` is drawn
     nowhere and left pending as a copy of block ``source[b]``. The unitary
     shares the layout of ``Partition(blocks)``; the stack is not scanned."""
@@ -359,10 +363,11 @@ def _sample(blocks: Sequence[np.ndarray], source: np.ndarray, seed: int,
     rng = np.random.default_rng(seed)
     size, held = blocks.layout[:2]
     matrices = np.zeros(held.shape + held.shape[1:], dtype=complex)
+    flat = matrices.reshape(len(blocks), -1).view(np.float64)   # each block's slot as floats
     copy = source != np.arange(source.size)
     fresh = np.flatnonzero(~copy)
     for b, s in zip(fresh.tolist(), size[fresh].tolist()):
-        matrices[b, :s, :s] = rng.random() if s == 1 else rng.standard_normal((s, s))
+        (rng.random if s == 1 else rng.standard_normal)(out=flat[b, :s * s])
     one = fresh[size[fresh] == 1]
     matrices[one, 0, 0] = np.exp(2j * np.pi * matrices[one, 0, 0].real)
     u = ConservingUnitary.__new__(ConservingUnitary)
@@ -679,6 +684,15 @@ def work_distribution(direction: str, system_state, reference_level: int,
     energy aggregates both switch sectors of each ladder level, so the
     returned probabilities sum to one by completeness.
     """
+    per_level = _level_probabilities(direction, system_state, reference_level, u, model)
+    return {model.battery.spacing * (reference_level - w): p
+            for w, p in enumerate(per_level.tolist())}
+
+
+def _level_probabilities(direction: str, system_state, reference_level: int,
+                         u: ConservingUnitary, model: JointModel) -> np.ndarray:
+    """``work_distribution``'s probabilities as an array over the measured
+    ladder level w, for the work ``spacing * (reference_level - w)``."""
     if direction not in ("F", "R"):
         raise DomainError(f'direction must be "F" or "R", got {direction!r}')
     sector = SECTOR_INITIAL if direction == "F" else SECTOR_FINAL
@@ -690,7 +704,4 @@ def work_distribution(direction: str, system_state, reference_level: int,
                           f"window [{u.window[0]}, {u.window[1]}]")
     b_in = model.battery.basis_index(reference_level, sector)
     prob = _transition_read(np.arange(model.battery.dim), system_state, b_in, u, model)[2]
-    per_level = prob.reshape(ladder, 2).sum(axis=1)
-    spacing = model.battery.spacing
-    return {spacing * (reference_level - w): float(per_level[w])
-            for w in range(ladder)}
+    return prob.reshape(ladder, 2).sum(axis=1)

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from sys import float_info
 from typing import Callable, Iterator, Optional, Sequence
@@ -193,29 +193,41 @@ class ScenarioConfig:
 
 #: a case's fields, in the order a report writes them
 _FIELDS = ("abs_dev", "closed_form", "inputs", "key", "passed", "rel_dev", "simulated")
+#: the fields ``_record`` computes, held as arrays: ``passed`` bool, the others float64
+_NUMBERS = ("abs_dev", "closed_form", "passed", "rel_dev", "simulated")
 
 
 @dataclass
 class VerificationReport:
-    """A suite's cases, held as columns: one list per name in ``_FIELDS``,
-    whose i-th entries make up the i-th case. ``_record`` appends them."""
+    """A suite's cases, held as columns: ``columns`` maps each name in
+    ``_FIELDS`` to a list that each ``_record`` call extends by its keys, by
+    an array for each name in ``_NUMBERS`` and, in ``inputs``, by one table
+    ``(start, values)``: the record index of its first case and an array per
+    input name (``_input_column``). ``finalize`` joins every other field into
+    one array in key order and sets ``order``, each case's record index in
+    key order. No case has a dict or float object of its own: ``to_dict``,
+    ``failing_cases`` and the JSON writer make them a chunk at a time."""
 
     kind: str
     tolerance: float
     provenance: dict
     summary: dict = field(default_factory=dict)
     columns: dict = field(default_factory=lambda: {name: [] for name in _FIELDS})
+    order: np.ndarray = field(init=False, default_factory=lambda: np.empty(0, dtype=np.intp))
 
     def finalize(self) -> "VerificationReport":
-        """Sort the cases stably by key and sum them up in ``summary``."""
-        keys = self.columns["key"]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        self.columns = {name: list(map(self.columns[name].__getitem__, order))
-                        for name in _FIELDS}
-        count, passed = len(order), sum(self.columns["passed"])
+        """Join the columns in a stable sort by key and sum them up in
+        ``summary``; once, after the last ``_record``."""
+        columns, keys = self.columns, np.array(self.columns["key"], dtype=object)
+        self.order = np.argsort(keys, kind="stable")
+        columns["key"] = keys[self.order]
+        for name in _NUMBERS:
+            empty = np.empty(0, dtype=bool if name == "passed" else float)
+            columns[name] = np.concatenate((empty, *columns[name]))[self.order]
+        count, passed = len(keys), int(np.count_nonzero(columns["passed"]))
         self.summary = {"cases": count, "passed": passed, "failed": count - passed,
-                        "max_abs_dev": max(self.columns["abs_dev"], default=0.0),
-                        "max_rel_dev": max(self.columns["rel_dev"], default=0.0),
+                        "max_abs_dev": float(max(columns["abs_dev"], default=0.0)),
+                        "max_rel_dev": float(max(columns["rel_dev"], default=0.0)),
                         "all_passed": count > 0 and passed == count}
         return self
 
@@ -223,30 +235,47 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return bool(self.summary.get("all_passed", False))
 
+    def _cases(self, at: np.ndarray) -> list[dict]:
+        """The cases at positions ``at`` (in key order) as fresh dicts, each
+        with its own ``inputs``, made a chunk at a time."""
+        cases = []
+        for start in range(0, at.size, _CASE_CHUNK):
+            chunk = at[start:start + _CASE_CHUNK]
+            fields = [_per_table(self.columns["inputs"], self.order[chunk], _inputs_dicts)
+                      if name == "inputs" else self.columns[name][chunk].tolist()
+                      for name in _FIELDS]
+            cases += (dict(zip(_FIELDS, case)) for case in zip(*fields))
+        return cases
+
     def failing_cases(self) -> list[dict]:
         """The cases that did not pass, in order, as ``to_dict`` gives them."""
-        return [case for case in self.to_dict()["cases"] if not case["passed"]]
+        return self._cases(np.flatnonzero(~self.columns["passed"]))
 
     def to_dict(self) -> dict:
         """The report as plain data; every case a fresh dict with its own
-        copy of ``inputs``."""
-        columns = {**self.columns, "inputs": map(dict, self.columns["inputs"])}
-        return {
-            "kind": self.kind,
-            "tolerance": self.tolerance,
-            "provenance": self.provenance,
-            "summary": self.summary,
-            "cases": [dict(zip(_FIELDS, case)) for case in zip(*map(columns.get, _FIELDS))],
-        }
+        ``inputs``."""
+        return {"kind": self.kind, "tolerance": self.tolerance, "provenance": self.provenance,
+                "summary": self.summary, "cases": self._cases(np.arange(self.order.size))}
 
     def _json_chunks(self) -> Iterator[str]:
-        """``to_json()`` in pieces, ``_CASE_CHUNK`` cases each, after every
-        case's ``inputs`` has been checked: TypeError before the first piece."""
-        _check_inputs(self.columns["key"], self.columns["inputs"])
-        head = json.dumps({"kind": self.kind, "tolerance": self.tolerance,
-                           "provenance": self.provenance, "summary": self.summary},
-                          indent=2, sort_keys=True)
-        return _report_chunks([self.columns[name] for name in _FIELDS], head)
+        """``to_json()`` in pieces, ``_CASE_CHUNK`` cases each, once every case's
+        ``inputs`` has been checked: a TypeError, naming the first case in key
+        order whose ``inputs`` hold anything but a string, number, boolean or
+        None, comes before the first piece."""
+        bad = [start + row for start, values in self.columns["inputs"]
+               for value in values.values() if value.dtype == object
+               for row, entry in enumerate(value.tolist()) if not isinstance(entry, _SCALARS)]
+        if bad:
+            first = np.flatnonzero(np.isin(self.order, bad))[0]
+            raise TypeError(f"case {self.columns['key'][first]!r}: inputs must hold only "
+                            "strings, numbers, booleans and None")
+        head = json.dumps({"kind": self.kind, "tolerance": self.tolerance, "provenance":
+                           self.provenance, "summary": self.summary}, indent=2, sort_keys=True)
+        starts = range(0, self.order.size, _CASE_CHUNK)
+        return chain(['{\n  "cases": [' + ("\n" if starts else "")],
+                     (("" if start == 0 else ",\n")
+                      + _cases_json(self, slice(start, start + _CASE_CHUNK)) for start in starts),
+                     [("\n  ]" if starts else "]") + ",\n" + head[2:]])
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, byte for
@@ -269,16 +298,13 @@ class VerificationReport:
         return path
 
 
-#: cases formatted per chunk: a report is written one chunk's text at a time
+#: cases formatted per chunk: a report is written, and a CSV too, one chunk's
+#: text at a time
 _CASE_CHUNK = 1 << 8
-#: json's C encoder lays out flat ``inputs`` dicts at their indent in the
-#: report; json escapes every newline inside a string, so in the encoded list
-#: of a chunk's dicts each ``_INPUTS_SPLIT`` separates two of them
-_INPUTS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n" + " " * 8, ": "))
-_INPUTS_SPLIT = "},\n" + " " * 8 + "{"
+#: json's C encoder, its item separator a newline: json escapes every newline
+#: inside a string, so a list of scalars encodes to one line per item
+_VALUES = json.JSONEncoder(separators=("\n", ": "))
 _SCALARS = (str, int, float, type(None))
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_BOOLS = {True: "true", False: "false"}
 #: one case as ``json.dumps(..., indent=2)`` writes it inside a report, its
 #: fields in ``_FIELDS`` order
 _CASE_JSON = ('    {\n      "abs_dev": %s,\n      "closed_form": %s,\n      "inputs": %s,\n'
@@ -286,53 +312,72 @@ _CASE_JSON = ('    {\n      "abs_dev": %s,\n      "closed_form": %s,\n      "inp
               '      "simulated": %s\n    }')
 
 
-def _check_inputs(keys: Sequence[str], inputs: Sequence[dict]) -> None:
-    """TypeError naming the first case whose ``inputs`` holds a value json
-    cannot write flat: anything but a string, number, boolean or None."""
-    values = chain.from_iterable(map(dict.values, inputs))
-    if all(issubclass(kind, _SCALARS) for kind in set(map(type, values))):
-        return
-    bad = next(key for key, case in zip(keys, inputs)
-               if not all(isinstance(v, _SCALARS) for v in case.values()))
-    raise TypeError(f"case {bad!r}: inputs must hold only strings, numbers, "
-                    "booleans and None")
+def _json_lines(values: np.ndarray) -> list[str]:
+    """Each entry of a nonempty ``values`` as json writes it, from one C call."""
+    return _VALUES.encode(values.tolist())[1:-1].split("\n")
 
 
-def _floats_json(values: Sequence[float]) -> Iterator[str]:
-    """Floats as json writes them: repr, or NaN, Infinity, -Infinity."""
-    texts = list(map(float.__repr__, values))
-    return map(_NON_FINITE.get, texts, texts)
+def _per_table(tables: list, idx: np.ndarray, read: Callable) -> list:
+    """``read(values, rows)`` of every table holding one of the cases ``idx``
+    (record indices), one entry per case, in the order of ``idx``."""
+    starts = np.array([start for start, _ in tables])
+    which = np.searchsorted(starts, idx, side="right") - 1
+    out = [None] * idx.size
+    for table in np.unique(which).tolist():
+        (start, values), at = tables[table], np.flatnonzero(which == table)
+        for i, entry in zip(at.tolist(), read(values, idx[at] - start)):
+            out[i] = entry
+    return out
 
 
-def _inputs_json(inputs: Sequence[dict]) -> list[str]:
-    """Each flat ``inputs`` dict laid out as inside its case, all of them from
-    one call of the C encoder."""
-    texts = _INPUTS_ENCODER.encode(inputs)[2:-2].split(_INPUTS_SPLIT)
-    return ["{\n        " + text + "\n      }" if text else "{}" for text in texts]
+def _inputs_dicts(values: dict, rows: np.ndarray) -> list[dict]:
+    """The ``inputs`` of a table's ``rows``, a fresh dict each."""
+    columns = [value[rows].tolist() for value in values.values()]
+    return ([dict(zip(values, row)) for row in zip(*columns)] if columns
+            else [{} for _ in range(rows.size)])
 
 
-def _cases_json(abs_dev, closed_form, inputs, keys, passed, rel_dev, simulated) -> str:
-    """A nonempty run of cases, given as its columns, as they sit in a
-    report's case list, each field formatted for all of them in one pass."""
-    return ",\n".join(map(_CASE_JSON.__mod__, zip(
-        _floats_json(abs_dev), _floats_json(closed_form), _inputs_json(inputs),
-        map(json.encoder.encode_basestring_ascii, keys), map(_BOOLS.__getitem__, passed),
-        _floats_json(rel_dev), _floats_json(simulated))))
+def _inputs_json(values: dict, rows: np.ndarray) -> list[str]:
+    """The ``inputs`` of a table's ``rows`` as json lays each out inside its
+    case: the names written into one template, each column encoded at once."""
+    if not values:
+        return ["{}"] * rows.size
+    names = sorted(values)
+    template = "{\n        " + ",\n        ".join(
+        json.encoder.encode_basestring_ascii(name).replace("%", "%%") + ": %s"
+        for name in names) + "\n      }"
+    return list(map(template.__mod__, zip(*(_json_lines(values[name][rows]) for name in names))))
 
 
-def _report_chunks(columns: Sequence[list], head: str) -> Iterator[str]:
-    """A report's JSON text: the cases of ``columns`` (in ``_FIELDS`` order)
-    a chunk at a time, then ``head``, the indented JSON of the other fields,
-    without its opening brace."""
-    count = len(columns[0])
-    yield '{\n  "cases": [' + ("\n" if count else "")
-    for start in range(0, count, _CASE_CHUNK):
-        yield ("" if start == 0 else ",\n") + _cases_json(
-            *(column[start:start + _CASE_CHUNK] for column in columns))
-    yield ("\n  ]" if count else "]") + ",\n" + head[2:]
+def _cases_json(report: VerificationReport, at: slice) -> str:
+    """The cases at ``at`` (a nonempty run of positions in key order) as they
+    sit in a report's case list, each field encoded at once for all of them,
+    and once for all fields of the same bits (not ``==``: -0.0 == 0.0 and
+    nan != nan)."""
+    columns, texts = report.columns, {}
+
+    def encode(values):
+        bits = (values.dtype.char, values.tobytes())
+        if bits not in texts:
+            texts[bits] = _json_lines(values)
+        return texts[bits]
+
+    fields = [_per_table(columns["inputs"], report.order[at], _inputs_json) if name == "inputs"
+              else encode(columns[name][at]) for name in _FIELDS]
+    return ",\n".join(map(_CASE_JSON.__mod__, zip(*fields)))
 
 
-def _record(report: VerificationReport, keys: Sequence[str], inputs: Sequence[dict],
+def _input_column(value, count: int) -> np.ndarray:
+    """A runner's input as a report holds it: a column (a list or tuple) as
+    float64 if every entry is a float, else as objects; anything else is a
+    constant, held once and read as a column of ``count`` equal entries."""
+    if not isinstance(value, (list, tuple)):
+        return np.broadcast_to(_input_column([value], 1), count)
+    kind = float if set(map(type, value)) == {float} else object
+    return np.fromiter(value, dtype=kind, count=len(value))
+
+
+def _record(report: VerificationReport, keys: Sequence[str], inputs: dict,
             simulated: Sequence[float], closed_form: Sequence[float],
             tolerance: Optional[float | Sequence[float]] = None,
             relative: bool = True) -> None:
@@ -340,7 +385,9 @@ def _record(report: VerificationReport, keys: Sequence[str], inputs: Sequence[di
     abs_dev = |s - c|, rel_dev = abs_dev / |c| (abs_dev unless |c| > 0), passed
     if rel_dev (abs_dev unless ``relative``) <= ``tolerance``, one value or
     one per case (None: the report's). numpy's elementwise arithmetic is
-    IEEE's: each value has the bits Python floats give, and warns of none."""
+    IEEE's: each value has the bits Python floats give, and warns of none.
+    ``inputs`` gives each name once, with a column (one entry per key) or a
+    constant that every case shares."""
     sim, closed = np.array(simulated, dtype=float), np.array(closed_form, dtype=float)
     with np.errstate(all="ignore"):
         abs_dev = np.abs(sim - closed)
@@ -348,9 +395,17 @@ def _record(report: VerificationReport, keys: Sequence[str], inputs: Sequence[di
         rel_dev = np.divide(abs_dev, scale, out=abs_dev.copy(), where=scale > 0)
         passed = (rel_dev if relative else abs_dev) <= (
             report.tolerance if tolerance is None else tolerance)
-    for name, column in zip(_FIELDS, (abs_dev.tolist(), closed.tolist(), inputs, keys,
-                                      passed.tolist(), rel_dev.tolist(), sim.tolist())):
-        report.columns[name] += column
+    columns = report.columns
+    columns["inputs"].append((len(columns["key"]), {
+        name: _input_column(value, len(keys)) for name, value in inputs.items()}))
+    columns["key"] += keys
+    for name, column in zip(_NUMBERS, (abs_dev, closed, passed, rel_dev, sim)):
+        columns[name].append(column)
+
+
+def _transpose(rows: Sequence[Sequence], width: int) -> list[list]:
+    """Rows of ``width`` values as one list per place, empty for no rows."""
+    return [[row[i] for row in rows] for i in range(width)]
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +417,19 @@ def _record(report: VerificationReport, keys: Sequence[str], inputs: Sequence[di
 _fmt = "%.17g".__mod__
 
 
-def write_csv(path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> Path:
-    """``header`` and the cells of ``rows`` as ``_fmt`` writes them, a None
-    cell left empty; each column is formatted in one pass."""
+def write_csv(path, header: Sequence[str], columns: Sequence[Sequence[float]]) -> Path:
+    """``header`` and the rows of ``columns``, one sequence per header name,
+    each cell as ``_fmt`` writes it, a None cell left empty; each column is
+    formatted in one pass, ``_CASE_CHUNK`` rows at a time, and written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    columns = [map(_fmt, cells) if None not in cells
-               else ["" if v is None else _fmt(v) for v in cells] for cells in zip(*rows)]
-    path.write_text("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
+    with path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CASE_CHUNK):
+            cells = [column[start:start + _CASE_CHUNK] for column in columns]
+            cells = [map(_fmt, part) if None not in part
+                     else ["" if v is None else _fmt(v) for v in part] for part in cells]
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return path
 
 
@@ -468,10 +528,10 @@ def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
     if config.system_cutoff < 4 or config.ladder_dim < 8:   # the ranges drawn below
         raise ConfigError("global-ft needs system_cutoff >= 4 and ladder_dim >= 8, "
                           f"got ({config.system_cutoff}, {config.ladder_dim})")
-    evaluated = 0
+    rows, simulated, closed_form = [], [], []   # the inputs and values of each case
     attempt = 0
     report.provenance["dropped"] = {"below_floor": 0}
-    while evaluated < config.cases:
+    while len(rows) < config.cases:
         rng = np.random.default_rng([config.seed, attempt])
         attempt += 1
         omega_i = _FT_FREQUENCIES[int(rng.integers(len(_FT_FREQUENCIES)))]
@@ -507,13 +567,13 @@ def run_global_ft(config: ScenarioConfig, report: VerificationReport) -> None:
             continue
         d_f_tilde = gibbs.gen_free_energy_diff(beta, h_i, x_s_i, h_f, x_s_f)
         d_w_tilde = gibbs.gen_work_diff(beta, h_b, x_b_i, x_b_f)
-        _record(report, [f"case-{evaluated:04d}"],
-                [{"omega_i": str(omega_i), "omega_f": str(omega_f),
-                  "system_cutoff": ds, "ladder_dim": ladder, "beta": beta,
-                  "attempt": attempt - 1}],
-                [math.log(q_f) - math.log(q_r)], [beta * (d_w_tilde - d_f_tilde)],
-                relative=False)
-        evaluated += 1
+        rows.append((str(omega_i), str(omega_f), ds, ladder, beta, attempt - 1))
+        simulated.append(math.log(q_f) - math.log(q_r))
+        closed_form.append(beta * (d_w_tilde - d_f_tilde))
+    names = ("omega_i", "omega_f", "system_cutoff", "ladder_dim", "beta", "attempt")
+    _record(report, [f"case-{i:04d}" for i in range(len(rows))],
+            dict(zip(names, _transpose(rows, len(names)))), simulated, closed_form,
+            relative=False)
     report.provenance["attempts"] = attempt
 
 
@@ -584,7 +644,7 @@ def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
         b_f = 2 * np.arange(config.ladder_dim) + dyn.SECTOR_FINAL   # every w_meas at once
         p_fwds = dyn.transition_probability(b_f, gamma_i, b_i, u, model).tolist()
         p_revs = dyn.transition_probability(b_i, gamma_f, b_f, u, model).tolist()
-        inputs, predicted = [], []
+        kept, predicted = [], []   # (W, P_F, P_R) of each case
         for w_meas, p_fwd, p_rev in zip(range(config.ladder_dim), p_fwds, p_revs):
             if p_fwd <= 1e-10 or p_rev <= 1e-10:   # the probability floor
                 report.provenance["dropped"]["below_floor"] += 1
@@ -595,10 +655,12 @@ def _crooks_pair_scan(config: ScenarioConfig, report: VerificationReport,
             except UndefinedRatioError:
                 report.provenance["dropped"]["undefined_ratio"] += 1
                 continue
-            inputs.append({"omega_ratio": str(ratio), "chi": chi, "W": work,
-                           "P_F": p_fwd, "P_R": p_rev, "which": "N" if sign == +1 else "N+1"})
-        _record(report, [f"r{ratio}-chi{chi}-W{case['W']:+.3f}" for case in inputs], inputs,
-                [case["P_F"] / case["P_R"] for case in inputs], predicted)
+            kept.append((work, p_fwd, p_rev))
+        works, p_f, p_r = _transpose(kept, 3)
+        _record(report, [f"r{ratio}-chi{chi}-W{work:+.3f}" for work in works],
+                {"omega_ratio": str(ratio), "chi": chi, "W": works, "P_F": p_f, "P_R": p_r,
+                 "which": "N" if sign == +1 else "N+1"},
+                [a / b for a, b in zip(p_f, p_r)], predicted)
         del u   # else it stays alive while the next U is built beside it
 
 
@@ -636,7 +698,7 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
         # state and each Gibbs map made once per chi
         state = cache(lambda *key: _binomial_battery_state(battery, *key, ladder))
         prepared = cache(lambda *key: gibbs.gibbs_map(state(*key), h_b, beta).amplitudes)
-        inputs, predicted = [], []
+        kept, predicted = [], []   # (n_i, n_f, p_i, p_f, P_F, P_R) of each case
         for n_i, p_i, n_f, p_f in pairs:
             x_b = (state(n_f, p_f, dyn.SECTOR_FINAL).amplitudes,
                    state(n_i, p_i, dyn.SECTOR_INITIAL).amplitudes)
@@ -653,11 +715,11 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
                 q_factor = cf.q_size(p_i, chi_b)
                 w_q = cf.w_q_size(n_i, n_f, p_i, beta, spacing)
             predicted.append(math.exp(beta * q_factor * w_q))   # dF = 0: equal spectra
-            inputs.append({"chi_battery": chi_b, "n_i": n_i, "n_f": n_f,
-                           "p_i": p_i, "p_f": p_f, "P_F": p_fwd, "P_R": p_rev})
-        _record(report, [f"chi{chi_b}-n{c['n_i']}-{c['n_f']}-p{c['p_i']}-{c['p_f']}"
-                         for c in inputs], inputs, [c["P_F"] / c["P_R"] for c in inputs],
-                predicted)
+            kept.append((n_i, n_f, p_i, p_f, p_fwd, p_rev))
+        columns = dict(zip(("n_i", "n_f", "p_i", "p_f", "P_F", "P_R"), _transpose(kept, 6)))
+        _record(report, [f"chi{chi_b}-n{n_i}-{n_f}-p{p_i}-{p_f}"
+                         for n_i, n_f, p_i, p_f, *_ in kept], {"chi_battery": chi_b, **columns},
+                [a / b for a, b in zip(columns["P_F"], columns["P_R"])], predicted)
         del u, state, prepared   # the vectors go with this chi's U
 
 
@@ -671,33 +733,34 @@ def run_jarzynski(config: ScenarioConfig, report: VerificationReport) -> None:
             config, report, ("below_floor", "undefined_ratio"),
             [(config.omega_i, config.omega_f)], config.chi_grid or (0.25, 0.5),
             translation_invariant=True):
-        level = u.window[0]
+        level, spacing = u.window[0], model.battery.spacing
         params = cf.ScenarioParams(beta, float(model.omega_i), float(model.omega_f))
         for sign, label in ((+1, "added"), (-1, "subtracted")):
             gamma_i, gamma_f = _photon_states(model, beta, sign)
             _note_tail_mass(report, gamma_i, gamma_f)
-            fwd = dyn.work_distribution("F", gamma_i, level, u, model)
+            fwd = dyn._level_probabilities("F", gamma_i, level, u, model).tolist()
             total = covered = 0.0
             averaged = 0
-            for work, prob in fwd.items():
+            for w, prob in enumerate(fwd):
                 if prob <= 0.0:
                     report.provenance["dropped"]["below_floor"] += 1
                     continue
+                work = spacing.numerator * (level - w) / spacing.denominator
                 try:
-                    r = cf.prefactor_R(float(work), params, sign)
+                    r = cf.prefactor_R(work, params, sign)
                 except UndefinedRatioError:
                     report.provenance["dropped"]["undefined_ratio"] += 1
                     continue
-                total += prob / r * math.exp(-beta * float(work))
+                total += prob / r * math.exp(-beta * work)
                 covered += prob
                 averaged += 1
             _record(report, [f"chi{chi}-{label}-average"],
-                    [{"chi": chi, "sign": sign, "covered_probability": covered,
-                      "averaged": averaged}],
+                    {"chi": chi, "sign": sign, "covered_probability": covered,
+                     "averaged": averaged},
                     [total], [cf.jarzynski_rhs(params, sign)])
             _record(report, [f"chi{chi}-{label}-reverse-normalization"],
-                    [{"chi": chi, "sign": sign}],
-                    [sum(dyn.work_distribution("R", gamma_f, level, u, model).values())],
+                    {"chi": chi, "sign": sign},
+                    [sum(dyn._level_probabilities("R", gamma_f, level, u, model).tolist())],
                     [1.0], tolerance=1e-10, relative=False)
         del u
 
@@ -706,12 +769,18 @@ def run_jarzynski(config: ScenarioConfig, report: VerificationReport) -> None:
 # figure data
 # ---------------------------------------------------------------------------
 
-def _emit_rows(report: VerificationReport, config: ScenarioConfig,
-               header: Sequence[str], rows: list, plot: Optional[tuple] = None) -> None:
-    """Write ``rows`` to ``<kind>.csv`` (and a ``<kind>.gp`` of ``plot`` =
-    (title, columns)) in ``config.out_dir`` when set."""
+def _set_rows(columns: Sequence[Sequence], index: int) -> list[list]:
+    """``columns`` cut to the rows whose cell in column ``index`` is set."""
+    kept = [cell is not None for cell in columns[index]]
+    return [list(compress(column, kept)) for column in columns]
+
+
+def _emit_rows(report: VerificationReport, config: ScenarioConfig, header: Sequence[str],
+               columns: Sequence[Sequence], plot: Optional[tuple] = None) -> None:
+    """Write the rows of ``columns`` to ``<kind>.csv`` (and a ``<kind>.gp`` of
+    ``plot`` = (title, columns)) in ``config.out_dir`` when set."""
     if config.out_dir is not None:
-        csv_path = write_csv(Path(config.out_dir) / f"{report.kind}.csv", header, rows)
+        csv_path = write_csv(Path(config.out_dir) / f"{report.kind}.csv", header, columns)
         if plot is not None:
             _write_gnuplot(csv_path.with_suffix(".gp"), csv_path.name, *plot)
         report.provenance["csv"] = csv_path.name
@@ -730,22 +799,21 @@ def run_figure2(config: ScenarioConfig, report: VerificationReport) -> None:
     """Generalized free-energy curves (energies in units of k_B T) versus chi
     for the added/subtracted protocols at omega_f = 1.5 omega_i."""
     header = ["chi", "dF", "twodF", "dEvac", "dFplus", "dFminus"]
-    rows, expected = [], []
+    columns, expected = [[] for _ in header], []
     for chi, beta, params in _chi_points(config):
         d_f, e_vac = cf.delta_F(params), cf.delta_E_vac(params)
-        rows.append([chi, beta * d_f, 2.0 * beta * d_f, beta * e_vac,
-                     beta * cf.gen_free_energy_pm(params, +1),
-                     beta * cf.gen_free_energy_pm(params, -1)])
+        for column, cell in zip(columns, (chi, beta * d_f, 2.0 * beta * d_f, beta * e_vac,
+                                          beta * cf.gen_free_energy_pm(params, +1),
+                                          beta * cf.gen_free_energy_pm(params, -1))):
+            column.append(cell)
         expected.append(beta * (2.0 * d_f + e_vac))
-    chis, _, twodf, devac, dfp, dfm = np.array(rows).T
-    chis = chis.tolist()
+    chis, (twodf, devac, dfp, dfm) = columns[0], map(np.array, columns[2:])
     for suffix, compared, simulated, closed_form in (
             ("", "dFplus", dfp, expected), ("-consistency", "twodF+dEvac", twodf + devac, dfp),
             ("-minus", "dFminus", dfm, twodf - devac)):
         _record(report, [f"chi={_fmt(chi)}{suffix}" for chi in chis],
-                [{"chi": chi, "columns": compared} for chi in chis],
-                simulated, closed_form, relative=False)
-    _emit_rows(report, config, header, rows, ("generalized free energies vs chi", header[1:]))
+                {"chi": chis, "columns": compared}, simulated, closed_form, relative=False)
+    _emit_rows(report, config, header, columns, ("generalized free energies vs chi", header[1:]))
 
 
 def run_figure3(config: ScenarioConfig, report: VerificationReport) -> None:
@@ -753,7 +821,7 @@ def run_figure3(config: ScenarioConfig, report: VerificationReport) -> None:
     omega_f = 5 omega_i at the work values requested (defaults 0 and 2)."""
     works = config.w_values or (0.0, 2.0 * float(config.omega_i))
     header = ["chi", "W", "R_plus", "R_minus", "rhs_plus", "rhs_minus", "classical"]
-    rows = []
+    columns = [[] for _ in header]
     for chi, beta, params in _chi_points(config):
         for work in works:
             row = [chi, work, None, None, None, None]   # R_+-, rhs_+- empty where undefined
@@ -763,13 +831,15 @@ def run_figure3(config: ScenarioConfig, report: VerificationReport) -> None:
                                                     cf.crooks_rhs_pm(work, params, sign))
                 except UndefinedRatioError:
                     pass
-            rows.append(row + [math.exp(beta * (work - cf.delta_F(params)))])
+            for column, cell in zip(columns, row + [math.exp(beta * (work - cf.delta_F(params)))]):
+                column.append(cell)
     for tag, column in (("plus", 2), ("minus", 5), ("classical", 6)):
-        kept = [row for row in rows if row[column] is not None]
-        values = [row[column] for row in kept]
-        _record(report, [f"chi={_fmt(chi)}-W={_fmt(work)}-{tag}" for chi, work, *_ in kept],
-                [{"chi": chi, "W": work} for chi, work, *_ in kept], values, values)
-    _emit_rows(report, config, header, rows,
+        kept = _set_rows(columns, column)
+        chis, works, values = kept[0], kept[1], kept[column]
+        _record(report, [f"chi={_fmt(chi)}-W={_fmt(work)}-{tag}"
+                         for chi, work in zip(chis, works)],
+                {"chi": chis, "W": works}, values, values)
+    _emit_rows(report, config, header, columns,
                ("predicted ratio and prefactor vs chi", header[2:]))
 
 
@@ -779,14 +849,15 @@ def run_figure4(config: ScenarioConfig, report: VerificationReport) -> None:
     p_grid = config.p_grid or (0.2, 0.4, 0.6)
     p_f = 0.8
     header = ["chi", "p", "q_align_pf08", "q_size"]
-    rows = [[chi, p, cf.q_align(p, p_f, chi) if p != p_f else None, cf.q_size(p, chi)]
-            for chi, _, _ in _chi_points(config) for p in p_grid]
+    chis, ps = _transpose([(chi, p) for chi, _, _ in _chi_points(config) for p in p_grid], 2)
+    columns = [chis, ps, [cf.q_align(p, p_f, chi) if p != p_f else None
+                          for chi, p in zip(chis, ps)],
+               [cf.q_size(p, chi) for chi, p in zip(chis, ps)]]
     for tag, column, fixed in (("align", 2, {"p_f": p_f}), ("size", 3, {})):
-        kept = [row for row in rows if row[column] is not None]
-        values = [row[column] for row in kept]
-        _record(report, [f"chi={_fmt(chi)}-p={_fmt(p)}-{tag}" for chi, p, *_ in kept],
-                [{"chi": chi, "p": p, **fixed} for chi, p, *_ in kept], values, values)
-    _emit_rows(report, config, header, rows,
+        kept = _set_rows(columns, column)
+        _record(report, [f"chi={_fmt(chi)}-p={_fmt(p)}-{tag}" for chi, p in zip(*kept[:2])],
+                {"chi": kept[0], "p": kept[1], **fixed}, kept[column], kept[column])
+    _emit_rows(report, config, header, columns,
                ("quantum distortion factors vs chi", header[2:]))
 
 
@@ -806,15 +877,14 @@ def run_harmonic_limit(config: ScenarioConfig, report: VerificationReport) -> No
                             - cf.char_fn_coherent(lam, 1.0, t)) for t in t_grid))
     for name, label, values in (("overlap", "defect", overlaps), ("charfn", "gap", gaps)):
         _record(report, [f"{name}-decreasing-{n}" for n in sizes[1:]],
-                [{"n": n, label: value, "previous": previous}
-                 for n, value, previous in zip(sizes[1:], values[1:], values)],
+                {"n": sizes[1:], label: values[1:], "previous": values[:-1]},
                 values[1:], [0.0] * (len(sizes) - 1), tolerance=values[:-1], relative=False)
-    _record(report, ["overlap-final"], [{"n": sizes[-1]}], overlaps[-1:], [0.0],
+    _record(report, ["overlap-final"], {"n": sizes[-1]}, overlaps[-1:], [0.0],
             tolerance=1e-2, relative=False)
     n_large = 10_000
     chis = config.chi_grid or (0.5, 1.0, 2.0)
     _record(report, [f"distortion-chi{chi}" for chi in chis],
-            [{"chi": chi, "n": n_large} for chi in chis],
+            {"chi": chis, "n": n_large},
             [cf.q_align(0.5 / n_large, 1.5 / n_large, chi) for chi in chis],
             [cf.q_harmonic(chi) for chi in chis], tolerance=1e-3, relative=False)
 
@@ -823,14 +893,13 @@ def run_sweep(config: ScenarioConfig, report: VerificationReport) -> None:
     """Closed-form curve sweep over the chi grid, emitted as plot-ready CSV."""
     header = ["chi", "dF", "dFplus", "dFminus", "jarzynski_plus",
               "jarzynski_minus", "q_harmonic"]
-    rows = [[chi, cf.delta_F(params), cf.gen_free_energy_pm(params, +1),
-             cf.gen_free_energy_pm(params, -1), cf.jarzynski_rhs(params, +1),
-             cf.jarzynski_rhs(params, -1), cf.q_harmonic(chi)]
-            for chi, _, params in _chi_points(config)]
-    d_f = [row[1] for row in rows]
-    _record(report, [f"chi={_fmt(row[0])}" for row in rows], [{"chi": row[0]} for row in rows],
-            d_f, d_f, relative=False)
-    _emit_rows(report, config, header, rows)
+    columns = _transpose([[chi, cf.delta_F(params), cf.gen_free_energy_pm(params, +1),
+                           cf.gen_free_energy_pm(params, -1), cf.jarzynski_rhs(params, +1),
+                           cf.jarzynski_rhs(params, -1), cf.q_harmonic(chi)]
+                          for chi, _, params in _chi_points(config)], len(header))
+    _record(report, [f"chi={_fmt(chi)}" for chi in columns[0]], {"chi": columns[0]},
+            columns[1], columns[1], relative=False)
+    _emit_rows(report, config, header, columns)
 
 
 @dataclass(frozen=True)

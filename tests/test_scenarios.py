@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -270,18 +271,20 @@ def _lines(text: str) -> list[str]:
 _CASE = ("key", "inputs", "simulated", "closed_form", "abs_dev", "rel_dev", "passed")
 
 
-def _columns(cases) -> dict:
-    """``_CASE`` tuples as a report's columns, any field values allowed."""
-    columns = {name: [] for name in _CASE}
-    for case in cases:
-        for name, value in zip(_CASE, case):
-            columns[name].append(value)
-    return columns
-
-
 def _report(cases) -> sc.VerificationReport:
-    return sc.VerificationReport("figure2", 1e-12, {"kind": "figure2", "seed": 3},
-                                 columns=_columns(cases)).finalize()
+    """The finalized report of ``_CASE`` tuples, any field values allowed:
+    each case is recorded as a table of its own, every input a column of
+    one entry."""
+    report = sc.VerificationReport("figure2", 1e-12, {"kind": "figure2", "seed": 3})
+    columns = report.columns
+    for key, inputs, *numbers in cases:
+        columns["inputs"].append((len(columns["key"]),
+                                  {name: sc._input_column([value], 1)
+                                   for name, value in inputs.items()}))
+        columns["key"].append(key)
+        for name, value in zip(_CASE[2:], numbers):
+            columns[name].append(np.array([value]))
+    return report.finalize()
 
 
 _ODD_CASES = [
@@ -300,21 +303,17 @@ _CHUNK = sc._CASE_CHUNK
 
 
 def _chunked_cases(count: int) -> list:
-    """``count`` plain cases in report order, with ``_ODD_CASES`` in turn at
-    the first and the last place of every chunk ``write`` formats."""
+    """``count`` plain cases in key order, with ``_ODD_CASES`` in turn at the
+    first and the last place of every chunk ``write`` formats (their keys
+    prefixed to keep that order)."""
     cases = [(f"case-{i:05d}", {"chi": i / 7, "i": i, "which": "N"},
               i / 3, -i / 9, i / 11, i / 13, i % 3 != 0) for i in range(count)]
     edges = sorted({i for start in range(0, count, _CHUNK)
                     for i in (start, min(start + _CHUNK, count) - 1)})
     for n, i in enumerate(edges):
-        cases[i] = _ODD_CASES[n % len(_ODD_CASES)]
+        key, *fields = _ODD_CASES[n % len(_ODD_CASES)]
+        cases[i] = (f"case-{i:05d}-{key}", *fields)
     return cases
-
-
-def _unsorted_report(cases) -> sc.VerificationReport:
-    """A report whose cases stay in the given order (``finalize`` sorts them)."""
-    return sc.VerificationReport("figure2", 1e-12, {"kind": "figure2"},
-                                 {"cases": len(cases)}, _columns(cases))
 
 
 @pytest.fixture(scope="module")
@@ -380,7 +379,7 @@ class TestReportJson:
     @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
                                        2 * _CHUNK + 1])
     def test_chunk_boundaries(self, tmp_path, count):
-        report = _unsorted_report(_chunked_cases(count))
+        report = _report(_chunked_cases(count))
         text = report.to_json()
         assert _lines(text) == _lines(_dumps(report.to_dict()))
         assert report.write(tmp_path / "r.json").read_bytes() == (text + "\n").encode()
@@ -389,7 +388,7 @@ class TestReportJson:
     def test_write_checks_inputs_before_opening(self, tmp_path, value):
         cases = _chunked_cases(2 * _CHUNK + 1)
         cases[-1] = ("zz-last", {"chi": 0.5, "deep": value}, 1.0, 1.0, 0.0, 0.0, True)
-        report = _unsorted_report(cases)
+        report = _report(cases)
         path = tmp_path / "sub" / "r.json"
         with pytest.raises(TypeError, match="zz-last"):
             report.write(path)
@@ -401,9 +400,12 @@ class TestReportJson:
         assert path.read_text() == "kept\n"
 
     def test_write_never_holds_the_full_text(self, tmp_path):
-        report = _report((f"case-{i:05d}", {"chi": i / 7, "W": -i / 3},
-                          i / 3, i / 9, i / 11, i / 13, i % 2 == 0)
-                         for i in range(20_000))
+        report = sc.VerificationReport("figure2", 1e-12, {})
+        count = range(20_000)
+        sc._record(report, [f"case-{i:05d}" for i in count],
+                   {"chi": [i / 7 for i in count], "W": [-i / 3 for i in count]},
+                   [i / 3 for i in count], [i / 9 for i in count], tolerance=1.0)
+        report.finalize()
         size = len(report.to_json())
         tracemalloc.start()
         try:
@@ -425,11 +427,129 @@ class TestReportJson:
         assert report.to_json() == before
         again = report.to_dict()
         assert again["cases"][0] is not data["cases"][0]
-        assert again["cases"][0]["inputs"] is not report.columns["inputs"][0]
+        assert again["cases"][0]["inputs"] is not data["cases"][0]["inputs"]
 
 
 def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
+
+
+#: float inputs json writes in their own ways, -0.0 beside 0.0
+_FLOAT_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1 / 3, 5e-324, -1.5e300]
+#: one entry of every scalar kind an inputs column may mix
+_MIXED = [1, 2.5, 'q"uo\\te %s\n', True, None, math.nan, -(2 ** 70), np.float64(0.1)]
+
+
+def _column_report(count: int) -> sc.VerificationReport:
+    """Four ``_record`` calls of ``count`` cases each, their keys interleaved
+    so that every chunk of the report mixes all four: float, str, int, bool,
+    None and mixed columns, a constant of each kind, one table of constants
+    only and one without inputs."""
+    report = sc.VerificationReport("figure2", 1e-12, {"kind": "figure2"})
+    rows = range(count)
+    floats = [_FLOAT_EDGES[i % len(_FLOAT_EDGES)] for i in rows]
+    for call, inputs, simulated, closed_form in (
+            (0, {"x": floats, "label": [f'é"{i}%' for i in rows], "n": [i - 3 for i in rows],
+                 "flag": [i % 2 == 0 for i in rows], "none": [None] * count,
+                 "const_s": '50% "q"\n', "const_i": -7, "const_f": -0.0, "const_b": True,
+                 "const_n": None}, floats, floats),
+            (1, {"mixed": [_MIXED[i % len(_MIXED)] for i in rows], "x": tuple(floats),
+                 "const_nan": math.nan}, [-0.0] * count, [0.0] * count),
+            (2, {"only": math.inf, "also": "N+1"}, [i / 3 for i in rows], floats),
+            (3, {}, floats, [i / 7 for i in rows])):
+        sc._record(report, [f"k{4 * i + call:05d}" for i in rows], inputs,
+                   simulated, closed_form, relative=call % 2 == 0)
+    return report.finalize()
+
+
+class TestInputColumns:
+    """Inputs handed to ``_record`` as columns: a float column held as a
+    float64 array, any other as an object array, a constant once; written
+    as json.dumps writes the dicts they stand for."""
+
+    def test_layout(self):
+        report = _column_report(5)
+        tables = [values for _, values in report.columns["inputs"]]
+        assert [start for start, _ in report.columns["inputs"]] == [0, 5, 10, 15]
+        assert tables[0]["x"].dtype == np.float64 and tables[1]["x"].dtype == np.float64
+        assert all(tables[0][name].dtype == object and tables[0][name].shape == (5,)
+                   for name in ("label", "n", "flag", "none"))
+        assert tables[1]["mixed"].dtype == object
+        constants = [tables[0][name] for name in tables[0] if name.startswith("const_")]
+        constants += [tables[1]["const_nan"], *tables[2].values()]
+        assert all(value.shape == (5,) and value.strides == (0,) for value in constants)
+        assert tables[0]["const_f"].dtype == np.float64 and tables[0]["const_s"][4] == '50% "q"\n'
+        assert tables[3] == {}
+        assert report.order.tolist() == [5 * call + i for i in range(5) for call in range(4)]
+
+    def test_dicts_keep_kinds_and_signs(self):
+        cases = _column_report(len(_MIXED)).to_dict()["cases"]
+        first = [case["inputs"] for case in cases[0::4]]
+        assert [math.copysign(1.0, inputs["x"]) for inputs in first[3:5]] == [-1.0, 1.0]
+        assert [inputs["flag"] for inputs in first[:2]] == [True, False]
+        assert all(type(inputs["n"]) is int and type(inputs["x"]) is float for inputs in first)
+        assert math.copysign(1.0, first[0]["const_f"]) == -1.0
+        assert [case["inputs"]["mixed"] for case in cases[1::4]][:5] == _MIXED[:5]
+        assert cases[3]["inputs"] == {} and list(cases[0]["inputs"])[:2] == ["x", "label"]
+
+    @pytest.mark.parametrize("count", [1, _CHUNK // 4, _CHUNK // 4 + 1, _CHUNK, _CHUNK + 3])
+    def test_json_matches_json_dumps(self, tmp_path, count):
+        report = _column_report(count)
+        text = report.to_json()
+        assert text == _dumps(report.to_dict())
+        assert report.write(tmp_path / "r.json").read_bytes() == (text + "\n").encode()
+        assert '"simulated": -0.0' in text and '"closed_form": 0.0' in text
+
+    @pytest.mark.parametrize("bad, named", [
+        ({"deep": {"k": 1}}, "a0"),      # a constant: every case of its table
+        ({"deep": [1.0, 2.0]}, "b1"),    # only the list column's second entry
+    ])
+    def test_non_scalar_names_the_first_case_in_key_order(self, tmp_path, bad, named):
+        report = sc.VerificationReport("figure2", 1e-12, {})
+        sc._record(report, ["b0", "b1", "b2"], {"x": [1.0, 2.0, 3.0], "deep": [1, [2], 3]},
+                   [1.0] * 3, [1.0] * 3)
+        sc._record(report, ["a0", "a1"], bad, [1.0] * 2, [1.0] * 2)
+        report.finalize()
+        path = tmp_path / "sub" / "r.json"
+        with pytest.raises(TypeError, match=f"case '{named}'"):
+            report.write(path)
+        assert not path.parent.exists()
+        with pytest.raises(TypeError, match=f"case '{named}'"):
+            report.to_json()
+
+
+class TestReportMemory:
+    """What a finalized report holds per case, and what writing a CSV holds."""
+
+    def test_figure4_bytes_per_case(self):
+        grid = tuple(np.geomspace(*sc.CHI_RANGE, 4000).tolist())   # perfbench's size
+        config = sc.default_config("figure4", chi_grid=grid)
+        sc.run_scenario(sc.default_config("figure4", chi_grid=grid[:5]))   # warm caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = sc.run_scenario(config)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.summary["cases"] == 24_000
+        assert held / 24_000 < 240   # ~166 B: about 110 of them the key
+
+    def test_write_csv_never_holds_the_full_text(self, tmp_path):
+        rows = range(20_000)
+        columns = [[i / 7 for i in rows], [None if i % 5 == 0 else -i / 3 for i in rows],
+                   [float(i) for i in rows]]
+        tracemalloc.start()
+        try:
+            path = sc.write_csv(tmp_path / "t.csv", ["a", "b", "c"], columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        header, read = sc.read_csv(path)
+        assert header == ["a", "b", "c"] and read == [list(row) for row in zip(*columns)]
+        assert peak < path.stat().st_size / 4
 
 
 class TestRecordColumns:
@@ -455,12 +575,17 @@ class TestRecordColumns:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sc._record(report, [f"k{i:03d}" for i in range(len(pairs))],
-                       [{"i": i} for i in range(len(pairs))],
+                       {"i": list(range(len(pairs)))},
                        [s for s, _ in pairs], [c for _, c in pairs],
                        tolerance=tols if tolerance == "column" else tolerance,
                        relative=relative)
-        columns = report.columns
-        assert [len(columns[name]) for name in sc._FIELDS] == [len(pairs)] * 7
+        columns = report.finalize().columns
+        assert [len(columns[name]) for name in sc._FIELDS if name != "inputs"] == \
+            [len(pairs)] * 6
+        assert columns["passed"].dtype == bool and all(
+            columns[name].dtype == np.float64 for name in sc._NUMBERS if name != "passed")
+        cases = report.to_dict()["cases"]
+        assert len(cases) == len(pairs)
         for i, (s, c) in enumerate(pairs):
             tol = tols[i] if tolerance == "column" else tolerance or 1e-12
             abs_dev, rel_dev, passed = self._scalar(s, c, tol, relative)
@@ -468,8 +593,8 @@ class TestRecordColumns:
             assert _bits(columns["closed_form"][i]) == _bits(c), (s, c)
             assert _bits(columns["abs_dev"][i]) == _bits(abs_dev), (s, c)
             assert _bits(columns["rel_dev"][i]) == _bits(rel_dev), (s, c)
-            assert columns["passed"][i] is passed, (s, c, tol)
-            assert columns["key"][i] == f"k{i:03d}" and columns["inputs"][i] == {"i": i}
+            assert cases[i]["passed"] is passed, (s, c, tol)
+            assert columns["key"][i] == f"k{i:03d}" and cases[i]["inputs"] == {"i": i}
 
 
 class TestCrooksDropCounts:
@@ -603,9 +728,8 @@ class TestJarzynskiDropCounts:
         report = sc.run_scenario(cfg)
         dropped = report.provenance["dropped"]
         assert set(dropped) == {"below_floor", "undefined_ratio"}
-        averaged = [inputs["averaged"] for key, inputs
-                    in zip(report.columns["key"], report.columns["inputs"])
-                    if key.endswith("-average")]
+        averaged = [case["inputs"]["averaged"] for case in report.to_dict()["cases"]
+                    if case["key"].endswith("-average")]
         assert len(averaged) == 2 * len(cfg.chi_grid or (0.25, 0.5))
         assert sum(averaged) + sum(dropped.values()) == len(averaged) * cfg.ladder_dim
 
