@@ -478,9 +478,12 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> Union[float, 
     (an array or an ``OperatorMatrix``, read through its diagonal once every
     other entry is checked to be exactly 0); beside a stack it is a sequence
     of T such factors, in either form each, such as a (T, 2L) or
-    (T, 2L, 2L) array. Any other battery factor raises DimensionError. Every
-    term is read by ``_reduced_read``, which exponentiates only the blocks
-    it visits and forms no d x d array (README, "How a unitary is stored")."""
+    (T, 2L, 2L) array. Any other battery factor raises DimensionError. The
+    terms are read by ``_reduced_read`` in groups of ``_PAIR_CHUNK // 2L``
+    (at least one), each group's battery sides built for its read only, so
+    a long stack holds no (terms, 2L) array past one chunk. A read
+    exponentiates only the blocks it visits and forms no d x d array
+    (README, "How a unitary is stored")."""
     x_s, rho_s = _array(x[0]), _array(rho[0])
     single = x_s.ndim == 2
     if single:
@@ -493,9 +496,12 @@ def q_quantity(x, rho, u: ConservingUnitary, model: JointModel) -> Union[float, 
         raise DimensionError(f"system factors {x_s.shape} and {rho_s.shape}, {len(x_b)} and "
                              f"{len(rho_b)} battery factors and U of dim {u.dim} do not fit "
                              "the model")
-    sides = [(_battery_side(x_b[t], bdim, True), _battery_side(rho_b[t], bdim, False))
-             for t in range(terms)]
-    total = _reduced_read(x_s, rho_s, sides, u, ds, bdim)
+    group = max(1, _PAIR_CHUNK // bdim)   # terms whose (terms, 2L) side arrays fit one chunk
+    total = np.concatenate([
+        _reduced_read(x_s[lo:lo + group], rho_s[lo:lo + group],
+                      [(_battery_side(x_b[t], bdim, True), _battery_side(rho_b[t], bdim, False))
+                       for t in range(lo, min(lo + group, terms))], u, ds, bdim)
+        for lo in range(0, terms, group)])
     q = np.where((-1e-14 <= total) & (total < 0.0), 0.0, total)
     return float(q[0]) if single else q
 
@@ -517,7 +523,8 @@ def _reduced_read(x_s, rho_s, sides, u: ConservingUnitary, ds: int, bdim: int) -
     row of each diagonal label, at its (n, b). Each row of the chunk's
     labels with a nonzero coefficient is gathered, weighed by it and its
     columns by theirs, and the products are scattered onto (pair, n, n')
-    with ``bincount``."""
+    with ``bincount``. A term rounds apart from its own call where a pair chunk
+    cuts its pairs, or other terms move the block chunks two vectors sum over."""
     system = np.arange(ds)[:, None] * bdim
     n, b = np.divmod(u.indices, bdim)
     held = u._held   # the slots of each block's own indices
@@ -554,10 +561,17 @@ def _reduced_read(x_s, rho_s, sides, u: ConservingUnitary, ds: int, bdim: int) -
             n_c, b_c = n[chunk, :w], b[chunk, :w]
             t, blk, slot = np.nonzero(take[:, b_c] & held[chunk, :w])
             b_r, b_col, t_col = b_c[blk, slot], b_c[blk], t[:, None]
-            weighted = cx[t, b_r][:, None] * stack[chunk[blk], slot, :w] * cr[t_col, b_col]
+            # (cx U) cr and the (pair, n, n') index made in place: a stack gathers many rows
+            weighted = stack[chunk[blk], slot, :w]
+            np.multiply(cx[t, b_r][:, None], weighted, out=weighted)
+            weighted *= cr[t_col, b_col]
             p = pair[lx[t, b_r][:, None] - first, lr[t_col, b_col]]
             keep = p >= 0
-            flat = ((p * ds + n_c[blk, slot][:, None]) * ds + n_c[blk])[keep]
+            p *= ds
+            p += n_c[blk, slot][:, None]
+            p *= ds
+            p += n_c[blk]
+            flat = p[keep]
             a.real += np.bincount(flat, weighted.real[keep], a.size)
             a.imag += np.bincount(flat, weighted.imag[keep], a.size)
             at += chunk.size

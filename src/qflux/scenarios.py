@@ -675,36 +675,46 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
                          regime: str) -> None:
     """Battery-coherence Crooks check: thermal system, binomial battery
     projectors read as their vectors, measured ratio against
-    exp(beta (q(chi) W_q - dF)). Pairs with a probability at or below 1e-12
-    are counted in ``provenance["dropped"]``."""
+    exp(beta (q(chi) W_q - dF)). Per chi, one stacked Q reads every pair's
+    forward and reverse term in turn. Pairs with a probability at or below
+    1e-12 are counted in ``provenance["dropped"]``. Raises ConfigError,
+    before any sampling, for an n at or above ``ladder_dim`` (no binomial
+    state of that size fits the ladder) or a p of 0 (no distortion factor)."""
     p_grid = config.p_grid or (0.2, 0.5, 0.8)
     n_grid = config.n_grid or (2, 4, 6)
+    if max(n_grid) >= config.ladder_dim or min(p_grid) == 0.0:
+        raise ConfigError(f"crooks-binomial-{regime} needs every n below ladder_dim "
+                          f"{config.ladder_dim} and every p above 0, got n_grid "
+                          f"{list(n_grid)}, p_grid {list(p_grid)}")
     if regime == "align":
         pairs = [(n, p_i, n, p_f) for n in n_grid
                  for p_i in p_grid for p_f in p_grid if p_i != p_f]
     else:
         pairs = [(n_i, p, n_f, p) for n_i in n_grid for n_f in n_grid
                  if n_i != n_f for p in p_grid]
-    eye_s = np.array([np.eye(config.system_cutoff, dtype=complex)] * 2)   # forward, reverse
+    stack = (2 * len(pairs), config.system_cutoff, config.system_cutoff)   # forward, reverse
+    eye_s = np.broadcast_to(np.eye(config.system_cutoff, dtype=complex), stack)
     ladder = cache(fock.binomial_state)   # each binomial state built once per scan
     for model, chi_b, beta, u in _dynamics_scan(
             config, report, ("below_floor",), [(Fraction(1), Fraction(1))],
             config.chi_grid or (0.1, 0.5, 1.0), by_spacing=True):
         battery, spacing = model.battery, float(model.battery.spacing)
         h_b = battery.energies
-        gamma = np.array([fock.thermal_state(beta, model.system_mode(dyn.SECTOR_INITIAL),
-                                             tail_tol=1.0).matrix] * 2)
+        gamma = np.broadcast_to(fock.thermal_state(beta, model.system_mode(dyn.SECTOR_INITIAL),
+                                                   tail_tol=1.0).matrix, stack)
         # the battery factors as the vectors of their rank-one projectors, each
         # state and each Gibbs map made once per chi
         state = cache(lambda *key: _binomial_battery_state(battery, *key, ladder))
         prepared = cache(lambda *key: gibbs.gibbs_map(state(*key), h_b, beta).amplitudes)
-        kept, predicted = [], []   # (n_i, n_f, p_i, p_f, P_F, P_R) of each case
+        x_b, rho_b = [], []
         for n_i, p_i, n_f, p_f in pairs:
-            x_b = (state(n_f, p_f, dyn.SECTOR_FINAL).amplitudes,
-                   state(n_i, p_i, dyn.SECTOR_INITIAL).amplitudes)
-            rho_b = (prepared(n_i, p_i, dyn.SECTOR_INITIAL), prepared(n_f, p_f, dyn.SECTOR_FINAL))
-            p_fwd, p_rev = dyn.q_quantity((eye_s, np.array(x_b)), (gamma, np.array(rho_b)),
-                                          u, model).tolist()
+            x_b += (state(n_f, p_f, dyn.SECTOR_FINAL).amplitudes,
+                    state(n_i, p_i, dyn.SECTOR_INITIAL).amplitudes)
+            rho_b += (prepared(n_i, p_i, dyn.SECTOR_INITIAL),
+                      prepared(n_f, p_f, dyn.SECTOR_FINAL))
+        q = dyn.q_quantity((eye_s, x_b), (gamma, rho_b), u, model).tolist() if pairs else []
+        kept, predicted = [], []   # (n_i, n_f, p_i, p_f, P_F, P_R) of each case
+        for (n_i, p_i, n_f, p_f), p_fwd, p_rev in zip(pairs, q[::2], q[1::2]):
             if p_fwd <= 1e-12 or p_rev <= 1e-12:
                 report.provenance["dropped"]["below_floor"] += 1
                 continue
@@ -720,7 +730,7 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
         _record(report, [f"chi{chi_b}-n{n_i}-{n_f}-p{p_i}-{p_f}"
                          for n_i, n_f, p_i, p_f, *_ in kept], {"chi_battery": chi_b, **columns},
                 [a / b for a, b in zip(columns["P_F"], columns["P_R"])], predicted)
-        del u, state, prepared   # the vectors go with this chi's U
+        del u, state, prepared, x_b, rho_b   # the vectors go with this chi's U
 
 
 def run_jarzynski(config: ScenarioConfig, report: VerificationReport) -> None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -256,6 +257,75 @@ class TestQQuantity:
         rhs = beta * (gibbs.gen_work_diff(beta, h_b, x_b_i, x_b_f)
                       - gibbs.gen_free_energy_diff(beta, h_i, x_s_i, h_f, x_s_f))
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestQTermGroups:
+    """q_quantity reads a stack in groups of _PAIR_CHUNK // 2L terms, each
+    group's battery sides built for its own read."""
+
+    def test_align_terms_at_ladder_4096(self):
+        # the 36 terms crooks-binomial-align reads at 4 x 4096, chi 0.5: with
+        # 2L = 8192 every term is a group of its own, so the stack holds no
+        # (36, 8192) side array; it reads each term's single-call bits
+        battery = dyn.SwitchedBattery(4096, dyn.battery_spacing_for(1, 1))
+        model = dyn.build_joint_model(1, 1, 4, battery)
+        beta = 2 * 0.5 / float(battery.spacing)
+        u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 2024)
+        grid = (0.2, 0.5, 0.8)
+        x_b, rho_b = [], []
+        for n, p_i, p_f in ((n, a, b) for n in (2, 4, 6) for a in grid for b in grid if a != b):
+            x_b += (_binomial_battery_state(battery, n, p_f, dyn.SECTOR_FINAL),
+                    _binomial_battery_state(battery, n, p_i, dyn.SECTOR_INITIAL))
+            rho_b += (gibbs.gibbs_map(x_b[-1], battery.energies, beta),
+                      gibbs.gibbs_map(x_b[-2], battery.energies, beta))
+        eye = np.eye(4, dtype=complex)
+        gamma = fock.thermal_state(beta, model.system_mode(0), tail_tol=1.0).matrix
+        tracemalloc.start()
+        try:
+            stacked = dyn.q_quantity((np.array([eye] * 36), x_b), (np.array([gamma] * 36), rho_b),
+                                     u, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
+        single = [dyn.q_quantity((eye, x), (gamma, r), u, model) for x, r in zip(x_b, rho_b)]
+        assert np.array_equal(_bits(stacked), _bits(single))
+
+    def test_vector_diagonal_stack_over_three_groups(self, monkeypatch):
+        # 2L = 20: groups of 409 terms, so 855 terms read in three groups;
+        # each group gives the bits of a call on its terms alone, and every
+        # term its single call's Q to rounding: within a group, where a pair
+        # chunk cuts a term's label pairs moves its last bits (README, "Bits")
+        model = small_model()
+        u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 3)
+        group, rng = dyn._PAIR_CHUNK // model.battery.dim, np.random.default_rng(5)
+        terms = 2 * group + 37
+        a, c = (rng.standard_normal((terms, 4, 4, 2)) @ [1, 1j] for _ in range(2))
+        x_s, rho_s = a @ a.conj().transpose(0, 2, 1), c @ c.conj().transpose(0, 2, 1)
+        vectors = rng.standard_normal((terms, 20, 2)) @ [1, 1j]
+        diagonals = [np.diag(d) for d in rng.random((terms, 20)) * (rng.random((terms, 20)) < 0.7)]
+        reads, real = [], dyn._reduced_read
+
+        def counted(x, r, sides, *rest):
+            reads.append(len(sides))
+            return real(x, r, sides, *rest)
+
+        monkeypatch.setattr(dyn, "_reduced_read", counted)
+        stacked = dyn.q_quantity((x_s, vectors), (rho_s, diagonals), u, model)
+        assert reads == [group, group, 37]
+        by_group = np.concatenate([
+            dyn.q_quantity((x_s[lo:lo + group], vectors[lo:lo + group]),
+                           (rho_s[lo:lo + group], diagonals[lo:lo + group]), u, model)
+            for lo in range(0, terms, group)])
+        assert np.array_equal(_bits(stacked), _bits(by_group))
+        single = [dyn.q_quantity((x_s[t], vectors[t]), (rho_s[t], diagonals[t]), u, model)
+                  for t in range(terms)]
+        assert min(single) > 0.0
+        np.testing.assert_allclose(stacked, single, rtol=1e-13)
 
 
 class TestTransitionProbability:

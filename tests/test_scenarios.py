@@ -715,6 +715,94 @@ class TestBinomialLargeLadder:
         assert report.all_passed
 
 
+BINOMIAL_KINDS = ("crooks-binomial-align", "crooks-binomial-size")
+
+
+class TestBinomialGridChecks:
+    """An n that no binomial state on the ladder can have, or a p of 0 (no
+    distortion factor), is a config error raised before any state or U is
+    made; the edges p = 1, n = 1 and n = ladder_dim - 1 run."""
+
+    @pytest.mark.parametrize("kind", BINOMIAL_KINDS)
+    @pytest.mark.parametrize("overrides", [{"n_grid": (2, 12)}, {"n_grid": (13,)},
+                                           {"p_grid": (0.0, 0.5)}])
+    def test_rejected_before_the_scan(self, monkeypatch, kind, overrides):
+        made = []
+        monkeypatch.setattr(sc.fock, "binomial_state", lambda *args: made.append(args))
+        monkeypatch.setattr(sc.dyn, "sample_conserving_unitary", lambda *args: made.append(args))
+        with pytest.raises(ConfigError):
+            sc.run_scenario(sc.default_config(kind, **overrides))
+        assert made == []
+
+    @pytest.mark.parametrize("kind", BINOMIAL_KINDS)
+    def test_edges_run(self, kind):
+        report = sc.run_scenario(sc.default_config(kind, chi_grid=(0.5,), n_grid=(1, 11),
+                                                   p_grid=(0.5, 1.0)))
+        assert len(report.columns["key"]) + report.provenance["dropped"]["below_floor"] == 4
+        assert len(report.columns["key"]) >= 2
+        assert report.all_passed
+
+
+def _per_pair_read(config: sc.ScenarioConfig, regime: str) -> dict:
+    """{(chi, n_i, n_f, p_i, p_f): (P_F, P_R)} of every pair, read as the
+    binomial runner read them before it stacked a chi point: one two-term
+    q_quantity call per pair, forward then reverse, on the same U."""
+    p_grid = config.p_grid or (0.2, 0.5, 0.8)
+    n_grid = config.n_grid or (2, 4, 6)
+    if regime == "align":
+        pairs = [(n, p_i, n, p_f) for n in n_grid
+                 for p_i in p_grid for p_f in p_grid if p_i != p_f]
+    else:
+        pairs = [(n_i, p, n_f, p) for n_i in n_grid for n_f in n_grid
+                 if n_i != n_f for p in p_grid]
+    report = sc.VerificationReport(config.kind, config.effective_tolerance(),
+                                   config.provenance())
+    eye_s = np.array([np.eye(config.system_cutoff, dtype=complex)] * 2)
+    read = {}
+    for model, chi, beta, u in sc._dynamics_scan(
+            config, report, ("below_floor",), [(Fraction(1), Fraction(1))],
+            config.chi_grid or (0.1, 0.5, 1.0), by_spacing=True):
+        battery = model.battery
+        gamma = np.array([fock.thermal_state(beta, model.system_mode(0), tail_tol=1.0).matrix] * 2)
+
+        def state(n, p, sector):
+            return sc._binomial_battery_state(battery, n, p, sector)
+
+        def prepared(n, p, sector):
+            return sc.gibbs.gibbs_map(state(n, p, sector), battery.energies, beta).amplitudes
+
+        for n_i, p_i, n_f, p_f in pairs:
+            x_b = np.array([state(n_f, p_f, 1).amplitudes, state(n_i, p_i, 0).amplitudes])
+            rho_b = np.array([prepared(n_i, p_i, 0), prepared(n_f, p_f, 1)])
+            read[chi, n_i, n_f, p_i, p_f] = tuple(
+                sc.dyn.q_quantity((eye_s, x_b), (gamma, rho_b), u, model).tolist())
+    return read
+
+
+class TestBinomialStackedRead:
+    """The one stacked Q per chi point gives every pair the bits of its own
+    two-term read, at the suite defaults and at the perfbench ft-large config."""
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"system_cutoff": 12, "ladder_dim": 48, "chi_grid": (0.5,), "n_grid": (2, 4)}],
+        ids=["defaults", "ft-large"])
+    @pytest.mark.parametrize("kind", BINOMIAL_KINDS)
+    def test_bits_of_the_per_pair_reads(self, kind, overrides, seed):
+        config = sc.default_config(kind, seed=seed, **overrides)
+        report = sc.run_scenario(config)
+        reference = _per_pair_read(config, kind.rsplit("-", 1)[1])
+        kept = {key: value for key, value in reference.items() if min(value) > 1e-12}
+        assert report.provenance["dropped"]["below_floor"] == len(reference) - len(kept)
+        names = ("chi_battery", "n_i", "n_f", "p_i", "p_f")
+        cases = {tuple(c["inputs"][name] for name in names): c["inputs"]
+                 for c in report.to_dict()["cases"]}
+        assert set(cases) == set(kept)
+        for key, (p_fwd, p_rev) in kept.items():
+            assert _bits(cases[key]["P_F"]) == _bits(p_fwd)
+            assert _bits(cases[key]["P_R"]) == _bits(p_rev)
+
+
 class TestJarzynskiDropCounts:
     """Every forward work value of a jarzynski scan is either averaged or
     counted under one drop reason."""
