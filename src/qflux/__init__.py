@@ -10,17 +10,15 @@ __version__ = "0.1.0"
 
 from . import closedform, dynamics, fock, gibbs, scenarios
 from .errors import (BudgetExceededError, ConfigError, DegenerateMapError,
-                     DimensionError, DomainError, GibbsOverflowError,
-                     IncommensurateError, QfluxError, TruncationError,
-                     UndefinedRatioError, WindowError)
+                     DimensionError, DomainError, IncommensurateError,
+                     QfluxError, TruncationError, UndefinedRatioError,
+                     WindowError)
 from .fock import (DensityState, HilbertSpace, OperatorMatrix, OscillatorMode,
                    PureState, binomial_state, coherent_state, expectation,
-                   identity, min_cutoff_for_tail,
-                   number_operator, photon_added_state, photon_subtracted_state,
-                   state_fidelity, tensor, thermal_state, trace)
-from .gibbs import (EffectivePotentialValue, MeasurementOperator,
-                    effective_potential, gen_free_energy_diff, gen_work_diff,
-                    gibbs_map, gibbs_map_inverse)
+                   min_cutoff_for_tail, number_operator, photon_added_state,
+                   photon_subtracted_state, state_fidelity, thermal_state)
+from .gibbs import (EffectivePotentialValue, effective_potential,
+                    gen_free_energy_diff, gen_work_diff, gibbs_map)
 from .dynamics import (ConservingUnitary, JointModel,
                        SwitchedBattery, battery_spacing_for, build_joint_model,
                        conditional_photon_number, q_quantity,

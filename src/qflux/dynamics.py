@@ -47,9 +47,6 @@ SECTOR_FINAL = 1
 
 DEFAULT_PROB_FLOOR = 1e-12
 
-UNITARITY_TOL = 1e-12
-SYMMETRY_TOL = 1e-12
-
 RationalLike = Union[int, float, str, Fraction]
 
 
@@ -81,7 +78,7 @@ class SwitchedBattery:
 
     @property
     def space(self) -> HilbertSpace:
-        return HilbertSpace(self.dim, "battery", (self.ladder_dim, 2))
+        return HilbertSpace(self.dim, "battery")
 
     @property
     def ladder_space(self) -> HilbertSpace:
@@ -125,9 +122,6 @@ class JointModel:
     @property
     def dim(self) -> int:
         return self.system_cutoff * self.battery.dim
-
-    def index(self, n: int, level: int, sector: int) -> int:
-        return (n * self.battery.ladder_dim + level) * 2 + sector
 
     def system_mode(self, sector: int) -> OscillatorMode:
         omega = self.omega_i if sector == SECTOR_INITIAL else self.omega_f
@@ -229,9 +223,9 @@ class ConservingUnitary:
     A unitary from ``_sample`` keeps each block's Gaussian draw, and leaves a
     translation-invariant copy empty, until a read first needs the block:
     ``entries`` and ``q_quantity`` exponentiate the blocks they read, and
-    ``matrices``, ``blocks``, ``matrix`` and ``assert_valid`` every block, so
-    no caller sees a pending one. Each block comes out the same whichever
-    read exponentiates it first.
+    ``matrices`` and ``matrix`` every block, so no caller sees a pending
+    one. Each block comes out the same whichever read exponentiates it
+    first.
     """
 
     def __init__(self, blocks: Sequence[np.ndarray], matrices: np.ndarray,
@@ -295,13 +289,6 @@ class ConservingUnitary:
         return int(self.size.sum())
 
     @property
-    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The ``(indices, matrix)`` pairs as read-only views into the
-        padded arrays, in construction order."""
-        return tuple((idx[:s], mat[:s, :s])
-                     for idx, mat, s in zip(self.indices, self.matrices, self.size))
-
-    @property
     def matrix(self):
         """U as a ``scipy.sparse.csr_array``, assembled from the blocks on
         every access. An export for callers; qflux itself reads the padded arrays."""
@@ -329,20 +316,6 @@ class ConservingUnitary:
         read = row_block[r]
         out[r, c] = self._read(read)[read, self.slot[rows[r]], self.slot[cols[c]]]
         return out
-
-    def assert_valid(self, model: JointModel) -> None:
-        """U spans the model basis, and every block is unitary and symmetric
-        to 1e-12 and its indices share one energy level."""
-        if self.dim != model.dim:
-            raise DimensionError("unitary blocks do not partition the model basis")
-        for idx, mat in self.blocks:
-            if np.unique(model.levels[idx]).size != 1:
-                raise ValueError("block mixes joint energies: it does not commute "
-                                 "with the joint Hamiltonian")
-            if np.abs(mat.conj().T @ mat - np.eye(idx.size)).max() > UNITARITY_TOL:
-                raise ValueError("block is not unitary within 1e-12")
-            if np.abs(mat - mat.T).max() > SYMMETRY_TOL:
-                raise ValueError("block is not symmetric within 1e-12")
 
 
 #: complex entries per stacked ``eigh`` in the sampler; 2**13 peaked past 1.15x U at 16 x 96

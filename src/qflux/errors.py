@@ -21,10 +21,6 @@ class DegenerateMapError(QfluxError):
     """Gibbs rescaling normalizer vanished; the mapped state is undefined."""
 
 
-class GibbsOverflowError(QfluxError, OverflowError):
-    """Inverse Gibbs rescaling would amplify truncation noise beyond the configured bound."""
-
-
 class IncommensurateError(QfluxError):
     """Frequencies admit too few cross-sector degeneracies for nontrivial dynamics."""
 

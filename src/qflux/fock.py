@@ -28,21 +28,14 @@ DEFAULT_MAX_CUTOFF = 256
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """A finite Hilbert space of dimension ``dim`` with a human-readable label.
-
-    Product spaces record their factor dimensions so tensor bookkeeping stays
-    checkable; the product of ``factors`` must equal ``dim``.
-    """
+    """A finite Hilbert space of dimension ``dim`` with a human-readable label."""
 
     dim: int
     label: str = "space"
-    factors: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionError(f"dim must be >= 1, got {self.dim}")
-        if self.factors and math.prod(self.factors) != self.dim:
-            raise DimensionError(f"factor dims {self.factors} do not multiply to {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -163,10 +156,6 @@ class PureState:
 
 def number_operator(mode: OscillatorMode) -> OperatorMatrix:
     return OperatorMatrix(mode.space, np.diag(np.arange(mode.cutoff, dtype=float)))
-
-
-def identity(space: HilbertSpace) -> OperatorMatrix:
-    return OperatorMatrix(space, np.eye(space.dim, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -315,35 +304,8 @@ def coherent_state(alpha: complex, space: HilbertSpace,
 
 
 # ---------------------------------------------------------------------------
-# multilinear plumbing
+# readouts
 # ---------------------------------------------------------------------------
-
-def _product_space(a: HilbertSpace, b: HilbertSpace) -> HilbertSpace:
-    fa = a.factors if a.factors else (a.dim,)
-    fb = b.factors if b.factors else (b.dim,)
-    return HilbertSpace(a.dim * b.dim, f"{a.label}*{b.label}", fa + fb)
-
-
-def tensor(a, b):
-    """Kronecker product preserving the operand kind (operator, density, pure)."""
-    if isinstance(a, OperatorMatrix) and isinstance(b, OperatorMatrix):
-        cls = type(a) if type(a) is type(b) else OperatorMatrix
-        return cls(_product_space(a.space, b.space), np.kron(a.matrix, b.matrix))
-    if isinstance(a, DensityState) and isinstance(b, DensityState):
-        return DensityState(_product_space(a.space, b.space),
-                            np.kron(a.matrix, b.matrix),
-                            tail_mass=a.tail_mass + b.tail_mass, validate=False)
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(_product_space(a.space, b.space),
-                         np.kron(a.amplitudes, b.amplitudes))
-    raise DimensionError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
-def trace(op) -> complex:
-    mat = op.matrix if hasattr(op, "matrix") else np.asarray(op)
-    t = complex(np.trace(mat))
-    return t
-
 
 def expectation(op: OperatorMatrix, state) -> Union[float, complex]:
     """<X> in a PureState or DensityState; real part returned when imaginary

@@ -1,8 +1,8 @@
 """Gibbs rescaling between measurement operators and prepared states.
 
-Houses the rescaling map and its inverse, the effective potential, and the
-generalized free-energy / work differences built from it. The package works
-in the energy eigenbasis throughout, so every Hamiltonian is diagonal and is
+Houses the rescaling map, the effective potential, and the generalized
+free-energy / work differences built from it. The package works in the
+energy eigenbasis throughout, so every Hamiltonian is diagonal and is
 passed as its 1-D real vector of energies, such as ``OscillatorMode.energies``;
 beta below 1e-6 is rejected because the effective potential degenerates there.
 A rank-one X = |v><v| may be passed as the ``PureState`` v: the map then
@@ -16,33 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMapError, DimensionError, DomainError, GibbsOverflowError
-from .fock import DensityState, HilbertSpace, OperatorMatrix, PureState
+from .errors import DegenerateMapError, DimensionError, DomainError
+from .fock import DensityState, HilbertSpace, PureState
 
 BETA_MIN = 1e-6
 #: support weight threshold, relative to the largest diagonal entry
 SUPPORT_RTOL = 1e-14
-#: largest allowed exp(beta * spectral range) in the inverse map
-MAX_AMPLIFICATION = 1e280
 #: smallest shifted normalizer Tr[exp(-beta (H - E_0)) X] the map accepts
 MIN_NORMALIZER = 1e-300
 
 BOUNDS_SLACK = 1e-10
-
-
-class MeasurementOperator(OperatorMatrix):
-    """Hermitian positive-semidefinite operator in the energy basis."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        m = self.matrix
-        if np.abs(m - m.conj().T).max() > 1e-10 * max(1.0, np.abs(m).max()):
-            raise ValueError("measurement operator must be Hermitian")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -1e-10 * max(1.0, evals.max(), 0.0):
-            raise ValueError(
-                f"measurement operator has negative eigenvalue {evals.min():.3e}"
-            )
 
 
 @dataclass(frozen=True)
@@ -128,35 +111,6 @@ def gibbs_map(x, h, beta: float):
     if pure:
         return PureState(space, mapped.conj() / np.sqrt(norm))
     return DensityState(space, mapped / norm)
-
-
-def gibbs_map_inverse(rho, h, beta: float) -> MeasurementOperator:
-    """Recover the measurement operator exp(+beta H/2) T(rho) exp(+beta H/2),
-    rescaled so its largest eigenvalue is 1.
-
-    Raises GibbsOverflowError when exp(beta * spectral range) exceeds
-    ``MAX_AMPLIFICATION``: beyond that, weights of rho stored near the double
-    underflow floor dominate the recovered operator with truncation noise.
-    """
-    beta = _check_beta(beta)
-    energies = _energies(h)
-    rm = _as_matrix(rho)
-    if rm.shape[0] != energies.size:
-        raise DimensionError(f"dim mismatch {rm.shape[0]} vs {energies.size}")
-    span = beta * (energies.max() - energies.min())
-    if span > np.log(MAX_AMPLIFICATION):
-        raise GibbsOverflowError(
-            f"exp(beta * energy span) = exp({span:.1f}) exceeds the "
-            f"amplification bound {MAX_AMPLIFICATION:.1e}"
-        )
-    w = np.exp(beta * (energies - energies.max()) / 2.0)
-    rec = w[:, None] * rm.T * w[None, :]
-    rec = (rec + rec.conj().T) / 2.0
-    top = np.linalg.eigvalsh(rec).max()
-    if not top > 0:
-        raise DegenerateMapError("recovered operator has no positive part")
-    space = rho.space if hasattr(rho, "space") else HilbertSpace(rm.shape[0], "recovered")
-    return MeasurementOperator(space, rec / top)
 
 
 def effective_potential(beta: float, h, x) -> EffectivePotentialValue:

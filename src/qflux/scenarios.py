@@ -679,13 +679,18 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
     forward and reverse term in turn. Pairs with a probability at or below
     1e-12 are counted in ``provenance["dropped"]``. Raises ConfigError,
     before any sampling, for an n at or above ``ladder_dim`` (no binomial
-    state of that size fits the ladder) or a p of 0 (no distortion factor)."""
+    state of that size fits the ladder), a p of 0 (no distortion factor), or
+    a grid with no pair: one p entry for "align", one n entry for "size"."""
     p_grid = config.p_grid or (0.2, 0.5, 0.8)
     n_grid = config.n_grid or (2, 4, 6)
     if max(n_grid) >= config.ladder_dim or min(p_grid) == 0.0:
         raise ConfigError(f"crooks-binomial-{regime} needs every n below ladder_dim "
                           f"{config.ladder_dim} and every p above 0, got n_grid "
                           f"{list(n_grid)}, p_grid {list(p_grid)}")
+    name, varied = ("p_grid", p_grid) if regime == "align" else ("n_grid", n_grid)
+    if len(varied) < 2:
+        raise ConfigError(f"crooks-binomial-{regime} compares pairs of {name} entries "
+                          f"and needs two or more, got {list(varied)}")
     if regime == "align":
         pairs = [(n, p_i, n, p_f) for n in n_grid
                  for p_i in p_grid for p_f in p_grid if p_i != p_f]
@@ -712,7 +717,7 @@ def _run_crooks_binomial(config: ScenarioConfig, report: VerificationReport,
                     state(n_i, p_i, dyn.SECTOR_INITIAL).amplitudes)
             rho_b += (prepared(n_i, p_i, dyn.SECTOR_INITIAL),
                       prepared(n_f, p_f, dyn.SECTOR_FINAL))
-        q = dyn.q_quantity((eye_s, x_b), (gamma, rho_b), u, model).tolist() if pairs else []
+        q = dyn.q_quantity((eye_s, x_b), (gamma, rho_b), u, model).tolist()
         kept, predicted = [], []   # (n_i, n_f, p_i, p_f, P_F, P_R) of each case
         for (n_i, p_i, n_f, p_f), p_fwd, p_rev in zip(pairs, q[::2], q[1::2]):
             if p_fwd <= 1e-12 or p_rev <= 1e-12:

@@ -1,6 +1,7 @@
 """Pin BLAS to one thread before numpy loads, so acceptance timings are
 honest single-threaded measurements. Also holds the test-side helper that
-builds a conserving unitary from ``(indices, matrix)`` pairs, and the
+builds a conserving unitary from ``(indices, matrix)`` pairs, the oracles
+that read such pairs back and check a unitary against its model, and the
 reference sampler that draws and diagonalizes one block at a time."""
 
 import os
@@ -12,6 +13,10 @@ for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
 import numpy as np  # noqa: E402  (after the thread pins)
 
 from qflux import dynamics as dyn  # noqa: E402
+from qflux.errors import DimensionError  # noqa: E402
+
+UNITARITY_TOL = 1e-12
+SYMMETRY_TOL = 1e-12
 
 
 def padded_unitary(pairs, window=None):
@@ -23,6 +28,28 @@ def padded_unitary(pairs, window=None):
     for b, (idx, mat) in enumerate(pairs):
         matrices[b, :len(idx), :len(idx)] = mat
     return dyn.ConservingUnitary([idx for idx, _ in pairs], matrices, window)
+
+
+def block_pairs(u):
+    """The ``(indices, matrix)`` pairs of ``u`` as read-only views into its
+    padded arrays, in construction order."""
+    return tuple((idx[:s], mat[:s, :s])
+                 for idx, mat, s in zip(u.indices, u.matrices, u.size))
+
+
+def assert_valid(u, model):
+    """``u`` spans the model basis, and every block is unitary and symmetric
+    to 1e-12 and its indices share one energy level."""
+    if u.dim != model.dim:
+        raise DimensionError("unitary blocks do not partition the model basis")
+    for idx, mat in block_pairs(u):
+        if np.unique(model.levels[idx]).size != 1:
+            raise ValueError("block mixes joint energies: it does not commute "
+                             "with the joint Hamiltonian")
+        if np.abs(mat.conj().T @ mat - np.eye(idx.size)).max() > UNITARITY_TOL:
+            raise ValueError("block is not unitary within 1e-12")
+        if np.abs(mat - mat.T).max() > SYMMETRY_TOL:
+            raise ValueError("block is not symmetric within 1e-12")
 
 
 def reference_block_unitary(rng, size):

@@ -20,7 +20,8 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import padded_unitary, reference_block_unitary, reference_unitary
+from conftest import (assert_valid, block_pairs, padded_unitary, reference_block_unitary,
+                      reference_unitary)
 
 from qflux import closedform as cf
 from qflux import dynamics as dyn
@@ -150,7 +151,7 @@ class TestExport:
         assert type(m).__name__ == "csr_array" and m.shape == (model.dim, model.dim)
         um = dense(u)
         assert np.array_equal(m.toarray(), um)
-        assert m.nnz == sum(len(idx) ** 2 for idx, _ in u.blocks)
+        assert m.nnz == sum(len(idx) ** 2 for idx, _ in block_pairs(u))
         assert np.abs(um.conj().T @ um - np.eye(model.dim)).max() < 1e-12
 
     def test_entries_equal_dense(self, model_and_unitary):
@@ -166,8 +167,8 @@ class TestExport:
         pairs = [(idx, reference_block_unitary(rng, idx.size))
                  for idx in dyn.spectral_blocks(model)]
         u = padded_unitary(pairs)
-        assert len(u.blocks) == len(pairs) and u.dim == model.dim
-        for (idx, mat), (got_idx, got_mat) in zip(pairs, u.blocks):
+        assert len(block_pairs(u)) == len(pairs) and u.dim == model.dim
+        for (idx, mat), (got_idx, got_mat) in zip(pairs, block_pairs(u)):
             assert np.array_equal(got_idx, idx) and np.array_equal(got_mat, mat)
             assert np.shares_memory(got_mat, u.matrices) and not got_mat.flags.writeable
 
@@ -462,7 +463,7 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("pairs", [2, 5])
     def test_small_chunks_match_dense(self, model_and_unitary, monkeypatch, pairs, forms):
         model, u = model_and_unitary
-        widest = max(idx.size for idx, _ in u.blocks)
+        widest = max(idx.size for idx, _ in block_pairs(u))
         monkeypatch.setattr(dyn, "_PAIR_CHUNK", pairs * widest ** 2)
         x, rho = random_terms(np.random.default_rng(11), model, forms)[0]
         ref = product_q(x, rho, u)
@@ -987,12 +988,12 @@ class TestValidation:
 
     def test_identity_blocks_are_valid(self):
         model = make_model(**self.MODEL)
-        self.blocks_with(model, np.eye(2, dtype=complex)).assert_valid(model)
+        assert_valid(self.blocks_with(model, np.eye(2, dtype=complex)), model)
 
     def test_rejects_nonunitary_block(self):
         model = make_model(**self.MODEL)
         with pytest.raises(ValueError, match="unitary"):
-            self.blocks_with(model, 1.001 * np.eye(2, dtype=complex)).assert_valid(model)
+            assert_valid(self.blocks_with(model, 1.001 * np.eye(2, dtype=complex)), model)
 
     def test_rejects_nonsymmetric_block(self):
         # a rotation: unitary, but not symmetric
@@ -1000,7 +1001,7 @@ class TestValidation:
         c, s = np.cos(0.3), np.sin(0.3)
         rotation = np.array([[c, -s], [s, c]], dtype=complex)
         with pytest.raises(ValueError, match="symmetric"):
-            self.blocks_with(model, rotation).assert_valid(model)
+            assert_valid(self.blocks_with(model, rotation), model)
 
     def test_rejects_block_mixing_energies(self):
         # two singletons of different energy merged into one identity block
@@ -1012,13 +1013,13 @@ class TestValidation:
         merged = [(np.concatenate([i0, i1]), np.eye(2, dtype=complex))] + \
             [pair for i, pair in enumerate(pairs) if i not in singletons]
         with pytest.raises(ValueError, match="energies"):
-            padded_unitary(merged).assert_valid(model)
+            assert_valid(padded_unitary(merged), model)
 
     def test_rejects_blocks_not_partitioning_basis(self):
         model = make_model(**self.MODEL)
         pairs = identity_pairs(model)
         with pytest.raises(DimensionError):
-            padded_unitary(pairs[1:]).assert_valid(model)
+            assert_valid(padded_unitary(pairs[1:]), model)
 
     @pytest.mark.parametrize("malformed", ["missing", "repeated", "out-of-range"])
     def test_constructor_rejects_blocks_it_cannot_lay_out(self, malformed):
@@ -1063,7 +1064,7 @@ class TestMemory:
         model = make_model(1, ratio, 16, 96)
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 7)
         assert model.dim == 3072
-        assert sum(idx.nbytes + mat.nbytes for idx, mat in u.blocks) <= 2 * 2 ** 20
+        assert sum(idx.nbytes + mat.nbytes for idx, mat in block_pairs(u)) <= 2 * 2 ** 20
 
     def test_sampling_and_reads_allocate_no_dense_unitary(self):
         model = make_model(1, Fraction(3, 2), 16, 96)

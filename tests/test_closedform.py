@@ -77,7 +77,7 @@ class TestFreeEnergyPieces:
         params = cf.ScenarioParams(beta, w_i, w_f)
         h_i = fock.OscillatorMode(w_i, cutoff).energies
         h_f = fock.OscillatorMode(w_f, cutoff).energies
-        eye = fock.identity(fock.HilbertSpace(cutoff, "s"))
+        eye = np.eye(cutoff)
         brute = gibbs.gen_free_energy_diff(beta, h_i, eye, h_f, eye)
         assert cf.delta_F(params) == pytest.approx(brute, abs=1e-12)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import padded_unitary
+from conftest import assert_valid, block_pairs, padded_unitary
 
 from qflux import closedform as cf
 from qflux import dynamics as dyn
@@ -47,16 +47,17 @@ class TestBuildJointModel:
         # system level 2 is degenerate with the f-sector state one system
         # level down and one battery level down, both at 2.5 + delta*w.
         model = small_model()
-        e_i = int(model.levels[model.index(2, 5, dyn.SECTOR_INITIAL)]) * model.energy_unit
-        e_f = int(model.levels[model.index(1, 4, dyn.SECTOR_FINAL)]) * model.energy_unit
+        levels = model.levels.reshape(model.system_cutoff, -1, 2)   # (n, w, s), row-major
+        e_i = int(levels[2, 5, dyn.SECTOR_INITIAL]) * model.energy_unit
+        e_f = int(levels[1, 4, dyn.SECTOR_FINAL]) * model.energy_unit
         assert e_i == e_f == Fraction(5, 2) + Fraction(1, 2) * 5
 
     def test_equal_frequencies_pair_every_state(self):
         model = small_model(1, 1, 3, 6)
         for n in range(3):
             for w in range(6):
-                e0 = model.levels[model.index(n, w, 0)]
-                e1 = model.levels[model.index(n, w, 1)]
+                e0 = model.levels[(n * 6 + w) * 2]
+                e1 = model.levels[(n * 6 + w) * 2 + 1]
                 assert e0 == e1
 
     def test_irrational_ratio_raises(self):
@@ -129,16 +130,16 @@ class TestConservingUnitary:
         u1 = dyn.sample_conserving_unitary(blocks, 11)
         u2 = dyn.sample_conserving_unitary(blocks, 11)
         assert all(np.array_equal(i1, i2) and np.array_equal(m1, m2)
-                   for (i1, m1), (i2, m2) in zip(u1.blocks, u2.blocks))
+                   for (i1, m1), (i2, m2) in zip(block_pairs(u1), block_pairs(u2)))
         u3 = dyn.sample_conserving_unitary(blocks, 12)
         assert not all(np.array_equal(m1, m3)
-                       for (_, m1), (_, m3) in zip(u1.blocks, u3.blocks))
+                       for (_, m1), (_, m3) in zip(block_pairs(u1), block_pairs(u3)))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_invariants_across_seeds(self, seed):
         model = small_model(1, Fraction(3, 2), 4, 8)
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), seed)
-        u.assert_valid(model)
+        assert_valid(u, model)
 
     def test_symmetry_sweep(self):
         model = small_model()
@@ -153,7 +154,7 @@ class TestConservingUnitary:
         model = dyn.build_joint_model(1, Fraction(3, 2), 3, battery,
                                       min_cross_degeneracies=0)
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 5)
-        assert all(len(idx) == 1 for idx, _ in u.blocks)
+        assert all(len(idx) == 1 for idx, _ in block_pairs(u))
         dense = u.entries(np.arange(model.dim), np.arange(model.dim))
         assert np.abs(dense - np.diag(np.diag(dense))).max() == 0.0
         # no population transfer between distinct basis states
@@ -165,9 +166,9 @@ class TestConservingUnitary:
     def test_validation_rejects_nonunitary(self):
         model = small_model(1, 1, 2, 3)
         u = dyn.sample_conserving_unitary(dyn.spectral_blocks(model), 0)
-        broken = padded_unitary([(idx, mat * 1.001) for idx, mat in u.blocks])
+        broken = padded_unitary([(idx, mat * 1.001) for idx, mat in block_pairs(u)])
         with pytest.raises(ValueError):
-            broken.assert_valid(model)
+            assert_valid(broken, model)
 
 
 class TestTranslationInvariantUnitary:
@@ -177,7 +178,7 @@ class TestTranslationInvariantUnitary:
         reach = dyn.translation_reach(model)
         window = (reach, 35 - reach)
         u = dyn.sample_translation_invariant_unitary(model, blocks, window, 21)
-        u.assert_valid(model)
+        assert_valid(u, model)
         gamma = fock.photon_added_state(0.8, model.system_mode(0), tail_tol=1.0)
         k0, k1 = window[0], window[0] + 2
         b0 = model.battery.basis_index(k0, 0)
@@ -202,7 +203,7 @@ class TestTranslationInvariantUnitary:
     def test_identity_unitary_trivially_invariant(self):
         model = small_model(1, 2, 3, 20)
         u = identity_unitary(model)
-        u.assert_valid(model)
+        assert_valid(u, model)
         gamma = fock.thermal_state(1.0, model.system_mode(0), 1e-1)
         for level in (8, 11):
             dist = dyn.work_distribution("F", gamma, level, u, model)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from qflux import fock
 from qflux.errors import DimensionError, TruncationError
-from qflux.gibbs import MeasurementOperator
 
 
 def geometric_mean_occupation(beta, omega, terms=4000):
@@ -241,31 +240,6 @@ class TestCoherentState:
 
 
 class TestAlgebraPlumbing:
-    def test_tensor_identity(self):
-        a = fock.identity(fock.HilbertSpace(3, "a"))
-        b = fock.identity(fock.HilbertSpace(4, "b"))
-        prod = fock.tensor(a, b)
-        assert prod.space.dim == 12
-        assert np.allclose(prod.matrix, np.eye(12))
-
-    def test_tensor_keeps_a_shared_operator_kind(self):
-        a, b = (MeasurementOperator(fock.HilbertSpace(d, "s"), np.eye(d)) for d in (2, 3))
-        assert type(fock.tensor(a, b)) is MeasurementOperator
-        assert type(fock.tensor(a, fock.identity(b.space))) is fock.OperatorMatrix
-
-    def test_trace_of_product_state(self):
-        mode = fock.OscillatorMode(1.0, 12)
-        rho = fock.thermal_state(1.0, mode, 1e-3)
-        sigma = fock.photon_added_state(1.0, mode, 1e-3)
-        joint = fock.tensor(rho, sigma)
-        assert fock.trace(fock.OperatorMatrix(joint.space, joint.matrix)) == \
-            pytest.approx(1.0)
-
-    def test_tensor_rejects_mixed_kinds(self):
-        mode = fock.OscillatorMode(1.0, 3)
-        with pytest.raises(DimensionError):
-            fock.tensor(fock.thermal_state(5.0, mode, 1e-2), fock.identity(mode.space))
-
     def test_thermal_energy_matches_log_partition_derivative(self):
         # -d ln Z / d beta via central finite difference on the truncated sum
         beta, omega, cutoff = 0.9, 1.3, 70

@@ -17,6 +17,8 @@ SCRIPT = """
 import json, sys
 from fractions import Fraction
 
+import numpy as np
+
 import qflux.cli
 from qflux import dynamics as dyn, fock, gibbs
 from qflux.scenarios import _binomial_battery_state
@@ -32,8 +34,8 @@ h_b = battery.energies
 x_b = _binomial_battery_state(battery, 3, 0.4, dyn.SECTOR_FINAL)
 rho_b = gibbs.gibbs_map(_binomial_battery_state(battery, 3, 0.6, dyn.SECTOR_INITIAL), h_b, 1.0)
 gamma = fock.thermal_state(1.0, model.system_mode(0), tail_tol=1.0)
-x_s = fock.identity(model.system_mode(0).space)
-eye_b = fock.identity(battery.space)
+x_s = fock.OperatorMatrix(model.system_mode(0).space, np.eye(model.system_cutoff))
+eye_b = fock.OperatorMatrix(battery.space, np.eye(battery.dim))
 dyn.q_quantity((x_s, x_b), (gamma, rho_b), u, model)   # vector battery factors
 dyn.q_quantity((x_s, eye_b), (gamma, gibbs.gibbs_map(eye_b, h_b, 1.0)), u, model)   # diagonal ones
 gibbs.effective_potential(1.0, h_b, x_b)

@@ -719,9 +719,10 @@ BINOMIAL_KINDS = ("crooks-binomial-align", "crooks-binomial-size")
 
 
 class TestBinomialGridChecks:
-    """An n that no binomial state on the ladder can have, or a p of 0 (no
-    distortion factor), is a config error raised before any state or U is
-    made; the edges p = 1, n = 1 and n = ladder_dim - 1 run."""
+    """An n that no binomial state on the ladder can have, a p of 0 (no
+    distortion factor), or a grid with no pair is a config error raised
+    before any state or U is made; the edges p = 1, n = 1 and
+    n = ladder_dim - 1 run."""
 
     @pytest.mark.parametrize("kind", BINOMIAL_KINDS)
     @pytest.mark.parametrize("overrides", [{"n_grid": (2, 12)}, {"n_grid": (13,)},
@@ -733,6 +734,24 @@ class TestBinomialGridChecks:
         with pytest.raises(ConfigError):
             sc.run_scenario(sc.default_config(kind, **overrides))
         assert made == []
+
+    @pytest.mark.parametrize("kind, overrides", [("crooks-binomial-align", {"p_grid": (0.5,)}),
+                                                 ("crooks-binomial-size", {"n_grid": (3,)})])
+    def test_grid_without_a_pair_rejected_before_the_scan(self, monkeypatch, kind, overrides):
+        # align pairs two p entries, size two n entries: one entry gives no case
+        made = []
+        monkeypatch.setattr(sc.fock, "binomial_state", lambda *args: made.append(args))
+        monkeypatch.setattr(sc.dyn, "sample_conserving_unitary", lambda *args: made.append(args))
+        with pytest.raises(ConfigError, match="needs two or more"):
+            sc.run_scenario(sc.default_config(kind, **overrides))
+        assert made == []
+
+    @pytest.mark.parametrize("kind, overrides", [("crooks-binomial-align", {"n_grid": (3,)}),
+                                                 ("crooks-binomial-size", {"p_grid": (0.5,)})])
+    def test_one_entry_of_the_fixed_grid_runs(self, kind, overrides):
+        report = sc.run_scenario(sc.default_config(kind, chi_grid=(0.5,), **overrides))
+        assert len(report.columns["key"]) >= 2
+        assert report.all_passed
 
     @pytest.mark.parametrize("kind", BINOMIAL_KINDS)
     def test_edges_run(self, kind):
